@@ -7,7 +7,6 @@ Monte Carlo validation of the matrix-integral identities.
 """
 from ._errors import GuardError, ValidationError
 from .partitions import (
-    CycleClass,
     FrobeniusCoords,
     Partition,
     aut_order,
@@ -80,14 +79,11 @@ from .genfun import (
 )
 from .hirota import bkp_tau_poly, g_normalization, hirota_bilinear_check
 from .matrixmc import (
-    EnsembleSpec,
     LEMMA_RELATIONS,
     MCComparison,
     MCEstimate,
     mc_proposition_check,
     mc_schur_moment,
-    sample_ginibre,
-    sample_haar_unitary,
     unitarity_residual,
 )
 

@@ -128,7 +128,10 @@ def _cmd_schur(args) -> int:
     poly = schur_poly(lam)
     payload = {"partition": lam.to_json(), "power_sum_expansion": poly.to_json()}
     if args.at_constant is not None:
-        a = Fraction(args.at_constant)
+        try:
+            a = Fraction(args.at_constant)
+        except ZeroDivisionError as exc:
+            raise ValidationError(f"zero denominator in --at-constant {args.at_constant}") from exc
         alpha = PowerAlphabet.constant(a, max(1, lam.weight()))
         payload["value_at_constant"] = _frac(eval_schur(lam, alpha))
         payload["pochhammer"] = _frac(pochhammer_lambda(a, lam))
@@ -275,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hurwitzkit",
         description="Exact Hurwitz-number engines with oracle and Monte Carlo validation",
     )
-    default_threads = int(os.environ.get("HURWITZKIT_THREADS", "4"))
-    parser.add_argument("--threads", type=int, default=default_threads,
+    parser.add_argument("--threads", type=int, default=os.environ.get("HURWITZKIT_THREADS", "4"),
                         help="worker cap (default: HURWITZKIT_THREADS or 4)")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from ._errors import GuardError, ValidationError
 from .characters import irrep_dimension, normalized_character
 from .partitions import Partition, as_partition, partitions_of
-from .symfunc import PowerSumPoly, exp_truncated, schur_poly
+from .symfunc import PowerSumPoly, content_product, exp_truncated, schur_poly
 
 
 @dataclass(frozen=True)
@@ -168,12 +168,7 @@ class ContentFunction:
         return cls(fn, "tabulated")
 
     def content_product(self, n, lam) -> object:
-        lam = as_partition(lam)
-        out = Fraction(1)
-        for i, row in enumerate(lam.parts, start=1):
-            for j in range(1, row + 1):
-                out = out * self(n + j - i)
-        return out
+        return content_product(self, n, lam)
 
 
 @dataclass(frozen=True)
@@ -261,6 +256,8 @@ def hypergeometric_series(
             if cutoff is not None and lam.length() > cutoff:
                 continue
             if route == "schur":
+                # Jacobi-Trudi, an independent route on purpose: it shares no
+                # code with the character data of the "pochhammer" branch.
                 coeffs = _schur_coeffs(lam)
                 s_inf = coeffs.get((1,) * d, Fraction(0))
                 prof_coeff = {delta: coeffs.get(delta.parts, Fraction(0)) for delta in classes}

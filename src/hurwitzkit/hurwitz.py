@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
+from typing import Callable
 
 from ._errors import GuardError, ValidationError
 from .characters import (
@@ -57,80 +58,61 @@ class HurwitzResult:
     euler_cover: int
 
 
-def _lam_range(d: int, cutoff: int | None):
-    for lam in partitions_of(d):
-        if cutoff is None or lam.length() <= cutoff:
-            yield lam
-
-
-def hurwitz_number(euler: int, degree: int, profiles=(), cutoff: int | None = None) -> HurwitzResult:
-    """Character-formula count of degree-d branched covers with the given profiles."""
-    query = HurwitzQuery(euler, degree, tuple(as_partition(p) for p in profiles), cutoff)
-    d = query.degree
-    fact = factorial(d)
+def _character_sum(query: HurwitzQuery, factor: Callable[[Partition], object] | None = None):
+    """The character sum of the module docstring, each term times factor(lam)
+    when given; a term is dropped as soon as it vanishes."""
+    fact = factorial(query.degree)
     total = Fraction(0)
-    for lam in _lam_range(d, query.cutoff):
+    for lam in partitions_of(query.degree):
+        if query.cutoff is not None and lam.length() > query.cutoff:
+            continue
         term = Fraction(irrep_dimension(lam), fact) ** query.euler
         for prof in query.profiles:
             term *= normalized_character(lam, prof)
             if not term:
                 break
+        if term and factor is not None:
+            term *= factor(lam)
         total += term
+    return total
+
+
+def hurwitz_number(euler: int, degree: int, profiles=(), cutoff: int | None = None) -> HurwitzResult:
+    """Character-formula count of degree-d branched covers with the given profiles."""
+    query = HurwitzQuery(euler, degree, tuple(profiles), cutoff)
     return HurwitzResult(
-        value=total,
+        value=_character_sum(query),
         query=query,
-        is_true_hurwitz=(query.cutoff is None or query.cutoff >= d),
-        euler_cover=euler_char_cover(euler, query.profiles, degree=d),
+        is_true_hurwitz=(cutoff is None or cutoff >= degree),
+        euler_cover=euler_char_cover(euler, query.profiles, degree=degree),
     )
 
 
 def hurwitz_value(euler: int, degree: int, profiles=(), cutoff: int | None = None) -> Fraction:
-    return hurwitz_number(euler, degree, profiles, cutoff).value
+    return _character_sum(HurwitzQuery(euler, degree, tuple(profiles), cutoff))
 
 
 def hurwitz_colength_sum(euler: int, degree: int, profiles, colengths, cutoff: int | None = None) -> Fraction:
     """Sum of Hurwitz numbers over extra branch points with fixed colengths:
     each colength l adds a factor colength_sum(lam, l) under the character sum."""
-    profs = tuple(as_partition(p) for p in profiles)
-    for p in profs:
-        if p.weight() != degree:
-            raise ValidationError("profile weight mismatch")
+    query = HurwitzQuery(euler, degree, tuple(profiles), cutoff)
     for l in colengths:
         if not 0 <= l <= degree - 1:
             raise ValidationError(f"colength {l} out of range 0..{degree - 1}")
-    fact = factorial(degree)
-    total = Fraction(0)
-    for lam in _lam_range(degree, cutoff):
-        term = Fraction(irrep_dimension(lam), fact) ** euler
-        for prof in profs:
-            term *= normalized_character(lam, prof)
-        for l in colengths:
-            term *= colength_sum(lam, l)
-        total += term
-    return total
+    return _character_sum(query, lambda lam: prod(colength_sum(lam, l) for l in colengths))
 
 
 def hurwitz_weighted_sum(euler: int, degree: int, profiles, weight_pairs, cutoff: int | None = None):
     """Weighted Hurwitz sum: each pair (k, c) adds a factor
     weighted_colength_sum(lam, k, c).  At all c = 1 this reduces to
     hurwitz_colength_sum with the same k's."""
-    profs = tuple(as_partition(p) for p in profiles)
-    for p in profs:
-        if p.weight() != degree:
-            raise ValidationError("profile weight mismatch")
+    query = HurwitzQuery(euler, degree, tuple(profiles), cutoff)
     for k, _ in weight_pairs:
         if k < 1:
             raise ValidationError("weight order k must be >= 1")
-    fact = factorial(degree)
-    total: object = Fraction(0)
-    for lam in _lam_range(degree, cutoff):
-        term = Fraction(irrep_dimension(lam), fact) ** euler
-        for prof in profs:
-            term = term * normalized_character(lam, prof)
-        for k, c in weight_pairs:
-            term = term * weighted_colength_sum(lam, k, c)
-        total = total + term
-    return total
+    return _character_sum(
+        query, lambda lam: prod(weighted_colength_sum(lam, k, c) for k, c in weight_pairs)
+    )
 
 
 def gluing_identity_holds(euler_a: int, euler_b: int, degree: int, profiles_a=(), profiles_b=()) -> bool:

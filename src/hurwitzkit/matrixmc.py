@@ -21,7 +21,16 @@ from .genfun import proposition_layout
 from .partitions import Partition, as_partition, partitions_of
 from .symfunc import PowerAlphabet, eval_schur, schur_poly
 
-LEMMA_RELATIONS = ("sAUBU-1", "sAUU-1B", "sAZBZ+", "sAZZ+B")
+# relation -> (Haar unitary M, else Ginibre; paired s_lam(A M B M^dag), else
+# split s_mu(A M) s_lam(M^dag B)).  The exact side divides by s_lam(N) for
+# Haar matrices and by s_lam(p_infinity) for Ginibre ones.
+_RELATIONS = {
+    "sAUBU-1": (True, True),
+    "sAUU-1B": (True, False),
+    "sAZBZ+": (False, True),
+    "sAZZ+B": (False, False),
+}
+LEMMA_RELATIONS = tuple(_RELATIONS)
 
 
 @dataclass(frozen=True)
@@ -36,26 +45,6 @@ class MCEstimate:
             raise ValidationError("an estimate needs at least 2 samples")
         if self.stderr < 0:
             raise ValidationError("stderr must be nonnegative")
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    kind: str  # "ginibre_complex" | "haar_unitary"
-    size: int
-    count: int = 1
-    fixed: tuple = ()  # interleaved fixed matrices, one per sampled matrix
-
-    def __post_init__(self):
-        if self.kind not in ("ginibre_complex", "haar_unitary"):
-            raise ValidationError(f"unknown ensemble {self.kind!r}")
-        if self.size < 1 or self.count < 1:
-            raise ValidationError("size and count must be >= 1")
-        if self.fixed and len(self.fixed) != self.count:
-            raise ValidationError("need one fixed matrix per sampled matrix")
-        for mat in self.fixed:
-            arr = np.asarray(mat)
-            if arr.shape != (self.size, self.size):
-                raise ValidationError("fixed matrices must be size x size")
 
 
 @dataclass(frozen=True)
@@ -82,17 +71,6 @@ def _haar_batch(rng: np.random.Generator, batch: int, size: int) -> np.ndarray:
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     phases = diag / np.abs(diag)
     return q * phases[:, None, :]
-
-
-def sample_ginibre(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
-    """One matrix with i.i.d. standard complex Gaussian entries (E|Z_ij|^2 = 1)."""
-    return _ginibre_batch(rng, 1, spec.size)[0]
-
-
-def sample_haar_unitary(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
-    """One Haar-distributed unitary: QR of a Ginibre sample with the R-diagonal
-    phases folded into Q."""
-    return _haar_batch(rng, 1, spec.size)[0]
 
 
 def unitarity_residual(u: np.ndarray) -> float:
@@ -159,12 +137,18 @@ def _exact_schur(lam: Partition, matrix: np.ndarray) -> complex:
     return complex(eval_schur(lam, alpha))
 
 
-def _schur_p_infinity(lam: Partition) -> Fraction:
-    return eval_schur(lam, PowerAlphabet.p_infinity(max(lam.weight(), 1)))
+def _schur_norm(lam: Partition, size: int, haar: bool) -> complex:
+    """s_lam(N) = s_lam at p_m = N for Haar matrices, s_lam(p_infinity) for Ginibre ones."""
+    m_max = max(lam.weight(), 1)
+    alpha = PowerAlphabet.constant(Fraction(size), m_max) if haar else PowerAlphabet.p_infinity(m_max)
+    return complex(eval_schur(lam, alpha))
 
 
-def _schur_identity(lam: Partition, size: int) -> Fraction:
-    return eval_schur(lam, PowerAlphabet.constant(Fraction(size), max(lam.weight(), 1)))
+def _check_stream(seed: int, workers: int) -> None:
+    if workers < 1:
+        raise ValidationError("workers must be >= 1")
+    if not 0 <= seed < 2**64:
+        raise ValidationError("seed must satisfy 0 <= seed < 2^64")
 
 
 def mc_schur_moment(
@@ -181,8 +165,10 @@ def mc_schur_moment(
 ) -> MCComparison:
     """Estimate one of the four single/paired Schur averages and compare with
     its exact value at `gate` standard errors."""
-    if relation not in LEMMA_RELATIONS:
+    if relation not in _RELATIONS:
         raise ValidationError(f"relation must be one of {LEMMA_RELATIONS}")
+    haar, paired = _RELATIONS[relation]
+    _check_stream(seed, workers)
     lam = as_partition(lam)
     mu = as_partition(mu) if mu is not None else lam
     if lam.weight() < 1 or mu.weight() < 1:
@@ -193,31 +179,21 @@ def mc_schur_moment(
         raise GuardError("mc guard: N <= 6")
     if samples < 10_000:
         raise GuardError("mc guard: samples >= 10^4")
-    if lam.weight() != mu.weight() and relation in ("sAUBU-1", "sAZBZ+"):
+    if lam.weight() != mu.weight() and paired:
         raise ValidationError("single-Schur relations take one partition")
     a = default_test_matrix(size, 0) if a_matrix is None else np.asarray(a_matrix, dtype=complex)
     b = default_test_matrix(size, 1) if b_matrix is None else np.asarray(b_matrix, dtype=complex)
 
     m_max = max(lam.weight(), mu.weight(), 1)
+    sample = _haar_batch if haar else _ginibre_batch
     values = []
     for worker, chunk in enumerate(_chunks(samples, workers)):
-        rng = _worker_rng(seed, worker)
-        if relation in ("sAUBU-1", "sAUU-1B"):
-            mats = _haar_batch(rng, chunk, size)
-        else:
-            mats = _ginibre_batch(rng, chunk, size)
+        mats = sample(_worker_rng(seed, worker), chunk, size)
         dag = mats.conj().swapaxes(-2, -1)
-        if relation == "sAUBU-1":
+        if paired:
             prod = a[None] @ mats @ b[None] @ dag
             values.append(_schur_on_traces(lam, _batched_traces(prod, m_max)))
-        elif relation == "sAZBZ+":
-            prod = a[None] @ mats @ b[None] @ dag
-            values.append(_schur_on_traces(lam, _batched_traces(prod, m_max)))
-        elif relation == "sAUU-1B":
-            left = _schur_on_traces(mu, _batched_traces(a[None] @ mats, mu.weight()))
-            right = _schur_on_traces(lam, _batched_traces(dag @ b[None], lam.weight()))
-            values.append(left * right)
-        else:  # sAZZ+B
+        else:
             left = _schur_on_traces(mu, _batched_traces(a[None] @ mats, mu.weight()))
             right = _schur_on_traces(lam, _batched_traces(dag @ b[None], lam.weight()))
             values.append(left * right)
@@ -228,18 +204,10 @@ def mc_schur_moment(
     # those relations degenerate to 0 = 0.
     if lam.length() > size or mu.length() > size:
         exact = 0j
-    elif relation == "sAUBU-1":
-        exact = _exact_schur(lam, a) * _exact_schur(lam, b) / complex(_schur_identity(lam, size))
-    elif relation == "sAZBZ+":
-        exact = _exact_schur(lam, a) * _exact_schur(lam, b) / complex(_schur_p_infinity(lam))
-    elif relation == "sAUU-1B":
-        exact = (
-            _exact_schur(lam, a @ b) / complex(_schur_identity(lam, size)) if mu == lam else 0j
-        )
+    elif paired:
+        exact = _exact_schur(lam, a) * _exact_schur(lam, b) / _schur_norm(lam, size, haar)
     else:
-        exact = (
-            _exact_schur(lam, a @ b) / complex(_schur_p_infinity(lam)) if mu == lam else 0j
-        )
+        exact = _exact_schur(lam, a @ b) / _schur_norm(lam, size, haar) if mu == lam else 0j
 
     return _compare(estimate, exact, gate)
 
@@ -274,6 +242,7 @@ def mc_proposition_check(
     truncated character sum from the same layout."""
     if layout_name not in ("prop1", "prop2", "prop1_u", "prop2_u"):
         raise ValidationError("mc propositions cover prop1, prop2, prop1_u, prop2_u")
+    _check_stream(seed, workers)
     if size > 5:
         raise GuardError("mc guard: N <= 5")
     if degree > 3:

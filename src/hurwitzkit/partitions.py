@@ -117,23 +117,6 @@ class FrobeniusCoords:
         return sum(a + b + 1 for a, b in zip(self.arms, self.legs))
 
 
-@dataclass(frozen=True)
-class CycleClass:
-    """A conjugacy class of S_d, carrying its profile and part multiplicities."""
-
-    profile: Partition
-
-    @property
-    def multiplicities(self) -> dict[int, int]:
-        return self.profile.multiplicities()
-
-    def centralizer_order(self) -> int:
-        return z_order(self.profile)
-
-    def size(self) -> int:
-        return int(cycle_class_size(self.profile))
-
-
 @lru_cache(maxsize=None)
 def _partition_tuples(d: int, max_part: int) -> tuple[tuple[int, ...], ...]:
     if d == 0:

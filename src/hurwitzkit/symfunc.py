@@ -229,7 +229,12 @@ def _jacobi_trudi(entries: tuple[tuple[int, ...], ...]) -> PowerSumPoly:
 
 @lru_cache(maxsize=None)
 def schur_poly(lam: Partition) -> PowerSumPoly:
-    """Schur function s_lam as a polynomial in power sums, via Jacobi-Trudi."""
+    """Schur function s_lam as a polynomial in power sums, via Jacobi-Trudi.
+
+    Kept on purpose as a route independent of the character recursion: the
+    "schur" route of genfun.hypergeometric_series, cauchy_littlewood_check
+    and the MC harness are built on it, and the character-side "pochhammer"
+    route is checked against it."""
     lam = as_partition(lam)
     ell = lam.length()
     entries = tuple(
@@ -327,13 +332,18 @@ def eval_schur(lam, alphabet: PowerAlphabet):
     return schur_poly(lam).evaluate(alphabet.values)
 
 
+def content_product(r: Callable, n, lam):
+    """Product of r(n + j - i) over diagram cells, row by row; exact (a
+    Fraction) whenever every factor is."""
+    out = Fraction(1)
+    for c in as_partition(lam).contents():
+        out = out * r(n + c)
+    return out
+
+
 def pochhammer_lambda(a, lam):
     """Product of (a + j - i) over diagram cells."""
-    lam = as_partition(lam)
-    out = Fraction(1) if isinstance(a, (int, Fraction)) else 1
-    for c in lam.contents():
-        out = out * (a + c)
-    return out
+    return content_product(lambda x: x, a, lam)
 
 
 def qt_pochhammer_lambda(q, t, lam):
@@ -343,21 +353,9 @@ def qt_pochhammer_lambda(q, t, lam):
         q = Fraction(q)
     if isinstance(t, int):
         t = Fraction(t)
-    out = Fraction(1) if isinstance(q, Fraction) and isinstance(t, Fraction) else 1
-    for c in lam.contents():
-        if t == 0 and c < 0:
-            raise ValidationError("t^{j-i} undefined at t = 0 below the diagonal")
-        out = out * (1 - q * t**c)
-    return out
-
-
-def content_product(r: Callable, n, lam):
-    """Product of r(n + j - i) over diagram cells."""
-    lam = as_partition(lam)
-    out = 1
-    for c in lam.contents():
-        out = out * r(n + c)
-    return out
+    if t == 0 and lam.length() > 1:
+        raise ValidationError("t^{j-i} undefined at t = 0 below the diagonal")
+    return content_product(lambda c: 1 - q * t**c, 0, lam)
 
 
 def conjugation_identity_check(lam, alphabet: PowerAlphabet) -> bool:
@@ -367,10 +365,6 @@ def conjugation_identity_check(lam, alphabet: PowerAlphabet) -> bool:
     left = eval_schur(lam, alphabet)
     right = eval_schur(conjugate(lam), alphabet.negated())
     return left == sign * right
-
-
-def _pair_key(left: Monomial, right: Monomial) -> tuple[Monomial, Monomial]:
-    return (left, right)
 
 
 def cauchy_littlewood_check(d_max: int) -> bool:

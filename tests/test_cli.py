@@ -139,3 +139,23 @@ def test_selftest_quick(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--quick")
     assert code == 0
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+@pytest.mark.parametrize(
+    "env,argv",
+    [
+        ({}, ["--threads", "0", "mc", "--relation", "sAUBU-1", "--N", "2"]),
+        ({}, ["mc", "--relation", "sAUBU-1", "--N", "2", "--seed", "-1"]),
+        ({}, ["schur", "--partition", "2,1", "--at-constant", "1/0"]),
+        ({"HURWITZKIT_THREADS": "abc"}, ["selftest", "--quick"]),
+    ],
+)
+def test_bad_input_exits_2_without_traceback(capsys, monkeypatch, env, argv):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err

@@ -5,24 +5,14 @@ from fractions import Fraction
 
 from hurwitzkit import GuardError, ValidationError
 from hurwitzkit.matrixmc import (
-    EnsembleSpec,
     LEMMA_RELATIONS,
     mc_proposition_check,
     mc_schur_moment,
-    sample_ginibre,
-    sample_haar_unitary,
     unitarity_residual,
 )
 from hurwitzkit.matrixmc import _chunks, _ginibre_batch, _haar_batch, _worker_rng
 
 SEED = 20240818
-
-
-def test_ensemble_spec_validation():
-    with pytest.raises(ValidationError):
-        EnsembleSpec("other", 3)
-    with pytest.raises(ValidationError):
-        EnsembleSpec("haar_unitary", 0)
 
 
 def test_ginibre_moments():
@@ -36,22 +26,14 @@ def test_ginibre_moments():
 
 
 def test_ginibre_trace_moment():
-    spec = EnsembleSpec("ginibre_complex", 3)
-    rng = _worker_rng(SEED, 1)
-    vals = []
-    for _ in range(2000):
-        z = sample_ginibre(spec, rng)
-        vals.append(np.trace(z @ z.conj().T).real)
-    vals = np.array(vals)
+    z = _ginibre_batch(_worker_rng(SEED, 1), 2000, 3)
+    vals = np.trace(z @ z.conj().swapaxes(-2, -1), axis1=-2, axis2=-1).real
     stderr = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean() - 9.0) < 5 * stderr  # E tr ZZ^dag = N^2
 
 
 def test_haar_unitarity_residual():
-    spec = EnsembleSpec("haar_unitary", 5)
-    rng = _worker_rng(SEED, 2)
-    for _ in range(20):
-        u = sample_haar_unitary(spec, rng)
+    for u in _haar_batch(_worker_rng(SEED, 2), 20, 5):
         assert unitarity_residual(u) < 1e-12
 
 

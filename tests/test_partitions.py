@@ -5,7 +5,6 @@ import pytest
 
 from hurwitzkit import ValidationError
 from hurwitzkit.partitions import (
-    CycleClass,
     Partition,
     aut_order,
     colength,
@@ -99,13 +98,6 @@ def test_cycle_class_size():
         assert sum(cycle_class_size(p) for p in partitions_of(d)) == factorial(d)
         for p in partitions_of(d):
             assert cycle_class_size(p) * z_order(p) == factorial(d)
-
-
-def test_cycle_class_type():
-    cls = CycleClass(Partition((2, 2, 1)))
-    assert cls.size() == 15
-    assert cls.centralizer_order() == 8
-    assert cls.multiplicities == {2: 2, 1: 1}
 
 
 def test_aut_order():
