@@ -175,6 +175,8 @@ def mc_schur_moment(
         raise ValidationError("partitions must be nonempty")
     if lam.weight() > 4 or mu.weight() > 4:
         raise GuardError("mc guard: |lam| <= 4")
+    if size < 1:
+        raise ValidationError("size must be >= 1")
     if size > 6:
         raise GuardError("mc guard: N <= 6")
     if samples < 10_000:
@@ -243,10 +245,16 @@ def mc_proposition_check(
     if layout_name not in ("prop1", "prop2", "prop1_u", "prop2_u"):
         raise ValidationError("mc propositions cover prop1, prop2, prop1_u, prop2_u")
     _check_stream(seed, workers)
+    if size < 1:
+        raise ValidationError("size must be >= 1")
+    if degree < 1:
+        raise ValidationError("degree must be >= 1")
     if size > 5:
         raise GuardError("mc guard: N <= 5")
     if degree > 3:
         raise GuardError("mc guard: degree <= 3")
+    if samples < 10_000:
+        raise GuardError("mc guard: samples >= 10^4")
     layout = proposition_layout(layout_name, n)
     unitary = layout.matrix_kind == "unitary"
     two_sided = layout_name in ("prop1", "prop1_u")

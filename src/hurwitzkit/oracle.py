@@ -5,13 +5,19 @@ points corresponds to a tuple (A_1, B_1, ..., A_g, B_g | R_1, ..., R_q,
 X_1, ..., X_F) with prod [A_i, B_i] * prod R_j^2 * prod X_i = identity and
 X_i of the prescribed cycle types; the count divided by d! is the cover count.
 
-The tuple count is organized as a convolution of per-factor count vectors
-over the group (same enumeration, associativity-regrouped), which keeps the
-full acceptance sweep inside the runtime budget.  No character theory is used
-anywhere in this module.
+The tuple count is a convolution of per-factor count distributions over the
+group: the identity, the commutator counts, the square counts and the class
+indicators.  All of them are class functions, and so are their convolutions,
+so each is kept as a dictionary keyed by cycle type and evaluated at one
+representative per conjugacy class.  One table per degree, built by plain
+enumeration in O(p(d) d!) compositions, counts the pairs (type x, type x^-1 h)
+over x in S_d for each representative h; the guard admits d <= 8.  This is
+the Frobenius-Mednykh count computed inside the centre of the group algebra:
+no character theory is used anywhere in this module.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -117,40 +123,62 @@ def class_elements(d: int, delta: tuple[int, ...]) -> tuple[Perm, ...]:
 
 
 @lru_cache(maxsize=None)
-def _square_counts(d: int) -> dict[Perm, int]:
-    """counts[h] = number of R in S_d with R^2 = h."""
-    counts: dict[Perm, int] = {}
-    for r in _group(d):
-        h = compose(r, r)
-        counts[h] = counts.get(h, 0) + 1
-    return counts
+def _class_sizes(d: int) -> dict[tuple[int, ...], int]:
+    return Counter(_types(d).values())
 
 
 @lru_cache(maxsize=None)
-def _commutator_counts(d: int) -> dict[Perm, int]:
-    """counts[h] = number of pairs (A, B) with A B A^-1 B^-1 = h."""
-    counts: dict[Perm, int] = {}
-    for a in _group(d):
-        a_inv = inverse(a)
-        for b in _group(d):
-            h = compose(compose(a, b), compose(a_inv, inverse(b)))
-            counts[h] = counts.get(h, 0) + 1
+def _class_pairs(d: int) -> dict[tuple[int, ...], dict[tuple, int]]:
+    """pairs[type h][(type x, type x^-1 h)] = number of x in S_d, for one
+    representative h per class.  x^-1 runs over S_d as x does and has the
+    type of x, so z = x^-1 is enumerated and x^-1 h = z h."""
+    types = _types(d)
+    reps: dict[tuple[int, ...], Perm] = {}
+    for p, t in types.items():
+        reps.setdefault(t, p)
+    pairs = {}
+    for t, h in reps.items():
+        pairs[t] = Counter((tz, types[compose(z, h)]) for z, tz in types.items())
+    return pairs
+
+
+@lru_cache(maxsize=None)
+def _square_counts(d: int) -> dict[tuple[int, ...], int]:
+    """counts[type h] = number of R in S_d with R^2 = h."""
+    hits = Counter(cycle_type(compose(r, r)) for r in _group(d))
+    sizes = _class_sizes(d)
+    return {t: n // sizes[t] for t, n in hits.items()}
+
+
+@lru_cache(maxsize=None)
+def _commutator_counts(d: int) -> dict[tuple[int, ...], int]:
+    """counts[type h] = number of pairs (A, B) with A B A^-1 B^-1 = h.
+
+    B A^-1 B^-1 = A^-1 h has |Z(A)| = d!/|class(A)| solutions B when A^-1 h
+    has the type of A, and none otherwise."""
+    sizes = _class_sizes(d)
+    n_group = factorial(d)
+    counts = {}
+    for t, pairs in _class_pairs(d).items():
+        total = sum(n * n_group // sizes[a] for (a, b), n in pairs.items() if a == b)
+        if total:
+            counts[t] = total
     return counts
 
 
-def _convolve(f: dict[Perm, int], g: dict[Perm, int]) -> dict[Perm, int]:
-    """(f * g)[h] = sum_x f[x] g[x^-1 h]: counts of products drawn from f then g."""
-    out: dict[Perm, int] = {}
-    for x, fx in f.items():
-        for y, gy in g.items():
-            h = compose(x, y)
-            out[h] = out.get(h, 0) + fx * gy
+def _convolve(f: dict, g: dict, d: int) -> dict:
+    """(f * g)[h] = sum_x f[x] g[x^-1 h] for class functions keyed by cycle type."""
+    out = {}
+    for t, pairs in _class_pairs(d).items():
+        total = sum(n * f.get(a, 0) * g.get(b, 0) for (a, b), n in pairs.items())
+        if total:
+            out[t] = total
     return out
 
 
 def _check_guards(pres: SurfacePresentation, degree: int, n_profiles: int) -> None:
-    if degree > 6:
-        raise GuardError(f"oracle guard: degree {degree} > 6")
+    if degree > 8:
+        raise GuardError(f"oracle guard: degree {degree} > 8")
     complexity = pres.crosscaps + 2 * pres.handles + n_profiles
     if complexity > 4:
         raise GuardError(
@@ -158,22 +186,28 @@ def _check_guards(pres: SurfacePresentation, degree: int, n_profiles: int) -> No
         )
 
 
-def oracle_count(pres: SurfacePresentation, degree: int, profiles=()) -> int:
-    """Number of surface-relation solutions with X_i in the prescribed classes."""
+def _profiles(degree: int, profiles) -> list:
+    if degree < 1:
+        raise ValidationError("degree must be >= 1")
     profs = [as_partition(p) for p in profiles]
     for p in profs:
         if p.weight() != degree:
             raise ValidationError("profile weight mismatch")
+    return profs
+
+
+def oracle_count(pres: SurfacePresentation, degree: int, profiles=()) -> int:
+    """Number of surface-relation solutions with X_i in the prescribed classes."""
+    profs = _profiles(degree, profiles)
     _check_guards(pres, degree, len(profs))
-    identity = tuple(range(degree))
-    dist: dict[Perm, int] = {identity: 1}
+    identity = (1,) * degree
+    dist = {identity: 1}
     for _ in range(pres.handles):
-        dist = _convolve(dist, _commutator_counts(degree))
+        dist = _convolve(dist, _commutator_counts(degree), degree)
     for _ in range(pres.crosscaps):
-        dist = _convolve(dist, _square_counts(degree))
+        dist = _convolve(dist, _square_counts(degree), degree)
     for prof in profs:
-        indicator = {p: 1 for p in class_elements(degree, prof.parts)}
-        dist = _convolve(dist, indicator)
+        dist = _convolve(dist, {tuple(prof.parts): 1}, degree)
     return dist.get(identity, 0)
 
 
@@ -186,10 +220,7 @@ def oracle_count_naive(pres: SurfacePresentation, degree: int, profiles=()) -> i
     """Literal nested-tuple enumeration (last class factor solved for and
     membership-tested).  Exponentially slower than oracle_count; kept as an
     independent cross-check for tiny inputs."""
-    profs = [as_partition(p) for p in profiles]
-    for p in profs:
-        if p.weight() != degree:
-            raise ValidationError("profile weight mismatch")
+    profs = _profiles(degree, profiles)
     work = factorial(degree) ** (2 * pres.handles + pres.crosscaps)
     for p in profs[:-1]:
         work *= len(class_elements(degree, p.parts))

@@ -72,7 +72,7 @@ def _presentations(euler):
 def test_criterion_2_oracle_equivalence():
     start = time.monotonic()
     compared = 0
-    for d in range(1, 6):
+    for d in range(1, 8):
         pool = partitions_of(d)
         for euler in (2, 1, 0, -1, -2):
             for pres in _presentations(euler):

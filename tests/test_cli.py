@@ -148,6 +148,10 @@ def test_selftest_quick(capsys):
         ({}, ["mc", "--relation", "sAUBU-1", "--N", "2", "--seed", "-1"]),
         ({}, ["schur", "--partition", "2,1", "--at-constant", "1/0"]),
         ({"HURWITZKIT_THREADS": "abc"}, ["selftest", "--quick"]),
+        ({}, ["mc", "--proposition", "prop1", "--N", "2", "--degree", "0"]),
+        ({}, ["mc", "--proposition", "prop1", "--N", "0"]),
+        ({}, ["mc", "--relation", "sAUBU-1", "--N", "0"]),
+        ({}, ["oracle", "--surface", "torus", "--degree", "0"]),
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, monkeypatch, env, argv):
@@ -158,4 +162,10 @@ def test_bad_input_exits_2_without_traceback(capsys, monkeypatch, env, argv):
     except SystemExit as exc:
         code = exc.code
     assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_mc_proposition_too_few_samples_exits_3(capsys):
+    code = main(["mc", "--proposition", "prop1", "--N", "2", "--samples", "1"])
+    assert code == 3
     assert "Traceback" not in capsys.readouterr().err

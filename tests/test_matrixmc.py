@@ -75,6 +75,14 @@ def test_guards():
         mc_proposition_check("prop1", 1, 6)
     with pytest.raises(ValidationError):
         mc_proposition_check("chekhov", 1, 3)
+    with pytest.raises(GuardError):
+        mc_proposition_check("prop1", 1, 2, samples=1)
+    with pytest.raises(ValidationError):
+        mc_proposition_check("prop1", 1, 2, degree=0)
+    with pytest.raises(ValidationError):
+        mc_proposition_check("prop1", 1, 0)
+    with pytest.raises(ValidationError):
+        mc_schur_moment("sAUBU-1", (1,), 0, samples=10_000)
 
 
 @pytest.mark.parametrize("relation", LEMMA_RELATIONS)

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurwitzkit import GuardError, ValidationError
 from hurwitzkit.hurwitz import hurwitz_value
@@ -48,11 +51,16 @@ def test_known_counts():
 
 def test_guards():
     with pytest.raises(GuardError):
-        oracle_count(SurfacePresentation.rp2(), 7, [])
+        oracle_count(SurfacePresentation.rp2(), 9, [])
     with pytest.raises(GuardError):
         oracle_count(SurfacePresentation.rp2(), 4, [(4,)] * 4)
     with pytest.raises(ValidationError):
         oracle_count(SurfacePresentation.rp2(), 3, [(2,)])
+    for degree in (0, -3):
+        with pytest.raises(ValidationError):
+            oracle_count(SurfacePresentation.torus(), degree)
+        with pytest.raises(ValidationError):
+            oracle_count_naive(SurfacePresentation.torus(), degree)
 
 
 def test_convolution_oracle_matches_naive_enumeration():
@@ -73,7 +81,7 @@ def test_convolution_oracle_matches_naive_enumeration():
 def test_count_invariant_under_fixing_first_class_factor():
     """Fixing X_1 to a canonical representative and scaling by the class size
     reproduces the free count (conjugation invariance)."""
-    from hurwitzkit.oracle import _group, _types, _square_counts
+    from hurwitzkit.oracle import _group
 
     d = 4
     profile = (2, 1, 1)
@@ -120,7 +128,38 @@ def test_oracle_matches_character_formula_spot():
         (-1, SurfacePresentation.nonorientable(3), 3, [(3,)]),
         (-2, SurfacePresentation.orientable(2), 3, []),
         (-2, SurfacePresentation.nonorientable(4), 3, []),
+        (0, SurfacePresentation.torus(), 7, []),
+        (0, SurfacePresentation.torus(), 7, [(7,)]),
+        (0, SurfacePresentation.klein_bottle(), 7, [(2, 1, 1, 1, 1, 1)]),
     ]
     for euler, pres, d, profiles in cases:
         assert pres.euler == euler
         assert oracle_hurwitz(pres, d, profiles) == hurwitz_value(euler, d, profiles)
+
+
+@st.composite
+def _surface_queries(draw):
+    euler = draw(st.integers(min_value=-2, max_value=2))
+    presentations = []
+    if euler % 2 == 0:
+        presentations.append(SurfacePresentation.orientable((2 - euler) // 2))
+    if euler <= 1:
+        presentations.append(SurfacePresentation.nonorientable(2 - euler))
+    degree = draw(st.integers(min_value=1, max_value=6))
+    pool = partitions_of(degree)
+    queries = []
+    for pres in presentations:
+        budget = 4 - pres.crosscaps - 2 * pres.handles
+        profiles = draw(st.lists(st.sampled_from(pool), max_size=budget))
+        queries.append((pres, profiles))
+    return euler, degree, queries
+
+
+@settings(max_examples=40, deadline=None)
+@given(_surface_queries())
+def test_oracle_count_equals_character_formula(case):
+    euler, degree, queries = case
+    for pres, profiles in queries:
+        assert oracle_count(pres, degree, profiles) == factorial(degree) * hurwitz_value(
+            euler, degree, profiles
+        )
