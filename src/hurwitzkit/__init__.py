@@ -87,4 +87,30 @@ from .matrixmc import (
     unitarity_residual,
 )
 
+from . import characters, genfun, hirota, hurwitz, matrixmc, oracle, partitions, symfunc
+
 __version__ = "0.1.0"
+
+
+def _memo_caches():
+    """(module.function, cache) for every functools cache defined in the package."""
+    for module in (partitions, symfunc, characters, hurwitz, oracle, genfun, hirota, matrixmc):
+        short = module.__name__.rsplit(".", 1)[-1]
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_clear") and getattr(obj, "__module__", None) == module.__name__:
+                yield f"{short}.{name}", obj
+
+
+def cache_stats() -> dict[str, int]:
+    """Entry count of every memo cache in the package, plus the Monte Carlo
+    trace slot (0 or 1 kept trace tables), by `module.function` name."""
+    stats = {name: cache.cache_info().currsize for name, cache in _memo_caches()}
+    stats["matrixmc.trace_slot"] = len(matrixmc._trace_slot)
+    return stats
+
+
+def clear_caches() -> None:
+    """Empty every cache `cache_stats` counts."""
+    for _, cache in _memo_caches():
+        cache.cache_clear()
+    matrixmc._trace_slot.clear()

@@ -6,6 +6,10 @@ estimate is bit-identical for a fixed (seed, samples, workers) regardless of
 schedule.  Schur functions on sampled matrices are always evaluated from
 traces of matrix powers, never from eigendecompositions; exact predictions
 are converted to complex floats only at the comparison boundary.
+
+`mc_schur_moment` keeps the per-draw trace table of its latest call, so
+consecutive calls that differ only in the partitions draw once.  A kept table
+holds the same arrays a fresh draw computes, so results do not depend on it.
 """
 from __future__ import annotations
 
@@ -31,6 +35,18 @@ _RELATIONS = {
     "sAZZ+B": (False, False),
 }
 LEMMA_RELATIONS = tuple(_RELATIONS)
+
+_MAX_WEIGHT = 4
+_MIN_SAMPLES = 10_000
+_MAX_SAMPLES = 10**6
+_MAX_WORKERS = 64
+
+# The trace table of the latest mc_schur_moment call, at most one entry:
+# (relation, size, samples, seed, workers, A bytes, B bytes) -> (depth, one
+# table per chunk).  A table is {m: tr X^m for m <= depth} of X = A M B M^dag
+# for paired relations, and a (left, right) pair of them for X = A M and
+# X = M^dag B for split ones.
+_trace_slot: dict[tuple, tuple[int, list]] = {}
 
 
 @dataclass(frozen=True)
@@ -149,6 +165,44 @@ def _check_stream(seed: int, workers: int) -> None:
         raise ValidationError("workers must be >= 1")
     if not 0 <= seed < 2**64:
         raise ValidationError("seed must satisfy 0 <= seed < 2^64")
+    if workers > _MAX_WORKERS:
+        raise GuardError(f"mc guard: workers <= {_MAX_WORKERS}")
+
+
+def _check_samples(samples: int) -> None:
+    if samples < _MIN_SAMPLES:
+        raise GuardError("mc guard: samples >= 10^4")
+    if samples > _MAX_SAMPLES:
+        raise GuardError("mc guard: samples <= 10^6")
+
+
+def _as_test_matrix(matrix, size: int) -> np.ndarray:
+    """A caller's test matrix as a C-ordered complex size x size array; its
+    bytes then determine its values, and so the draws' trace table."""
+    try:
+        out = np.ascontiguousarray(matrix, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"test matrix is not numeric: {exc}") from exc
+    if out.shape != (size, size):
+        raise ValidationError(f"test matrices must be {size} x {size}, got shape {out.shape}")
+    if not np.isfinite(out).all():
+        raise ValidationError("test matrices must have finite entries")
+    return out
+
+
+def _trace_tables(haar: bool, paired: bool, size: int, samples: int, seed: int,
+                  workers: int, a: np.ndarray, b: np.ndarray, depth: int) -> list:
+    sample = _haar_batch if haar else _ginibre_batch
+    tables = []
+    for worker, chunk in enumerate(_chunks(samples, workers)):
+        mats = sample(_worker_rng(seed, worker), chunk, size)
+        dag = mats.conj().swapaxes(-2, -1)
+        if paired:
+            tables.append(_batched_traces(a[None] @ mats @ b[None] @ dag, depth))
+        else:
+            tables.append((_batched_traces(a[None] @ mats, depth),
+                           _batched_traces(dag @ b[None], depth)))
+    return tables
 
 
 def mc_schur_moment(
@@ -164,7 +218,11 @@ def mc_schur_moment(
     gate: float = 5.0,
 ) -> MCComparison:
     """Estimate one of the four single/paired Schur averages and compare with
-    its exact value at `gate` standard errors."""
+    its exact value at `gate` standard errors.
+
+    The draws' trace table is kept until the next call of either entry point;
+    a call with the same (relation, size, samples, seed, workers, A, B) reuses
+    it and draws nothing."""
     if relation not in _RELATIONS:
         raise ValidationError(f"relation must be one of {LEMMA_RELATIONS}")
     haar, paired = _RELATIONS[relation]
@@ -173,32 +231,34 @@ def mc_schur_moment(
     mu = as_partition(mu) if mu is not None else lam
     if lam.weight() < 1 or mu.weight() < 1:
         raise ValidationError("partitions must be nonempty")
-    if lam.weight() > 4 or mu.weight() > 4:
-        raise GuardError("mc guard: |lam| <= 4")
+    if lam.weight() > _MAX_WEIGHT or mu.weight() > _MAX_WEIGHT:
+        raise GuardError(f"mc guard: |lam| <= {_MAX_WEIGHT}")
     if size < 1:
         raise ValidationError("size must be >= 1")
     if size > 6:
         raise GuardError("mc guard: N <= 6")
-    if samples < 10_000:
-        raise GuardError("mc guard: samples >= 10^4")
-    if lam.weight() != mu.weight() and paired:
-        raise ValidationError("single-Schur relations take one partition")
-    a = default_test_matrix(size, 0) if a_matrix is None else np.asarray(a_matrix, dtype=complex)
-    b = default_test_matrix(size, 1) if b_matrix is None else np.asarray(b_matrix, dtype=complex)
+    _check_samples(samples)
+    if paired and mu != lam:
+        raise ValidationError(f"{relation} takes one partition: mu must equal lambda")
+    a = default_test_matrix(size, 0) if a_matrix is None else _as_test_matrix(a_matrix, size)
+    b = default_test_matrix(size, 1) if b_matrix is None else _as_test_matrix(b_matrix, size)
 
-    m_max = max(lam.weight(), mu.weight(), 1)
-    sample = _haar_batch if haar else _ginibre_batch
-    values = []
-    for worker, chunk in enumerate(_chunks(samples, workers)):
-        mats = sample(_worker_rng(seed, worker), chunk, size)
-        dag = mats.conj().swapaxes(-2, -1)
-        if paired:
-            prod = a[None] @ mats @ b[None] @ dag
-            values.append(_schur_on_traces(lam, _batched_traces(prod, m_max)))
-        else:
-            left = _schur_on_traces(mu, _batched_traces(a[None] @ mats, mu.weight()))
-            right = _schur_on_traces(lam, _batched_traces(dag @ b[None], lam.weight()))
-            values.append(left * right)
+    # Weight-1 calls build p_1 alone, so a single such call does no extra
+    # work; any deeper need builds p_1..p_4 once, enough for every partition
+    # the guard admits.
+    m_max = max(lam.weight(), mu.weight())
+    key = (relation, size, samples, seed, workers, a.tobytes(), b.tobytes())
+    kept = _trace_slot.get(key)
+    if kept is None or kept[0] < m_max:
+        _trace_slot.clear()
+        depth = 1 if m_max == 1 else _MAX_WEIGHT
+        kept = (depth, _trace_tables(haar, paired, size, samples, seed, workers, a, b, depth))
+        _trace_slot[key] = kept
+    if paired:
+        values = [_schur_on_traces(lam, table) for table in kept[1]]
+    else:
+        values = [_schur_on_traces(mu, left) * _schur_on_traces(lam, right)
+                  for left, right in kept[1]]
 
     estimate = _accumulate(values, samples, seed)
 
@@ -214,7 +274,7 @@ def mc_schur_moment(
     return _compare(estimate, exact, gate)
 
 
-def _tau_truncated(mats: np.ndarray, alphabet: PowerAlphabet, d_max: int,
+def _tau_truncated(alphabet: PowerAlphabet, d_max: int,
                    traces: Mapping[int, np.ndarray]) -> np.ndarray:
     some = next(iter(traces.values()))
     total = np.ones(some.shape, dtype=complex)
@@ -253,14 +313,13 @@ def mc_proposition_check(
         raise GuardError("mc guard: N <= 5")
     if degree > 3:
         raise GuardError("mc guard: degree <= 3")
-    if samples < 10_000:
-        raise GuardError("mc guard: samples >= 10^4")
+    _check_samples(samples)
     layout = proposition_layout(layout_name, n)
     unitary = layout.matrix_kind == "unitary"
     two_sided = layout_name in ("prop1", "prop1_u")
 
     cs = (
-        [np.asarray(c, dtype=complex) for c in c_matrices]
+        [_as_test_matrix(c, size) for c in c_matrices]
         if c_matrices is not None
         else [default_test_matrix(size, i) for i in range(n)]
     )
@@ -288,6 +347,7 @@ def mc_proposition_check(
     series = layout.series(N=size, d_max=degree)
     exact = complex(series.evaluate(slot_alphabets))
 
+    _trace_slot.clear()
     values = []
     for worker, chunk in enumerate(_chunks(samples, workers)):
         rng = _worker_rng(seed, worker)
@@ -302,12 +362,12 @@ def mc_proposition_check(
         for alpha in range(n - 2, -1, -1):
             star = star @ ms[alpha].conj().swapaxes(-2, -1)
         if two_sided:
-            left = _tau_truncated(prod, p_alpha, degree, _batched_traces(prod, degree))
-            right = _tau_truncated(star, p_star_alpha, degree, _batched_traces(star, degree))
+            left = _tau_truncated(p_alpha, degree, _batched_traces(prod, degree))
+            right = _tau_truncated(p_star_alpha, degree, _batched_traces(star, degree))
             values.append(left * right)
         else:
             both = prod @ star
-            values.append(_tau_truncated(both, p_alpha, degree, _batched_traces(both, degree)))
+            values.append(_tau_truncated(p_alpha, degree, _batched_traces(both, degree)))
 
     estimate = _accumulate(values, samples, seed)
     return _compare(estimate, exact, gate)

@@ -152,6 +152,8 @@ def test_selftest_quick(capsys):
         ({}, ["mc", "--proposition", "prop1", "--N", "0"]),
         ({}, ["mc", "--relation", "sAUBU-1", "--N", "0"]),
         ({}, ["oracle", "--surface", "torus", "--degree", "0"]),
+        ({}, ["mc", "--relation", "sAUBU-1", "--lambda", "2", "--mu", "1,1", "--N", "2",
+              "--samples", "10000"]),
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, monkeypatch, env, argv):
@@ -169,3 +171,19 @@ def test_mc_proposition_too_few_samples_exits_3(capsys):
     code = main(["mc", "--proposition", "prop1", "--N", "2", "--samples", "1"])
     assert code == 3
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--threads", "1000000000000", "mc", "--relation", "sAUBU-1", "--N", "2"],
+        ["--threads", "1000000000000", "mc", "--proposition", "prop1", "--N", "2"],
+        ["mc", "--relation", "sAUBU-1", "--N", "2", "--samples", "1000000000000000"],
+        ["mc", "--proposition", "prop1", "--N", "2", "--samples", "1000000000000000"],
+    ],
+)
+def test_mc_size_guards_exit_3_without_traceback(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "guard" in err and "Traceback" not in err

@@ -3,14 +3,16 @@ import pytest
 
 from fractions import Fraction
 
-from hurwitzkit import GuardError, ValidationError
+import hurwitzkit
+from hurwitzkit import GuardError, ValidationError, matrixmc
 from hurwitzkit.matrixmc import (
     LEMMA_RELATIONS,
     mc_proposition_check,
     mc_schur_moment,
     unitarity_residual,
 )
-from hurwitzkit.matrixmc import _chunks, _ginibre_batch, _haar_batch, _worker_rng
+from hurwitzkit.matrixmc import _chunks, _ginibre_batch, _haar_batch, _trace_slot, _worker_rng
+from hurwitzkit.partitions import partitions_of
 
 SEED = 20240818
 
@@ -83,6 +85,39 @@ def test_guards():
         mc_proposition_check("prop1", 1, 0)
     with pytest.raises(ValidationError):
         mc_schur_moment("sAUBU-1", (1,), 0, samples=10_000)
+    # Both guards fire before any chunk is sized or drawn.
+    for workers in (65, 10**12):
+        with pytest.raises(GuardError, match="workers"):
+            mc_schur_moment("sAUBU-1", (1,), 2, samples=10_000, workers=workers)
+        with pytest.raises(GuardError, match="workers"):
+            mc_proposition_check("prop1", 1, 2, samples=10_000, workers=workers)
+    for samples in (10**6 + 1, 10**15):
+        with pytest.raises(GuardError, match="samples"):
+            mc_schur_moment("sAUBU-1", (1,), 2, samples=samples)
+        with pytest.raises(GuardError, match="samples"):
+            mc_proposition_check("prop1", 1, 2, samples=samples)
+
+
+@pytest.mark.parametrize("relation", ["sAUBU-1", "sAZBZ+"])
+def test_paired_relations_reject_a_different_mu(relation):
+    for mu in ((1, 1), (1,)):
+        with pytest.raises(ValidationError, match="mu must equal lambda"):
+            mc_schur_moment(relation, (2,), 2, samples=10_000, mu=mu)
+    cmp = mc_schur_moment(relation, (2,), 2, samples=10_000, mu=(2,))
+    assert cmp == mc_schur_moment(relation, (2,), 2, samples=10_000)
+
+
+def test_test_matrices_are_validated():
+    good = np.eye(2, dtype=complex)
+    bad = [np.eye(3), np.ones((1, 4)), np.ones(4), np.array([[1, np.nan], [0, 1]]),
+           np.array([[1, 0], [np.inf, 1]]), [["a", "b"], ["c", "d"]]]
+    for matrix in bad:
+        with pytest.raises(ValidationError):
+            mc_schur_moment("sAZBZ+", (1,), 2, samples=10_000, a_matrix=matrix)
+        with pytest.raises(ValidationError):
+            mc_schur_moment("sAZBZ+", (1,), 2, samples=10_000, b_matrix=matrix)
+        with pytest.raises(ValidationError):
+            mc_proposition_check("prop2", 2, 2, samples=10_000, c_matrices=[good, matrix])
 
 
 @pytest.mark.parametrize("relation", LEMMA_RELATIONS)
@@ -146,3 +181,80 @@ def test_proposition_wick_degree_one():
     vals = np.einsum("bij,jk,bik->b", z, c, z.conj())
     stderr = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean() - exact) < 5 * stderr
+
+
+# --- the kept trace table ------------------------------------------------------
+
+WEIGHT_3 = [lam for d in (1, 2, 3) for lam in partitions_of(d)]
+
+
+def _bits(cmp):
+    return (cmp.estimate.mean, cmp.estimate.stderr, cmp.exact, cmp.sigmas)
+
+
+@pytest.mark.parametrize("relation", LEMMA_RELATIONS)
+def test_kept_table_gives_the_fresh_results(relation):
+    def moment(lam):
+        return mc_schur_moment(relation, lam, 3, samples=10_000, seed=SEED, workers=3)
+
+    fresh = {}
+    for lam in WEIGHT_3:
+        _trace_slot.clear()
+        fresh[lam] = _bits(moment(lam))
+    for order in (WEIGHT_3, WEIGHT_3[::-1]):
+        _trace_slot.clear()
+        for lam in order:
+            assert _bits(moment(lam)) == fresh[lam], (relation, lam)
+            assert len(_trace_slot) == 1
+
+
+def test_kept_table_is_reused_only_for_the_same_draws(monkeypatch):
+    draws = []
+    ginibre = matrixmc._ginibre_batch
+    monkeypatch.setattr(matrixmc, "_ginibre_batch",
+                        lambda rng, batch, size: draws.append(batch) or ginibre(rng, batch, size))
+
+    def moment(lam=(2,), **kwargs):
+        args = dict(relation="sAUU-1B", size=2, samples=10_000, seed=SEED, workers=2)
+        args.update(kwargs)
+        draws.clear()
+        mc_schur_moment(lam=lam, **args)
+        assert len(_trace_slot) <= 1
+        return len(draws)
+
+    _trace_slot.clear()
+    assert moment((1,)) == 2          # p_1 only
+    assert moment((1,)) == 0
+    assert moment((2, 1)) == 2        # needs more than p_1: drawn once more
+    for lam in WEIGHT_3:
+        assert moment(lam) == 0
+    assert moment((1,), mu=(1,)) == 0
+    assert moment((2,), mu=(1, 1)) == 0
+    assert moment(a_matrix=2 * np.eye(2)) == 2
+    assert moment(a_matrix=2 * np.eye(2)) == 0
+    assert moment() == 2
+    assert moment(b_matrix=np.eye(2)) == 2
+    assert moment(seed=SEED + 1) == 2
+    assert moment(samples=10_001) == 2
+    assert moment(workers=3) == 3
+    assert moment(relation="sAZZ+B", workers=3) == 3
+    assert moment(relation="sAZZ+B", size=3, workers=3) == 3
+    assert moment(relation="sAZZ+B", size=3, workers=3) == 0
+
+
+def test_proposition_check_empties_the_slot():
+    mc_schur_moment("sAUBU-1", (2,), 2, samples=10_000, seed=SEED)
+    assert len(_trace_slot) == 1
+    mc_proposition_check("prop2", 1, 2, degree=1, samples=10_000, seed=SEED)
+    assert len(_trace_slot) == 0
+
+
+def test_cache_stats_and_clear_caches():
+    hurwitzkit.hurwitz_value(1, 5)
+    mc_schur_moment("sAZBZ+", (1,), 2, samples=10_000, seed=SEED)
+    stats = hurwitzkit.cache_stats()
+    assert stats["matrixmc.trace_slot"] == 1
+    assert stats["characters._beta_char"] > 0 and stats["partitions.partitions_of"] > 0
+    hurwitzkit.clear_caches()
+    stats = hurwitzkit.cache_stats()
+    assert stats and set(stats.values()) == {0}
