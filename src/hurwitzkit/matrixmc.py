@@ -2,10 +2,15 @@
 
 Sampling is batched with numpy; every run is split into worker chunks whose
 random streams are counter-based (Philox keyed by (seed, worker)), so the
-estimate is bit-identical for a fixed (seed, samples, workers) regardless of
-schedule.  Schur functions on sampled matrices are always evaluated from
-traces of matrix powers, never from eigendecompositions; exact predictions
-are converted to complex floats only at the comparison boundary.
+estimate is bit-identical for a fixed (seed, samples, workers) on one
+numpy/BLAS build, regardless of schedule.  Each kernel works on a whole
+chunk at once: Haar unitaries are Gram-Schmidt orthonormalised Ginibre
+matrices, which is Mezzadri's QR with the phase fix built in; a fixed test
+matrix enters as one matrix product over the chunk, placed on the right by
+cyclicity of the trace; and tr X^m for m <= 4 comes from X and X^2 alone.
+Schur functions on sampled matrices are always evaluated from these traces,
+never from eigendecompositions; exact predictions are converted to complex
+floats only at the comparison boundary.
 
 `mc_schur_moment` keeps the per-draw trace table of its latest call, so
 consecutive calls that differ only in the partitions draw once.  A kept table
@@ -36,7 +41,10 @@ _RELATIONS = {
 }
 LEMMA_RELATIONS = tuple(_RELATIONS)
 
+# The |lam| guard, and the depth of a deep trace table: _batched_traces forms
+# powers up to 4 only, so a larger value fails loudly there.
 _MAX_WEIGHT = 4
+_MAX_MATRICES = 8
 _MIN_SAMPLES = 10_000
 _MAX_SAMPLES = 10**6
 _MAX_WORKERS = 64
@@ -82,11 +90,20 @@ def _ginibre_batch(rng: np.random.Generator, batch: int, size: int) -> np.ndarra
 
 
 def _haar_batch(rng: np.random.Generator, batch: int, size: int) -> np.ndarray:
+    """Haar unitaries as the Q of Ginibre matrices (Mezzadri 2007): Gram-Schmidt
+    over the columns, vectorised across the batch.  Each column is
+    orthogonalised twice ("twice is enough") and then normalised, so R's
+    diagonal is real and positive by construction; that is Mezzadri's phase
+    fix, and Q is Haar distributed."""
     z = _ginibre_batch(rng, batch, size)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    phases = diag / np.abs(diag)
-    return q * phases[:, None, :]
+    q = np.empty_like(z)
+    for j in range(size):
+        v = z[:, :, j]
+        basis = q[:, :, :j]
+        for _ in range(2):
+            v = v - np.einsum("bik,bk->bi", basis, np.einsum("bik,bi->bk", basis.conj(), v))
+        q[:, :, j] = v / np.sqrt(np.einsum("bi,bi->b", v.conj(), v).real)[:, None]
+    return q
 
 
 def unitarity_residual(u: np.ndarray) -> float:
@@ -95,13 +112,24 @@ def unitarity_residual(u: np.ndarray) -> float:
 
 
 def _batched_traces(mats: np.ndarray, m_max: int) -> dict[int, np.ndarray]:
-    traces = {}
-    power = mats
-    for m in range(1, m_max + 1):
-        traces[m] = np.trace(power, axis1=-2, axis2=-1)
-        if m < m_max:
-            power = power @ mats
+    """tr X^m for m <= m_max from X and X^2 alone: tr X^3 = <X^2, X^T> and
+    tr X^4 = <X^2, (X^2)^T>, so at most one batched product is formed."""
+    if m_max > 4:
+        raise ValueError(f"traces from X and X^2 reach m <= 4, not m = {m_max}")
+    traces = {1: np.einsum("bii->b", mats)}
+    if m_max >= 2:
+        traces[2] = np.einsum("bij,bji->b", mats, mats)
+    if m_max >= 3:
+        square = mats @ mats
+        traces[3] = np.einsum("bij,bji->b", square, mats)
+    if m_max >= 4:
+        traces[4] = np.einsum("bij,bji->b", square, square)
     return traces
+
+
+def _times(mats: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """M C for every M of the batch, as one matrix product."""
+    return (mats.reshape(-1, c.shape[0]) @ c).reshape(mats.shape)
 
 
 def _schur_on_traces(lam: Partition, traces: Mapping[int, np.ndarray]) -> np.ndarray:
@@ -197,11 +225,13 @@ def _trace_tables(haar: bool, paired: bool, size: int, samples: int, seed: int,
     for worker, chunk in enumerate(_chunks(samples, workers)):
         mats = sample(_worker_rng(seed, worker), chunk, size)
         dag = mats.conj().swapaxes(-2, -1)
+        # Cyclicity puts every fixed factor on the right: tr(A M B M^dag)^m =
+        # tr(M B M^dag A)^m and tr(A M)^m = tr(M A)^m.
         if paired:
-            tables.append(_batched_traces(a[None] @ mats @ b[None] @ dag, depth))
+            tables.append(_batched_traces(_times(mats, b) @ _times(dag, a), depth))
         else:
-            tables.append((_batched_traces(a[None] @ mats, depth),
-                           _batched_traces(dag @ b[None], depth)))
+            tables.append((_batched_traces(_times(mats, a), depth),
+                           _batched_traces(_times(dag, b), depth)))
     return tables
 
 
@@ -313,6 +343,8 @@ def mc_proposition_check(
         raise GuardError("mc guard: N <= 5")
     if degree > 3:
         raise GuardError("mc guard: degree <= 3")
+    if n > _MAX_MATRICES:
+        raise GuardError(f"mc guard: n <= {_MAX_MATRICES}")
     _check_samples(samples)
     layout = proposition_layout(layout_name, n)
     unitary = layout.matrix_kind == "unitary"
@@ -355,9 +387,9 @@ def mc_proposition_check(
             _haar_batch(rng, chunk, size) if unitary else _ginibre_batch(rng, chunk, size)
             for _ in range(n)
         ]
-        prod = ms[0] @ cs[0][None]
+        prod = _times(ms[0], cs[0])
         for alpha in range(1, n):
-            prod = prod @ ms[alpha] @ cs[alpha][None]
+            prod = _times(prod @ ms[alpha], cs[alpha])
         star = ms[n - 1].conj().swapaxes(-2, -1)
         for alpha in range(n - 2, -1, -1):
             star = star @ ms[alpha].conj().swapaxes(-2, -1)

@@ -180,6 +180,10 @@ def test_mc_proposition_too_few_samples_exits_3(capsys):
         ["--threads", "1000000000000", "mc", "--proposition", "prop1", "--N", "2"],
         ["mc", "--relation", "sAUBU-1", "--N", "2", "--samples", "1000000000000000"],
         ["mc", "--proposition", "prop1", "--N", "2", "--samples", "1000000000000000"],
+        ["mc", "--proposition", "prop2", "--n", "9", "--N", "3", "--samples", "10000",
+         "--degree", "1"],
+        ["mc", "--proposition", "prop2", "--n", "160", "--N", "3", "--samples", "10000",
+         "--degree", "1"],
     ],
 )
 def test_mc_size_guards_exit_3_without_traceback(capsys, argv):

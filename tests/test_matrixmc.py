@@ -11,7 +11,17 @@ from hurwitzkit.matrixmc import (
     mc_schur_moment,
     unitarity_residual,
 )
-from hurwitzkit.matrixmc import _chunks, _ginibre_batch, _haar_batch, _trace_slot, _worker_rng
+from hurwitzkit.matrixmc import (
+    _MAX_WEIGHT,
+    _RELATIONS,
+    _batched_traces,
+    _chunks,
+    _ginibre_batch,
+    _haar_batch,
+    _trace_slot,
+    _trace_tables,
+    _worker_rng,
+)
 from hurwitzkit.partitions import partitions_of
 
 SEED = 20240818
@@ -37,6 +47,67 @@ def test_ginibre_trace_moment():
 def test_haar_unitarity_residual():
     for u in _haar_batch(_worker_rng(SEED, 2), 20, 5):
         assert unitarity_residual(u) < 1e-12
+
+
+def _lapack_haar(z):
+    """Independent oracle for _haar_batch: LAPACK QR of the Ginibre draws with
+    Mezzadri's phase fix, R's diagonal made real and positive."""
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_haar_matches_lapack_qr_with_phase_fix(size):
+    z = _ginibre_batch(_worker_rng(SEED, 10 + size), 2_000, size)
+    q = _haar_batch(_worker_rng(SEED, 10 + size), 2_000, size)  # the same stream
+    assert np.abs(q - _lapack_haar(z)).max() < 1e-12
+    # Orthogonalising twice keeps Q unitary to a few ulps; one pass loses ~1e-13.
+    assert np.abs(q.conj().swapaxes(-2, -1) @ q - np.eye(size)).max() < 4e-15
+
+
+def _power_traces(mats, m_max):
+    return {m: np.trace(np.linalg.matrix_power(mats, m), axis1=-2, axis2=-1)
+            for m in range(1, m_max + 1)}
+
+
+def _assert_traces_close(got, want):
+    assert got.keys() == want.keys()
+    for m in want:
+        assert np.allclose(got[m], want[m], rtol=1e-12, atol=1e-12 * np.abs(want[m]).max()), m
+
+
+def test_batched_traces_match_matrix_powers():
+    rng = np.random.default_rng(SEED)
+    for size in (1, 2, 3, 6):
+        x = rng.standard_normal((300, size, size)) + 1j * rng.standard_normal((300, size, size))
+        x[:, 0, -1] += 3.0  # far from normal
+        for m_max in range(1, 5):
+            _assert_traces_close(_batched_traces(x, m_max), _power_traces(x, m_max))
+
+
+def test_batched_traces_stop_at_the_weight_guard():
+    """X and X^2 give tr X^m up to m = 4 only; a deep trace table has depth
+    _MAX_WEIGHT, so raising that guard beyond 4 has to fail here."""
+    x = _ginibre_batch(_worker_rng(SEED, 4), 10, 3)
+    assert sorted(_batched_traces(x, _MAX_WEIGHT)) == list(range(1, _MAX_WEIGHT + 1))
+    with pytest.raises(ValueError):
+        _batched_traces(x, 5)
+
+
+@pytest.mark.parametrize("relation", LEMMA_RELATIONS)
+def test_trace_tables_match_the_direct_products(relation):
+    haar, paired = _RELATIONS[relation]
+    rng = np.random.default_rng(SEED)
+    a, b = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2))
+    [table] = _trace_tables(haar, paired, 3, 500, SEED, 1, a, b, _MAX_WEIGHT)
+    mats = (_haar_batch if haar else _ginibre_batch)(_worker_rng(SEED, 0), 500, 3)
+    dag = mats.conj().swapaxes(-2, -1)
+    if paired:
+        _assert_traces_close(table, _power_traces(a @ mats @ b @ dag, _MAX_WEIGHT))
+    else:
+        _assert_traces_close(table[0], _power_traces(a @ mats, _MAX_WEIGHT))
+        _assert_traces_close(table[1], _power_traces(dag @ b, _MAX_WEIGHT))
 
 
 def test_haar_first_moments():
@@ -83,6 +154,9 @@ def test_guards():
         mc_proposition_check("prop1", 1, 2, degree=0)
     with pytest.raises(ValidationError):
         mc_proposition_check("prop1", 1, 0)
+    for n in (9, 160):
+        with pytest.raises(GuardError, match="n <= 8"):
+            mc_proposition_check("prop2", n, 3, degree=1, samples=10_000)
     with pytest.raises(ValidationError):
         mc_schur_moment("sAUBU-1", (1,), 0, samples=10_000)
     # Both guards fire before any chunk is sized or drawn.
