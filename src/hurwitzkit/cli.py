@@ -193,6 +193,7 @@ def _cmd_mc(args) -> int:
             samples=args.samples,
             seed=args.seed,
             workers=workers,
+            t=args.t,
         )
     else:
         if not args.relation:
@@ -328,9 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relation", choices=LEMMA_RELATIONS, default=None)
     p.add_argument("--lambda", dest="lam", default="1")
     p.add_argument("--mu", default=None)
-    p.add_argument("--proposition", choices=("prop1", "prop2", "prop1_u", "prop2_u"),
-                   default=None)
+    p.add_argument("--proposition", choices=LAYOUT_NAMES, default=None)
     p.add_argument("--n", type=int, default=1)
+    p.add_argument("--t", type=int, default=None)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--degree", type=int, default=2)
     p.add_argument("--samples", type=int, default=100_000)

@@ -220,6 +220,11 @@ def _schur_coeffs(lam: Partition) -> dict[tuple[int, ...], Fraction]:
     return schur_poly(lam).coeffs
 
 
+# A k-alphabet series has sum_{d <= d_max} p(d)^k profile keys; the 80 441 of
+# `genfun --layout prop1 --n 5 --dmax 4` take 6.3 s and 378 MB (2 cores).
+MAX_SERIES_KEYS = 100_000
+
+
 def hypergeometric_series(
     euler: int,
     alphabet_count: int,
@@ -240,6 +245,10 @@ def hypergeometric_series(
     """
     if d_max > 8:
         raise GuardError("hypergeometric series guard: d_max <= 8")
+    # p(d) >= 2 for d >= 2, so an exponent of 17 already passes the bound.
+    keys = sum(len(partitions_of(d)) ** min(alphabet_count, 17) for d in range(d_max + 1))
+    if keys > MAX_SERIES_KEYS:
+        raise GuardError(f"hypergeometric series guard: at most {MAX_SERIES_KEYS} profile keys")
     if route not in ("schur", "pochhammer"):
         raise ValidationError(f"unknown route {route!r}")
     symbolic = [p for p in params if p.symbol is not None]
@@ -428,29 +437,72 @@ def unbranched_cover_coefficients(d_max: int = 12) -> list[Fraction]:
 
 # --- matrix-integral layouts ------------------------------------------------
 
-_ODD = lambda t: tuple(range(1, t + 1, 2))
-_EVEN = lambda t: tuple(range(2, t + 1, 2))
+# name -> (shape, matrix kind, t rule, constant).  The shape lists the tau
+# factors, one polygon each between "|" or one polygon for both daggered
+# halves: a TL factor carries a free alphabet, a BKP factor none.  The t rule
+# fixes the dagger-reordering depth: "none" (plain reversal), "even"/"odd" (a
+# given t of that parity), "n" (t = n), "n even"/"n odd" (t = n of that
+# parity).  The constant is a fixed matrix that closes the word.
+_FAMILIES = {
+    "prop1": ("TL|TL", "complex", "none", None),
+    "prop2": ("TL", "complex", "none", None),
+    "int3": ("TL|TL", "complex", "even", None),
+    "int4": ("TL|TL", "complex", "odd", None),
+    "int5": ("TL", "complex", "even", None),
+    "int6": ("TL", "complex", "odd", None),
+    "chekhov": ("TL", "complex", "none", "Aprod"),
+    "prop1_odd": ("BKP|TL", "complex", "none", None),
+    "prop2_odd": ("BKP", "complex", "none", None),
+    "odd3": ("BKP|TL", "complex", "even", None),
+    "odd4": ("BKP|TL", "complex", "odd", None),
+    "prop1_u": ("TL|TL", "unitary", "none", None),
+    "prop2_u": ("TL", "unitary", "none", None),
+    "prop3_u": ("TL|TL", "unitary", "n", None),
+    "prop4_u": ("TL", "unitary", "n", None),
+    "prop1_odd_u": ("BKP|TL", "unitary", "none", None),
+    "prop2_odd_u": ("BKP", "unitary", "none", None),
+    "odd3_u": ("BKP|TL", "unitary", "n", None),
+    "int5_odd_u": ("BKP", "unitary", "n even", None),
+    "int6_odd_u": ("BKP", "unitary", "n odd", None),
+}
+LAYOUT_NAMES = tuple(_FAMILIES)
+MAX_LAYOUT_MATRICES = 8
+
 
 
 @dataclass(frozen=True)
 class PropositionLayout:
-    """One enumerated matrix-integral layout and its exact character-sum series.
+    """One matrix-integral layout: its tau factors' words and what gluing them
+    derives.
 
-    slots are alphabet labels: "Ci", products like "C1*C3", the free sets "p"
-    and "p*", or "Aprod".  poch_exponent is the exponent of the extra factor
-    (s_lam at the all-N alphabet), present for unitary layouts and for the
-    single-tau complex layouts whose derivation emits an identity-matrix slot.
+    factors pairs each factor's free alphabet ("p", "p*"; None for BKP) with
+    its word, whose letters are (i, 1) for Z_i, (i, -1) for Z_i^dag and (i, 0)
+    for the fixed matrix C_i.  vertices are the non-empty C-index words left
+    once every Z is integrated out, each written from its smallest index;
+    index 0 is the constant.  poch_exponent is the exponent of the extra factor (s_lam at the
+    all-N alphabet): +1 per empty vertex, -n for unitary matrices.
     """
 
     name: str
     matrix_kind: str
     n: int
     t: int
+    factors: tuple[tuple[str | None, tuple[tuple[int, int], ...]], ...]
+    constant: str | None
+    vertices: tuple[tuple[int, ...], ...]
     euler: int
-    slots: tuple[str, ...]
     poch_exponent: int
-    integrand_degree: int
     pair_applications: int
+
+    @property
+    def integrand_degree(self) -> int:
+        return sum(2 if alphabet else 1 for alphabet, _ in self.factors)
+
+    @property
+    def slots(self) -> tuple[str, ...]:
+        """Slot labels: the TL alphabets, then the vertex products."""
+        labels = ("*".join(f"C{i}" if i else self.constant for i in v) for v in self.vertices)
+        return tuple(alphabet for alphabet, _ in self.factors if alphabet) + tuple(labels)
 
     @property
     def branch_points(self) -> int:
@@ -464,146 +516,90 @@ class PropositionLayout:
         return f"F^{{{self.euler},{k};0}}"
 
     def series(self, N: int, d_max: int, route: str = "schur") -> ProfileSeries:
-        params = (
-            (PochhammerParam(self.poch_exponent, value=N),) if self.poch_exponent else ()
-        )
+        params = (PochhammerParam(self.poch_exponent, value=N),) if self.poch_exponent else ()
         return hypergeometric_series(
             self.euler, len(self.slots), params, cutoff=N, d_max=d_max, route=route
         )
 
 
-def _fixed_slot(indices: tuple[int, ...]) -> str | None:
-    return "*".join(f"C{i}" for i in indices) if indices else None
+def _reorder_depth(name: str, rule: str, n: int, t: int | None) -> int:
+    if rule == "none":
+        return 0
+    if rule.startswith("n"):
+        if rule != "n" and (n % 2 == 0) != (rule == "n even"):
+            raise ValidationError(f"{name} needs {rule.split()[1]} n")
+        return n
+    if t is None:
+        raise ValidationError(f"layout {name} needs the t parameter")
+    if not 1 <= t <= n:
+        raise ValidationError("t must be in 1..n")
+    if (t % 2 == 0) != (rule == "even"):
+        raise ValidationError(f"layout {name} needs {rule} t")
+    return t
 
 
-def _make_layout(name, kind, n, t, euler, raw_slots, poch, integrand_deg, pairs):
-    slots = []
-    for slot in raw_slots:
-        if isinstance(slot, tuple):
-            label = _fixed_slot(slot)
-            if label is None:
-                poch += 1  # an empty matrix product is the identity: absorb it
-                continue
-            slots.append(label)
+def _words(two_polygons: bool, n: int, t: int, constant: bool) -> tuple[tuple, ...]:
+    """Z1 C1 ... Zn Cn, then the daggers Zn^dag ... Z(t+1)^dag followed by
+    Z1^dag ... Zt^dag on one polygon, or by Z2^dag ... Zt^dag Z1^dag on a
+    second one; t <= 1 is plain reversal.  The constant's letter (0, 0) closes
+    the word."""
+    forward = tuple(letter for i in range(1, n + 1) for letter in ((i, 1), (i, 0)))
+    cut = max(t, 1)
+    tail = [*range(2, cut + 1), 1] if two_polygons else range(1, cut + 1)
+    back = tuple((i, -1) for i in [*range(n, cut, -1), *tail])
+    back += ((0, 0),) if constant else ()
+    return (forward, back) if two_polygons else (forward + back,)
+
+
+def _glue(words: Sequence[tuple], n: int) -> tuple[list[tuple], int]:
+    """Integrate Z_1 ... Z_n out of the product of s_lam(word) by the two
+    lemma moves, s(A Z B Z^dag) -> s(A) s(B) within one word and
+    s(A Z) s(Z^dag B) -> s(AB) across two; return the words left and the
+    number of merging moves."""
+    words = list(words)
+    merges = 0
+    for i in range(1, n + 1):
+        a = next(k for k, w in enumerate(words) if (i, 1) in w)
+        b = next(k for k, w in enumerate(words) if (i, -1) in w)
+        if a == b:
+            w = words[a]
+            j = w.index((i, 1))
+            w = w[j:] + w[:j]  # Z B Z^dag A
+            k = w.index((i, -1))
+            words[a:a + 1] = [w[k + 1:], w[1:k]]
         else:
-            slots.append(slot)
-    layout = PropositionLayout(
-        name, kind, n, t, euler, tuple(slots), poch, integrand_deg, pairs
-    )
-    if layout.euler != integrand_deg - 2 * pairs:
-        raise ValidationError("layout Euler characteristic fails the degree bookkeeping")
-    return layout
+            wa, wb = words[a], words[b]
+            j, k = wa.index((i, 1)), wb.index((i, -1))
+            words[a] = wa[j + 1:] + wa[:j] + wb[k + 1:] + wb[:k]
+            del words[b]
+            merges += 1
+    return words, merges
 
 
 def proposition_layout(name: str, n: int, t: int | None = None) -> PropositionLayout:
-    """Resolve one of the enumerated integral layouts.
+    """Build one of the LAYOUT_NAMES from its words and glue them.
 
-    Complex-matrix layouts: prop1, prop2, int3, int4, int5, int6, chekhov,
-    prop1_odd, prop2_odd, odd3, odd4.  Unitary: prop1_u, prop2_u, prop3_u,
-    prop4_u, prop1_odd_u, prop2_odd_u, odd3_u, int5_odd_u, int6_odd_u.
-    The t parameter is the dagger-reordering depth (complex order-changed
-    layouts only; unitary order-changed layouts use t = n).
+    t is the dagger-reordering depth of the complex order-changed layouts;
+    the unitary ones use t = n.  E = (#TL factors) - n + (#vertices, the
+    empty ones included), and each empty vertex is a Pochhammer factor.
     """
+    if name not in _FAMILIES:
+        raise ValidationError(f"unknown layout {name!r}")
+    shape, kind, rule, constant = _FAMILIES[name]
     if n < 1:
         raise ValidationError("need at least one matrix")
-    singles = lambda start: tuple((i,) for i in range(start, n + 1))
+    if n > MAX_LAYOUT_MATRICES:
+        raise GuardError(f"layout guard: n <= {MAX_LAYOUT_MATRICES}")
+    depth = _reorder_depth(name, rule, n, t)
+    kinds = shape.split("|")
+    words = _words(len(kinds) == 2, n, depth, constant is not None)
+    alphabets = iter(("p", "p*"))
+    factors = tuple((next(alphabets) if k == "TL" else None, w) for k, w in zip(kinds, words))
 
-    def need_t(parity: str) -> int:
-        if t is None:
-            raise ValidationError(f"layout {name} needs the t parameter")
-        if not 1 <= t <= n:
-            raise ValidationError("t must be in 1..n")
-        if parity == "even" and t % 2:
-            raise ValidationError(f"layout {name} needs even t")
-        if parity == "odd" and t % 2 == 0:
-            raise ValidationError(f"layout {name} needs odd t")
-        return t
-
-    if name == "prop1":
-        return _make_layout(name, "complex", n, 0, 2, singles(1) + ("p", "p*"), 0, 4, 1)
-    if name == "prop2":
-        return _make_layout(name, "complex", n, 0, 2, singles(1) + ((), "p"), 0, 2, 0)
-    if name == "int3":
-        tt = need_t("even")
-        k = tt // 2
-        raw = ("p", "p*", _ODD(tt), _EVEN(tt)) + singles(tt + 1)
-        return _make_layout(name, "complex", n, tt, 4 - 2 * k, raw, 0, 4, k)
-    if name == "int4":
-        tt = need_t("odd")
-        k = (tt + 1) // 2
-        raw = ("p", "p*", _ODD(tt) + _EVEN(tt - 1)) + singles(tt + 1)
-        return _make_layout(name, "complex", n, tt, 4 - 2 * k, raw, 0, 4, k)
-    if name == "int5":
-        tt = need_t("even")
-        k = tt // 2
-        raw = ("p", _ODD(tt) + _EVEN(tt)) + singles(tt + 1)
-        return _make_layout(name, "complex", n, tt, 2 - 2 * k, raw, 0, 2, k)
-    if name == "int6":
-        tt = need_t("odd")
-        k = (tt + 1) // 2
-        raw = ("p", _ODD(tt), _EVEN(tt - 1)) + singles(tt + 1)
-        return _make_layout(name, "complex", n, tt, 4 - 2 * k, raw, 0, 2, k - 1)
-    if name == "chekhov":
-        return _make_layout(name, "complex", n, 0, 2, singles(1) + ("p", "Aprod"), 0, 2, 0)
-    if name == "prop1_odd":
-        return _make_layout(name, "complex", n, 0, 1, singles(1) + ("p",), 0, 3, 1)
-    if name == "prop2_odd":
-        return _make_layout(name, "complex", n, 0, 1, singles(1) + ((),), 0, 1, 0)
-    if name == "odd3":
-        tt = need_t("even")
-        k = tt // 2
-        raw = ("p", _ODD(tt), _EVEN(tt)) + singles(tt + 1)
-        return _make_layout(name, "complex", n, tt, 3 - 2 * k, raw, 0, 3, k)
-    if name == "odd4":
-        tt = need_t("odd")
-        k = (tt + 1) // 2
-        raw = ("p", _ODD(tt) + _EVEN(tt - 1)) + singles(tt + 1)
-        return _make_layout(name, "complex", n, tt, 3 - 2 * k, raw, 0, 3, k)
-
-    if name == "prop1_u":
-        return _make_layout(name, "unitary", n, 0, 2, singles(1) + ("p", "p*"), -n, 4, 1)
-    if name == "prop2_u":
-        return _make_layout(name, "unitary", n, 0, 2, singles(1) + ("p",), 1 - n, 2, 0)
-    if name == "prop3_u":
-        k, odd = divmod(n, 2)
-        if odd:
-            raw = ("p", "p*", _ODD(n) + _EVEN(n - 1))
-            return _make_layout(name, "unitary", n, n, 4 - 2 * (k + 1), raw, -n, 4, k + 1)
-        return _make_layout(name, "unitary", n, n, 4 - 2 * k, ("p", "p*", _ODD(n), _EVEN(n)), -n, 4, k)
-    if name == "prop4_u":
-        k, odd = divmod(n, 2)
-        if odd:
-            raw = ("p", _ODD(n), _EVEN(n - 1))
-            return _make_layout(name, "unitary", n, n, 4 - 2 * (k + 1), raw, -n, 2, k)
-        return _make_layout(name, "unitary", n, n, 2 - 2 * k, ("p", _ODD(n) + _EVEN(n)), -n, 2, k)
-    if name == "prop1_odd_u":
-        return _make_layout(name, "unitary", n, 0, 1, singles(1) + ("p",), -n, 3, 1)
-    if name == "prop2_odd_u":
-        return _make_layout(name, "unitary", n, 0, 1, singles(1), 1 - n, 1, 0)
-    if name == "odd3_u":
-        k, odd = divmod(n, 2)
-        if odd:
-            raw = ("p", _ODD(n) + _EVEN(n - 1))
-            return _make_layout(name, "unitary", n, n, 3 - 2 * (k + 1), raw, -n, 3, k + 1)
-        return _make_layout(name, "unitary", n, n, 3 - 2 * k, ("p", _ODD(n), _EVEN(n)), -n, 3, k)
-    if name == "int5_odd_u":
-        k, odd = divmod(n, 2)
-        if odd:
-            raise ValidationError("int5_odd_u needs even n")
-        return _make_layout(name, "unitary", n, n, 1 - 2 * k, (_ODD(n) + _EVEN(n),), -n, 1, k)
-    if name == "int6_odd_u":
-        k, odd = divmod(n, 2)
-        if not odd:
-            raise ValidationError("int6_odd_u needs odd n")
-        raw = (_ODD(n), _EVEN(n - 1))
-        return _make_layout(name, "unitary", n, n, 3 - 2 * (k + 1), raw, -n, 1, k)
-
-    raise ValidationError(f"unknown layout {name!r}")
-
-
-LAYOUT_NAMES = (
-    "prop1", "prop2", "int3", "int4", "int5", "int6", "chekhov",
-    "prop1_odd", "prop2_odd", "odd3", "odd4",
-    "prop1_u", "prop2_u", "prop3_u", "prop4_u",
-    "prop1_odd_u", "prop2_odd_u", "odd3_u", "int5_odd_u", "int6_odd_u",
-)
+    left, merges = _glue(words, n)
+    indices = [[i for i, _ in word] for word in left]
+    vertices = sorted(tuple(v[v.index(min(v)):] + v[:v.index(min(v))]) for v in indices if v)
+    euler = kinds.count("TL") - n + len(left)
+    poch = len(left) - len(vertices) - (n if kind == "unitary" else 0)
+    return PropositionLayout(name, kind, n, depth, factors, constant,
+                             tuple(vertices), euler, poch, merges)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import prod, sqrt
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -44,7 +44,6 @@ LEMMA_RELATIONS = tuple(_RELATIONS)
 # The |lam| guard, and the depth of a deep trace table: _batched_traces forms
 # powers up to 4 only, so a larger value fails loudly there.
 _MAX_WEIGHT = 4
-_MAX_MATRICES = 8
 _MIN_SAMPLES = 10_000
 _MAX_SAMPLES = 10**6
 _MAX_WORKERS = 64
@@ -145,13 +144,23 @@ def _schur_on_traces(lam: Partition, traces: Mapping[int, np.ndarray]) -> np.nda
 
 
 def _accumulate(values_by_worker: Sequence[np.ndarray], samples: int, seed: int) -> MCEstimate:
+    """Mean and standard error; each chunk's squares are centred on its own
+    mean and merged in worker order by the pairwise update of Chan et al., so
+    a spread small against |mean|^2 does not cancel away."""
     total = 0j
-    total_sq = 0.0
+    count = 0
+    spread = 0.0  # sum of |x - mean|^2 over the chunks merged so far
     for vals in values_by_worker:  # merged in worker order: deterministic
-        total += complex(np.sum(vals))
-        total_sq += float(np.sum(np.abs(vals) ** 2))
+        chunk_total = complex(np.sum(vals))
+        chunk_mean = chunk_total / len(vals)
+        if count:
+            delta = abs(chunk_mean - total / count) ** 2
+            spread += delta * count * len(vals) / (count + len(vals))
+        spread += float(np.sum(np.abs(vals - chunk_mean) ** 2))
+        total += chunk_total
+        count += len(vals)
     mean = total / samples
-    var = max(total_sq - samples * abs(mean) ** 2, 0.0) / (samples - 1)
+    var = spread / (samples - 1)
     return MCEstimate(mean=mean, stderr=sqrt(var / samples), samples=samples, seed=seed)
 
 
@@ -304,16 +313,30 @@ def mc_schur_moment(
     return _compare(estimate, exact, gate)
 
 
-def _tau_truncated(alphabet: PowerAlphabet, d_max: int,
+def _tau_truncated(alphabet: PowerAlphabet | None, d_max: int,
                    traces: Mapping[int, np.ndarray]) -> np.ndarray:
+    """sum over |lam| <= d_max of s_lam(alphabet) s_lam(X), or of s_lam(X)
+    alone for a BKP factor (alphabet None)."""
     some = next(iter(traces.values()))
     total = np.ones(some.shape, dtype=complex)
     for d in range(1, d_max + 1):
         for lam in partitions_of(d):
-            coeff = complex(eval_schur(lam, alphabet))
+            coeff = 1.0 if alphabet is None else complex(eval_schur(lam, alphabet))
             if coeff:
                 total = total + coeff * _schur_on_traces(lam, traces)
     return total
+
+
+def _word_product(word, mats: Sequence[np.ndarray], cs: Sequence[np.ndarray]) -> np.ndarray:
+    """The batch of products a layout word spells, evaluated left to right."""
+    out = None
+    for i, power in word:
+        if power == 0:
+            out = _times(out, cs[i - 1])
+        else:
+            z = mats[i - 1] if power > 0 else mats[i - 1].conj().swapaxes(-2, -1)
+            out = z if out is None else out @ z
+    return out
 
 
 def mc_proposition_check(
@@ -328,12 +351,13 @@ def mc_proposition_check(
     p_star_values: Mapping[int, Fraction] | None = None,
     workers: int = 4,
     gate: float = 5.0,
+    t: int | None = None,
 ) -> MCComparison:
-    """MC average of the degree-truncated integrand for one of the basic
-    layouts (prop1/prop2 and their unitary analogues), against the exact
-    truncated character sum from the same layout."""
-    if layout_name not in ("prop1", "prop2", "prop1_u", "prop2_u"):
-        raise ValidationError("mc propositions cover prop1, prop2, prop1_u, prop2_u")
+    """MC average of the degree-truncated integrand of a layout, built from its
+    words, against the exact truncated character sum from the same layout."""
+    layout = proposition_layout(layout_name, n, t)
+    if layout.constant is not None:
+        raise ValidationError(f"{layout_name} has no test matrix for {layout.constant}")
     _check_stream(seed, workers)
     if size < 1:
         raise ValidationError("size must be >= 1")
@@ -343,12 +367,7 @@ def mc_proposition_check(
         raise GuardError("mc guard: N <= 5")
     if degree > 3:
         raise GuardError("mc guard: degree <= 3")
-    if n > _MAX_MATRICES:
-        raise GuardError(f"mc guard: n <= {_MAX_MATRICES}")
     _check_samples(samples)
-    layout = proposition_layout(layout_name, n)
-    unitary = layout.matrix_kind == "unitary"
-    two_sided = layout_name in ("prop1", "prop1_u")
 
     cs = (
         [_as_test_matrix(c, size) for c in c_matrices]
@@ -357,49 +376,32 @@ def mc_proposition_check(
     )
     if len(cs) != n:
         raise ValidationError("need one C matrix per sampled matrix")
-    p_values = dict(p_values or {1: Fraction(1, 2), 2: Fraction(1, 3)})
-    p_star_values = dict(p_star_values or {1: Fraction(1, 3), 2: Fraction(1, 4)})
-    p_alpha = PowerAlphabet.explicit({m: p_values.get(m, Fraction(0)) for m in range(1, degree + 1)})
-    p_star_alpha = PowerAlphabet.explicit(
-        {m: p_star_values.get(m, Fraction(0)) for m in range(1, degree + 1)}
-    )
+    alphabets = {None: None}  # a BKP factor has no free alphabet
+    for name, values in (("p", p_values or {1: Fraction(1, 2), 2: Fraction(1, 3)}),
+                         ("p*", p_star_values or {1: Fraction(1, 3), 2: Fraction(1, 4)})):
+        alphabets[name] = PowerAlphabet.explicit(
+            {m: values.get(m, Fraction(0)) for m in range(1, degree + 1)})
 
     # Exact side: layout series evaluated on the slot alphabets.
-    slot_alphabets = []
-    for slot in layout.slots:
-        if slot == "p":
-            slot_alphabets.append(p_alpha)
-        elif slot == "p*":
-            slot_alphabets.append(p_star_alpha)
-        else:
-            mat = np.eye(size, dtype=complex)
-            for label in slot.split("*"):
-                mat = mat @ cs[int(label[1:]) - 1]
-            slot_alphabets.append(PowerAlphabet.from_matrix([list(r) for r in mat], degree))
+    slot_alphabets = [alphabets[name] for name, _ in layout.factors if name]
+    for vertex in layout.vertices:
+        mat = np.eye(size, dtype=complex)
+        for i in vertex:
+            mat = mat @ cs[i - 1]
+        slot_alphabets.append(PowerAlphabet.from_matrix([list(r) for r in mat], degree))
     series = layout.series(N=size, d_max=degree)
     exact = complex(series.evaluate(slot_alphabets))
 
     _trace_slot.clear()
+    sample = _haar_batch if layout.matrix_kind == "unitary" else _ginibre_batch
     values = []
     for worker, chunk in enumerate(_chunks(samples, workers)):
         rng = _worker_rng(seed, worker)
-        ms = [
-            _haar_batch(rng, chunk, size) if unitary else _ginibre_batch(rng, chunk, size)
-            for _ in range(n)
-        ]
-        prod = _times(ms[0], cs[0])
-        for alpha in range(1, n):
-            prod = _times(prod @ ms[alpha], cs[alpha])
-        star = ms[n - 1].conj().swapaxes(-2, -1)
-        for alpha in range(n - 2, -1, -1):
-            star = star @ ms[alpha].conj().swapaxes(-2, -1)
-        if two_sided:
-            left = _tau_truncated(p_alpha, degree, _batched_traces(prod, degree))
-            right = _tau_truncated(p_star_alpha, degree, _batched_traces(star, degree))
-            values.append(left * right)
-        else:
-            both = prod @ star
-            values.append(_tau_truncated(p_alpha, degree, _batched_traces(both, degree)))
+        ms = [sample(rng, chunk, size) for _ in range(n)]
+        values.append(prod(
+            _tau_truncated(alphabets[name], degree,
+                           _batched_traces(_word_product(word, ms, cs), degree))
+            for name, word in layout.factors))
 
     estimate = _accumulate(values, samples, seed)
     return _compare(estimate, exact, gate)

@@ -296,6 +296,19 @@ def test_criterion_9_monte_carlo_gates():
             name, n, size, degree=2, samples=100_000, seed=70_000 + n, workers=4
         )
         assert cmp.passed, (name, n, size, cmp.sigmas)
+    # One order-changed layout per family: it passes its own gate and rejects
+    # the exact value of its sibling with the factors in plain reversed order.
+    for name, n, t, size, sibling in (
+        ("int4", 3, 3, 3, "prop1"), ("int5", 2, 2, 3, "prop2"),
+        ("odd4", 3, 3, 3, "prop1_odd"), ("prop3_u", 3, None, 3, "prop1_u"),
+        ("prop4_u", 2, None, 3, "prop2_u"), ("int6_odd_u", 3, None, 3, "prop2_odd_u"),
+    ):
+        cmp = mc_proposition_check(
+            name, n, size, degree=2, samples=100_000, seed=70_000 + n, workers=4, t=t
+        )
+        assert cmp.passed, (name, n, t, size, cmp.sigmas)
+        plain = mc_proposition_check(sibling, n, size, degree=2, samples=10_000, workers=4)
+        assert abs(cmp.estimate.mean - plain.exact) > 5 * cmp.estimate.stderr, (name, sibling)
     elapsed = time.monotonic() - start
     assert elapsed < 300.0
     print(f"\n[PASS] criterion 9: all Monte Carlo gates within 5 sigma at 1e5 "

@@ -135,6 +135,28 @@ def test_mc_proposition_command(capsys):
     assert code == 0 and json.loads(out)["pass"] is True
 
 
+def test_mc_proposition_takes_every_layout_and_t(capsys):
+    code, out, _ = run_cli(
+        capsys, "mc", "--proposition", "int5", "--n", "2", "--t", "2", "--N", "3",
+        "--samples", "10000",
+    )
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["genfun", "--layout", "prop1", "--n", "9"],
+        ["genfun", "--layout", "prop1", "--n", "8", "--dmax", "4"],
+    ],
+)
+def test_genfun_size_guards_exit_3_without_traceback(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "guard" in err and "Traceback" not in err
+
+
 def test_selftest_quick(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--quick")
     assert code == 0

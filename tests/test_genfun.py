@@ -332,6 +332,41 @@ def test_layout_registry_shapes():
     assert lay.euler == -1 and lay.slots == ("C1*C3", "C2")
 
 
+def test_layout_words_glue_into_vertices():
+    """The words of a layout and what gluing them leaves: int4 at t = 3 sends
+    Z2^dag Z3^dag Z1^dag to the second polygon and glues C1 C3 C2 into one
+    vertex; prop2 leaves an empty vertex, a Pochhammer factor; chekhov's
+    constant closes its word and stays a vertex of its own."""
+    lay = proposition_layout("int4", 3, t=3)
+    assert lay.factors == (
+        ("p", ((1, 1), (1, 0), (2, 1), (2, 0), (3, 1), (3, 0))),
+        ("p*", ((2, -1), (3, -1), (1, -1))),
+    )
+    assert lay.vertices == ((1, 3, 2),) and lay.pair_applications == 2
+    lay = proposition_layout("prop2", 2)
+    assert lay.factors == (("p", ((1, 1), (1, 0), (2, 1), (2, 0), (2, -1), (1, -1))),)
+    assert lay.vertices == ((1,), (2,)) and lay.poch_exponent == 1
+    assert lay.slots == ("p", "C1", "C2")
+    lay = proposition_layout("chekhov", 2)
+    assert lay.vertices == ((0,), (1,), (2,)) and lay.poch_exponent == 0
+    assert lay.slots == ("p", "Aprod", "C1", "C2")
+    lay = proposition_layout("prop1_odd_u", 2)
+    assert [alphabet for alphabet, _ in lay.factors] == [None, "p"]
+    assert lay.integrand_degree == 3 and lay.poch_exponent == -2
+
+
+def test_layout_and_series_size_guards():
+    proposition_layout("prop1", 8)
+    for n in (9, 10**6):
+        with pytest.raises(GuardError, match="n <= 8"):
+            proposition_layout("prop1", n)
+    # prop1 at n = 8 has 10 slots: 9 825 700 profile keys to d_max = 4
+    with pytest.raises(GuardError, match="profile keys"):
+        hypergeometric_series(2, 10, d_max=4)
+    with pytest.raises(GuardError, match="profile keys"):
+        hypergeometric_series(2, 10**6, d_max=2)
+
+
 def test_every_layout_builds_a_series():
     from hurwitzkit._errors import ValidationError as VErr
 

@@ -235,6 +235,28 @@ def test_propositions_small(name, n):
     assert cmp.passed, f"{name} n={n}: {cmp.sigmas:.2f} sigmas"
 
 
+def test_every_layout_passes_a_small_gate():
+    """Each layout's word-built integrand against its exact series, at n = 2
+    (n = 3 for int6_odd_u), t = 2 (t = 1 where t must be odd) and degree 2;
+    chekhov has no test matrix for its constant."""
+    from hurwitzkit.genfun import LAYOUT_NAMES
+
+    for name in LAYOUT_NAMES:
+        if name == "chekhov":
+            continue
+        n = 3 if name == "int6_odd_u" else 2
+        t = 1 if name in ("int4", "int6", "odd4") else 2
+        cmp = mc_proposition_check(name, n, 2, degree=2, samples=10_000, seed=SEED, t=t)
+        assert cmp.passed, (name, cmp.sigmas)
+
+
+def test_stderr_of_a_constant_integrand_is_rounding_free():
+    """det(AB) is the same for every draw, so the spread is zero; the
+    centred merge keeps the stderr at rounding level of the mean."""
+    cmp = mc_schur_moment("sAUU-1B", (1, 1, 1), 3, samples=100_000, seed=90_003)
+    assert cmp.estimate.stderr <= 1e-12 * abs(cmp.estimate.mean)
+
+
 def test_proposition_wick_degree_one():
     """E tr(Z C Z^dag) = N tr C: the degree-one coefficient of the one-matrix
     single-tau layout."""
