@@ -3,13 +3,15 @@
 Characters are evaluated by the recursive border-strip rule, implemented on
 beta-sets: removing a border strip of size t from the diagram is replacing a
 first-column hook length b by b - t, with sign (-1)^{#entries jumped over}.
+The recursion stops at the identity class, where the character is the
+dimension and has a closed form in the beta-set.
 """
 from __future__ import annotations
 
 import io
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from ._errors import GuardError, ValidationError
 from .partitions import (
@@ -26,9 +28,18 @@ from .partitions import (
 @lru_cache(maxsize=None)
 def _beta_char(beta: tuple[int, ...], delta: tuple[int, ...]) -> int:
     """Character value for the partition encoded by the (strictly decreasing)
-    beta-set, on the cycle type delta (parts in any fixed order)."""
-    if not delta:
-        return 1
+    beta-set, on the weakly decreasing cycle type delta.
+
+    Strips are removed largest first, so once the first remaining part is 1
+    the rest is the identity class of S_m, m = len(delta), and the value is
+    the dimension m! prod_{i<j} (b_i - b_j) / prod_i b_i!.
+    """
+    if not delta or delta[0] == 1:
+        num = factorial(len(delta))
+        for i, b in enumerate(beta):
+            for c in beta[i + 1:]:
+                num *= b - c
+        return num // prod(factorial(b) for b in beta)
     t, rest = delta[0], delta[1:]
     members = set(beta)
     total = 0
@@ -60,8 +71,7 @@ def character(lam, delta) -> int:
 def irrep_dimension(lam) -> int:
     """dim lam = character at the identity class."""
     lam = as_partition(lam)
-    d = lam.weight()
-    return character(lam, Partition([1] * d)) if d else 1
+    return character(lam, Partition([1] * lam.weight()))
 
 
 def hook_length_dimension(lam) -> int:
@@ -81,10 +91,11 @@ def hook_length_dimension(lam) -> int:
     return dim
 
 
-def normalized_character(lam, delta) -> Fraction:
-    """|C_delta| * chi_lam(delta) / dim lam."""
+def normalized_character(lam, delta) -> int:
+    """|C_delta| * chi_lam(delta) / dim lam, always an integer (it is the
+    eigenvalue of the class sum of delta on the irreducible lam)."""
     lam = as_partition(lam)
-    return cycle_class_size(delta) * character(lam, delta) / irrep_dimension(lam)
+    return cycle_class_size(delta) * character(lam, delta) // irrep_dimension(lam)
 
 
 @lru_cache(maxsize=None)
@@ -102,11 +113,9 @@ def colength_sum(lam, k: int) -> Fraction:
         return Fraction(1) if k == 0 else Fraction(0)
     if k >= d:
         return Fraction(0)
-    total = Fraction(0)
-    for delta in partitions_of(d):
-        if delta.colength() == k:
-            total += normalized_character(lam, delta)
-    return total
+    return Fraction(
+        sum(normalized_character(lam, delta) for delta in partitions_of(d) if delta.colength() == k)
+    )
 
 
 def _falling(c, l: int):

@@ -3,7 +3,9 @@
 The basic sum is over partitions lam of the degree d (optionally cut off at
 length N): (dim lam / d!)^E * prod_i |C_i| chi_lam(Delta_i) / dim lam.
 For N >= d this counts degree-d branched covers, not necessarily connected,
-each weighted by 1/|Aut|.
+each weighted by 1/|Aut|.  Both d!/dim lam and each |C_i| chi_lam(Delta_i) /
+dim lam are integers, so the sum runs in integers and is divided by (d!)^E
+once at the end.
 """
 from __future__ import annotations
 
@@ -23,10 +25,13 @@ from .characters import (
 from .partitions import (
     Partition,
     as_partition,
-    cycle_class_size,
     euler_char_cover,
     partitions_of,
+    z_order,
 )
+
+
+MAX_CHARACTER_DEGREE = 32
 
 
 @dataclass(frozen=True)
@@ -39,6 +44,8 @@ class HurwitzQuery:
     def __post_init__(self):
         if self.degree < 1:
             raise ValidationError("degree must be >= 1")
+        if self.degree > MAX_CHARACTER_DEGREE:
+            raise GuardError(f"character formula guard: degree <= {MAX_CHARACTER_DEGREE}")
         if self.cutoff is not None and self.cutoff < 1:
             raise ValidationError("cutoff must be >= 1 or None")
         profs = tuple(as_partition(p) for p in self.profiles)
@@ -62,11 +69,13 @@ def _character_sum(query: HurwitzQuery, factor: Callable[[Partition], object] | 
     """The character sum of the module docstring, each term times factor(lam)
     when given; a term is dropped as soon as it vanishes."""
     fact = factorial(query.degree)
-    total = Fraction(0)
+    euler = query.euler
+    total = 0
     for lam in partitions_of(query.degree):
         if query.cutoff is not None and lam.length() > query.cutoff:
             continue
-        term = Fraction(irrep_dimension(lam), fact) ** query.euler
+        dim = irrep_dimension(lam)
+        term = dim**euler if euler >= 0 else (fact // dim) ** -euler
         for prof in query.profiles:
             term *= normalized_character(lam, prof)
             if not term:
@@ -74,7 +83,7 @@ def _character_sum(query: HurwitzQuery, factor: Callable[[Partition], object] | 
         if term and factor is not None:
             term *= factor(lam)
         total += term
-    return total
+    return total / Fraction(fact ** max(euler, 0))
 
 
 def hurwitz_number(euler: int, degree: int, profiles=(), cutoff: int | None = None) -> HurwitzResult:
@@ -124,11 +133,10 @@ def gluing_identity_holds(euler_a: int, euler_b: int, degree: int, profiles_a=()
     profs_a = tuple(as_partition(p) for p in profiles_a)
     profs_b = tuple(as_partition(p) for p in profiles_b)
     left = hurwitz_value(euler_a + euler_b, degree, profs_a + profs_b)
-    fact = factorial(degree)
     right = Fraction(0)
     for delta in partitions_of(degree):
         right += (
-            Fraction(fact) / cycle_class_size(delta)
+            z_order(delta)
             * hurwitz_value(euler_a + 1, degree, profs_a + (delta,))
             * hurwitz_value(euler_b + 1, degree, (delta,) + profs_b)
         )

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator
@@ -171,10 +170,14 @@ def z_order(delta) -> int:
     return z
 
 
-def cycle_class_size(delta) -> Fraction:
+def cycle_class_size(delta) -> int:
     """Number of permutations in S_d with the given cycle type: d! / z."""
-    delta = as_partition(delta)
-    return Fraction(factorial(delta.weight()), z_order(delta))
+    return _class_size(as_partition(delta))
+
+
+@lru_cache(maxsize=None)
+def _class_size(delta: Partition) -> int:
+    return factorial(delta.weight()) // z_order(delta)
 
 
 def aut_order(mu) -> int:

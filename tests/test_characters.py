@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from hurwitzkit import ValidationError
+from hurwitzkit import ValidationError, cache_stats, clear_caches
 from hurwitzkit.characters import (
     character,
     character_class_sum,
@@ -17,6 +17,7 @@ from hurwitzkit.characters import (
     normalized_character,
     weighted_colength_sum,
 )
+from hurwitzkit.hurwitz import hurwitz_value
 from hurwitzkit.partitions import Partition, partitions_of, z_order
 from hurwitzkit.symfunc import schur_poly
 
@@ -42,9 +43,43 @@ def test_dimensions_match_hook_lengths():
     assert irrep_dimension((5,)) == 1
     assert irrep_dimension((2, 1)) == 2
     assert irrep_dimension((2, 2)) == 2
-    for d in range(9):
+    for d in range(17):
         for lam in partitions_of(d):
             assert irrep_dimension(lam) == hook_length_dimension(lam)
+
+
+def test_identity_class_follows_branching_rule():
+    """chi_lam(1^d) is the sum of chi_{lam - box}(1^{d-1}) over removable corners."""
+    for d in range(1, 13):
+        for lam in partitions_of(d):
+            parts = lam.parts
+            below = 0
+            for i, row in enumerate(parts):
+                if i + 1 == len(parts) or parts[i + 1] < row:
+                    smaller = tuple(p for p in parts[:i] + (row - 1,) + parts[i + 1:] if p)
+                    below += character(smaller, (1,) * (d - 1))
+            assert character(lam, (1,) * d) == below
+
+
+def test_normalized_characters_are_integers():
+    """The divisibility the integer character sum rests on: d!/dim lam and
+    |C_delta| chi_lam(delta)/dim lam are integers."""
+    for d in range(1, 11):
+        for lam in partitions_of(d):
+            dim = irrep_dimension(lam)
+            assert factorial(d) % dim == 0
+            for delta in partitions_of(d):
+                exact = Fraction(factorial(d), z_order(delta)) * character(lam, delta) / dim
+                assert exact.denominator == 1
+                value = normalized_character(lam, delta)
+                assert type(value) is int and value == exact
+
+
+def test_identity_tail_keeps_the_character_cache_small():
+    """Trailing fixed points close in one step instead of one entry per 1-strip."""
+    clear_caches()
+    hurwitz_value(0, 24, [(2,) + (1,) * 22] * 2)
+    assert cache_stats()["characters._beta_char"] < 10_000
 
 
 def test_dimension_matches_schur_leading_term():

@@ -157,6 +157,13 @@ def test_genfun_size_guards_exit_3_without_traceback(capsys, argv):
     assert "guard" in err and "Traceback" not in err
 
 
+def test_hurwitz_degree_guard_exits_3_without_traceback(capsys):
+    code = main(["hurwitz", "--euler", "1", "--degree", "33"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "guard" in err and "Traceback" not in err
+
+
 def test_selftest_quick(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--quick")
     assert code == 0

@@ -1,9 +1,16 @@
+import hashlib
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hurwitzkit import ValidationError
+from hurwitzkit import GuardError, ValidationError
+from hurwitzkit.characters import character, hook_length_dimension
 from hurwitzkit.hurwitz import (
+    MAX_CHARACTER_DEGREE,
     HurwitzQuery,
     full_cycle_identity_holds,
     gluing_identity_holds,
@@ -13,7 +20,7 @@ from hurwitzkit.hurwitz import (
     hurwitz_value,
     hurwitz_weighted_sum,
 )
-from hurwitzkit.partitions import Partition, partitions_of
+from hurwitzkit.partitions import Partition, partitions_of, z_order
 
 
 def test_projective_plane_values():
@@ -138,3 +145,59 @@ def test_full_cycle_identity():
     left = hurwitz_value(0, 3, [(3,)])
     right = 9 * hurwitz_value(2, 3, [(3,), (3,), (3,)])
     assert left == right
+
+
+def test_character_formula_degree_guard():
+    assert MAX_CHARACTER_DEGREE == 32
+    HurwitzQuery(1, MAX_CHARACTER_DEGREE, ())
+    with pytest.raises(GuardError, match="degree <= 32"):
+        hurwitz_value(1, 33)
+
+
+def _reference_character_sum(euler, degree, profiles, cutoff):
+    """Reference: the character sum term by term in Fractions, with the
+    hook-length dimension and the class size d!/z."""
+    total = Fraction(0)
+    for lam in partitions_of(degree):
+        if cutoff is not None and lam.length() > cutoff:
+            continue
+        dim = hook_length_dimension(lam)
+        term = Fraction(dim, factorial(degree)) ** euler
+        for prof in profiles:
+            term *= Fraction(factorial(degree), z_order(prof)) * character(lam, prof) / dim
+        total += term
+    return total
+
+
+@st.composite
+def _character_sum_queries(draw):
+    euler = draw(st.integers(min_value=-3, max_value=3))
+    degree = draw(st.integers(min_value=1, max_value=9))
+    profiles = draw(st.lists(st.sampled_from(partitions_of(degree)), max_size=3))
+    cutoff = draw(st.none() | st.integers(min_value=1, max_value=degree + 1))
+    return euler, degree, profiles, cutoff
+
+
+@settings(max_examples=60, deadline=None)
+@given(_character_sum_queries())
+def test_integer_kernel_matches_fraction_reference(case):
+    value = hurwitz_value(*case)
+    assert type(value) is Fraction
+    assert value == _reference_character_sum(*case)
+
+
+# sha256 of the repr of every value in the sweep below, pinned so that a change
+# of the kernel cannot move an exact value silently.
+GOLDEN_SWEEP_SHA256 = "cc04d8b8d804ffffdc3a288f641f08db515fa2c51ab621d6c996c5fe0a0c2086"
+
+
+def test_exact_values_match_golden_fingerprint():
+    digest = hashlib.sha256()
+    for euler in range(-3, 4):
+        for d in range(1, 9):
+            for k in range(3):
+                for profiles in combinations_with_replacement(partitions_of(d), k):
+                    for cutoff in (None, 2):
+                        value = hurwitz_value(euler, d, profiles, cutoff)
+                        digest.update(repr(value).encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_SWEEP_SHA256
