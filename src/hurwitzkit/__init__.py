@@ -5,7 +5,7 @@ irreducible characters, the character-formula cover counts, a brute-force
 permutation oracle, truncated generating series with bilinear checks, and
 Monte Carlo validation of the matrix-integral identities.
 """
-from ._errors import GuardError, ValidationError
+from ._errors import LIMITS, GuardError, ValidationError
 from .partitions import (
     FrobeniusCoords,
     Partition,

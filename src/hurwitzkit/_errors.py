@@ -1,4 +1,8 @@
-"""Exception taxonomy shared by the engines and the CLI."""
+"""Exception taxonomy shared by the engines and the CLI, and the one table of
+hard guards that every exponential-cost path checks its input against."""
+from __future__ import annotations
+
+from typing import NamedTuple
 
 
 class ValidationError(ValueError):
@@ -7,3 +11,50 @@ class ValidationError(ValueError):
 
 class GuardError(ValueError):
     """Input is well-formed but exceeds a hard combinatorial-explosion guard."""
+
+
+class Limit(NamedTuple):
+    quantity: str  # what is bounded, as the errors and the README print it
+    most: int
+    least: int | None = None
+
+    def __str__(self) -> str:
+        bound = f"{self.quantity} <= {self.most}"
+        return bound if self.least is None else f"{self.least} <= {bound}"
+
+
+LIMITS = {
+    "character formula": Limit("degree", 32),
+    # Each of the p(d) <= 8 349 integer terms is at most (d!)^(|E| + F), so
+    # every admitted value prints under Python's 4 300-digit limit.
+    "output size": Limit("(|E| + F) * digits(d!)", 4000),
+    "identity check": Limit("degree", 7),
+    "hook check": Limit("|delta|", 9),
+    "character table": Limit("d", 8),
+    "schur expansion": Limit("weight", 10),
+    "series degree": Limit("d_max", 8),
+    # A k-alphabet series has sum_{d <= d_max} p(d)^k profile keys; the 80 441
+    # of `genfun --layout prop1 --n 5 --dmax 4` take 6.3 s and 378 MB (2 cores).
+    "series profile keys": Limit("profile keys", 100_000),
+    "unbranched generator": Limit("d_max", 12),
+    "layout matrices": Limit("n", 8),
+    "bilinear check": Limit("d_max", 6),
+    "oracle degree": Limit("degree", 8),
+    "oracle complexity": Limit("crosscaps + 2*handles + branch points", 4),
+    "naive oracle work": Limit("enumerated tuples", 2_000_000),
+    # Also the depth of a deep MC trace table: matrixmc._batched_traces forms
+    # powers up to 4 only, so a larger value fails loudly there.
+    "mc weight": Limit("|lam|", 4),
+    "mc moment size": Limit("N", 6),
+    "mc proposition size": Limit("N", 5),
+    "mc proposition degree": Limit("degree", 3),
+    "mc samples": Limit("samples", 10**6, least=10**4),
+    "mc workers": Limit("workers", 64),
+}
+
+
+def guard(name: str, value: int) -> None:
+    """Raise GuardError unless value lies within the limit LIMITS[name]."""
+    limit = LIMITS[name]
+    if value > limit.most or (limit.least is not None and value < limit.least):
+        raise GuardError(f"{name} guard: {limit} (got {value})")

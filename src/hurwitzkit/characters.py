@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
-from ._errors import GuardError, ValidationError
+from ._errors import ValidationError, guard
 from .partitions import (
     Partition,
     as_partition,
@@ -67,10 +67,13 @@ def character(lam, delta) -> int:
     return _beta_char(beta, delta.parts)
 
 
-@lru_cache(maxsize=None)
 def irrep_dimension(lam) -> int:
     """dim lam = character at the identity class."""
-    lam = as_partition(lam)
+    return _irrep_dimension(as_partition(lam))
+
+
+@lru_cache(maxsize=None)
+def _irrep_dimension(lam: Partition) -> int:
     return character(lam, Partition([1] * lam.weight()))
 
 
@@ -98,14 +101,17 @@ def normalized_character(lam, delta) -> int:
     return cycle_class_size(delta) * character(lam, delta) // irrep_dimension(lam)
 
 
-@lru_cache(maxsize=None)
 def colength_sum(lam, k: int) -> Fraction:
     """Sum of normalized characters over all classes of colength k.
 
     Zero when no class of that colength exists (k >= |lam|, except the empty
     diagram at k = 0); this extension keeps the weighted sums below total.
     """
-    lam = as_partition(lam)
+    return _colength_sum(as_partition(lam), k)
+
+
+@lru_cache(maxsize=None)
+def _colength_sum(lam: Partition, k: int) -> Fraction:
     d = lam.weight()
     if k < 0:
         raise ValidationError("colength must be >= 0")
@@ -175,8 +181,7 @@ def hook_character_poly_check(delta) -> bool:
     to the character of the hook (d-r, 1^r) on delta, for 0 <= r <= d-1."""
     delta = as_partition(delta)
     d = delta.weight()
-    if d > 9:
-        raise GuardError("hook_character_poly_check guard: |delta| <= 9")
+    guard("hook check", d)
     if d == 0:
         return True
     # numerator poly coefficients of prod (1 - q^{d_i})
@@ -222,9 +227,6 @@ class CharacterTable:
 
     def chi(self, lam, delta) -> int:
         return self.entries[(as_partition(lam), as_partition(delta))]
-
-    def dim(self, lam) -> int:
-        return irrep_dimension(as_partition(lam))
 
     def check_row_orthogonality(self) -> bool:
         fact = factorial(self.d)

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
-from ._errors import GuardError, ValidationError
+from ._errors import GuardError, ValidationError, guard
 from .partitions import Partition, conjugate, partitions_of
 from .symfunc import PowerAlphabet, cauchy_littlewood_check, eval_schur, pochhammer_lambda, schur_poly
 from .characters import character_table
@@ -65,11 +64,8 @@ def _parse_surface(text: str) -> SurfacePresentation:
     raise ValidationError(f"unknown surface {text!r}")
 
 
-def _emit(payload, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(payload)
+def _emit(payload) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _cmd_hurwitz(args) -> int:
@@ -80,8 +76,7 @@ def _cmd_hurwitz(args) -> int:
             "value": _frac(res.value),
             "true_hurwitz": res.is_true_hurwitz,
             "euler_cover": res.euler_cover,
-        },
-        "json",
+        }
     )
     return EXIT_OK
 
@@ -97,15 +92,13 @@ def _cmd_oracle(args) -> int:
             "euler": pres.euler,
             "count": count,
             "value": _frac(value),
-        },
-        "json",
+        }
     )
     return EXIT_OK
 
 
 def _cmd_characters(args) -> int:
-    if args.d > 8:
-        raise GuardError("character table guard: d <= 8")
+    guard("character table", args.d)
     table = character_table(args.d)
     if args.format == "csv":
         sys.stdout.write(table.to_csv())
@@ -117,14 +110,13 @@ def _cmd_characters(args) -> int:
                 (",".join(str(p) for p in delta.parts) or "-"): table.chi(lam, delta)
                 for delta in table.column_labels
             }
-        _emit(payload, "json")
+        _emit(payload)
     return EXIT_OK
 
 
 def _cmd_schur(args) -> int:
     lam = _parse_partition(args.partition)
-    if lam.weight() > 10:
-        raise GuardError("schur expansion guard: weight <= 10")
+    guard("schur expansion", lam.weight())
     poly = schur_poly(lam)
     payload = {"partition": lam.to_json(), "power_sum_expansion": poly.to_json()}
     if args.at_constant is not None:
@@ -135,18 +127,18 @@ def _cmd_schur(args) -> int:
         alpha = PowerAlphabet.constant(a, max(1, lam.weight()))
         payload["value_at_constant"] = _frac(eval_schur(lam, alpha))
         payload["pochhammer"] = _frac(pochhammer_lambda(a, lam))
-    _emit(payload, "json")
+    _emit(payload)
     return EXIT_OK
 
 
 def _cmd_genfun(args) -> int:
     if args.unbranched:
         coeffs = unbranched_cover_coefficients(args.dmax)
-        _emit({"coefficients": [_frac(c) for c in coeffs]}, "json")
+        _emit({"coefficients": [_frac(c) for c in coeffs]})
         return EXIT_OK
     if args.single_branch:
         series = single_branch_point_series(args.dmax)
-        _emit(series.to_json_list(), "json")
+        _emit(series.to_json_list())
         return EXIT_OK
     if not args.layout:
         raise ValidationError("choose --layout, --unbranched or --single-branch")
@@ -161,8 +153,7 @@ def _cmd_genfun(args) -> int:
             "signature": layout.signature,
             "slots": list(layout.slots),
             "series": series.to_json_list(),
-        },
-        "json",
+        }
     )
     return EXIT_OK
 
@@ -178,12 +169,11 @@ def _cmd_hirota(args) -> int:
         r = ContentFunction.rational([shift])
     n_values = tuple(int(x) for x in args.n.split(",")) if args.n else (0, 1)
     ok = hirota_bilinear_check(r, args.N, args.dmax, n_values=n_values)
-    _emit({"r": r.description, "N": args.N, "dmax": args.dmax, "holds": ok}, "json")
+    _emit({"r": r.description, "N": args.N, "dmax": args.dmax, "holds": ok})
     return EXIT_OK if ok else 1
 
 
 def _cmd_mc(args) -> int:
-    workers = args.threads
     if args.proposition:
         cmp = mc_proposition_check(
             args.proposition,
@@ -192,7 +182,6 @@ def _cmd_mc(args) -> int:
             degree=args.degree,
             samples=args.samples,
             seed=args.seed,
-            workers=workers,
             t=args.t,
         )
     else:
@@ -207,7 +196,6 @@ def _cmd_mc(args) -> int:
             samples=args.samples,
             seed=args.seed,
             mu=mu,
-            workers=workers,
         )
     _emit(
         {
@@ -218,8 +206,7 @@ def _cmd_mc(args) -> int:
             "exact": [complex(cmp.exact).real, complex(cmp.exact).imag],
             "sigmas": cmp.sigmas,
             "pass": cmp.passed,
-        },
-        "json",
+        }
     )
     return EXIT_OK if cmp.passed else EXIT_MC_GATE
 
@@ -265,7 +252,7 @@ def _cmd_selftest(args) -> int:
     mc_ok = True
     if not args.quick:
         for rel in LEMMA_RELATIONS:
-            cmp = mc_schur_moment(rel, (2,), 2, samples=20000, seed=seed, workers=args.threads)
+            cmp = mc_schur_moment(rel, (2,), 2, samples=20000, seed=seed)
             checks.append((f"mc {rel}", cmp.passed))
             print(f"[{'PASS' if cmp.passed else 'FAIL'}] mc {rel} (sigmas={cmp.sigmas:.2f})")
             mc_ok &= cmp.passed
@@ -279,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hurwitzkit",
         description="Exact Hurwitz-number engines with oracle and Monte Carlo validation",
     )
-    parser.add_argument("--threads", type=int, default=os.environ.get("HURWITZKIT_THREADS", "4"),
-                        help="worker cap (default: HURWITZKIT_THREADS or 4)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hurwitz", help="character-formula cover count")

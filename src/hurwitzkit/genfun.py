@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Iterable, Mapping, Sequence
 
-from ._errors import GuardError, ValidationError
+from ._errors import ValidationError, guard
 from .characters import irrep_dimension, normalized_character
 from .partitions import Partition, as_partition, partitions_of
 from .symfunc import PowerSumPoly, content_product, exp_truncated, schur_poly
@@ -216,15 +216,6 @@ def _series_pow(u: list[Fraction], n: int, trunc: int) -> list[Fraction]:
     return out
 
 
-def _schur_coeffs(lam: Partition) -> dict[tuple[int, ...], Fraction]:
-    return schur_poly(lam).coeffs
-
-
-# A k-alphabet series has sum_{d <= d_max} p(d)^k profile keys; the 80 441 of
-# `genfun --layout prop1 --n 5 --dmax 4` take 6.3 s and 378 MB (2 cores).
-MAX_SERIES_KEYS = 100_000
-
-
 def hypergeometric_series(
     euler: int,
     alphabet_count: int,
@@ -243,12 +234,10 @@ def hypergeometric_series(
     "pochhammer" route works entirely from character data and content
     products.  Both must produce the identical series.
     """
-    if d_max > 8:
-        raise GuardError("hypergeometric series guard: d_max <= 8")
+    guard("series degree", d_max)
     # p(d) >= 2 for d >= 2, so an exponent of 17 already passes the bound.
-    keys = sum(len(partitions_of(d)) ** min(alphabet_count, 17) for d in range(d_max + 1))
-    if keys > MAX_SERIES_KEYS:
-        raise GuardError(f"hypergeometric series guard: at most {MAX_SERIES_KEYS} profile keys")
+    guard("series profile keys",
+          sum(len(partitions_of(d)) ** min(alphabet_count, 17) for d in range(d_max + 1)))
     if route not in ("schur", "pochhammer"):
         raise ValidationError(f"unknown route {route!r}")
     symbolic = [p for p in params if p.symbol is not None]
@@ -267,7 +256,7 @@ def hypergeometric_series(
             if route == "schur":
                 # Jacobi-Trudi, an independent route on purpose: it shares no
                 # code with the character data of the "pochhammer" branch.
-                coeffs = _schur_coeffs(lam)
+                coeffs = schur_poly(lam).coeffs
                 s_inf = coeffs.get((1,) * d, Fraction(0))
                 prof_coeff = {delta: coeffs.get(delta.parts, Fraction(0)) for delta in classes}
             else:
@@ -357,8 +346,7 @@ def hyp_tau_series(kind: str, r: ContentFunction, n, d_max: int,
     sum_lam r_lam(n) c_{lam,A} c_{lam,B}; kind "BKP": one alphabet with the
     length cutoff.
     """
-    if d_max > 8:
-        raise GuardError("tau series guard: d_max <= 8")
+    guard("series degree", d_max)
     if kind not in ("TL", "BKP"):
         raise ValidationError("kind must be TL or BKP")
     slots = 2 if kind == "TL" else 1
@@ -371,7 +359,7 @@ def hyp_tau_series(kind: str, r: ContentFunction, n, d_max: int,
             weight = r.content_product(n, lam)
             if not weight:
                 continue
-            coeffs = _schur_coeffs(lam)
+            coeffs = schur_poly(lam).coeffs
             if kind == "TL":
                 for ka, va in coeffs.items():
                     for kb, vb in coeffs.items():
@@ -401,8 +389,7 @@ def single_branch_point_series(d_max: int = 8) -> ProfileSeries:
     plane cover count with the single profile Delta (the unbranched count for
     Delta = (1^d)); aux records (c exponent, h^-1 exponent).
     """
-    if d_max > 8:
-        raise GuardError("single branch point guard: d_max <= 8")
+    guard("series degree", d_max)
     # Track the h-exponent implicitly: every part of a monomial carries one
     # power of h^-1 (squares contribute two parts), so h-exp = len(Delta).
     arg = PowerSumPoly.zero()
@@ -423,8 +410,7 @@ def single_branch_point_series(d_max: int = 8) -> ProfileSeries:
 
 def unbranched_cover_coefficients(d_max: int = 12) -> list[Fraction]:
     """Taylor coefficients of exp(c^2/2 + c): degree-d unbranched projective covers."""
-    if d_max > 12:
-        raise GuardError("unbranched generator guard: d_max <= 12")
+    guard("unbranched generator", d_max)
     out = []
     for d in range(d_max + 1):
         total = Fraction(0)
@@ -466,7 +452,6 @@ _FAMILIES = {
     "int6_odd_u": ("BKP", "unitary", "n odd", None),
 }
 LAYOUT_NAMES = tuple(_FAMILIES)
-MAX_LAYOUT_MATRICES = 8
 
 
 
@@ -588,8 +573,7 @@ def proposition_layout(name: str, n: int, t: int | None = None) -> PropositionLa
     shape, kind, rule, constant = _FAMILIES[name]
     if n < 1:
         raise ValidationError("need at least one matrix")
-    if n > MAX_LAYOUT_MATRICES:
-        raise GuardError(f"layout guard: n <= {MAX_LAYOUT_MATRICES}")
+    guard("layout matrices", n)
     depth = _reorder_depth(name, rule, n, t)
     kinds = shape.split("|")
     words = _words(len(kinds) == 2, n, depth, constant is not None)

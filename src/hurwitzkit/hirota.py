@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._errors import GuardError, ValidationError
+from ._errors import ValidationError, guard
 from .genfun import ContentFunction
 from .partitions import partitions_of
 from .symfunc import PowerSumPoly, schur_poly
@@ -65,8 +65,7 @@ def bkp_tau_poly(r: ContentFunction, n: int, cutoff: int | None, d_max: int) -> 
 def hirota_bilinear_check(r: ContentFunction, cutoff: int, d_max: int,
                           n_values=(0, 1)) -> bool:
     """Both elementary bilinear equations hold identically in p to total degree d_max."""
-    if d_max > 6:
-        raise GuardError("hirota check guard: d_max <= 6")
+    guard("bilinear check", d_max)
     if cutoff < 1:
         raise ValidationError("cutoff must be >= 1 (the shifted sums need N-1 >= 0)")
     work = d_max + 2  # second derivatives drop the weight by two

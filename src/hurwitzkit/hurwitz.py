@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Callable
 
-from ._errors import GuardError, ValidationError
+from ._errors import ValidationError, guard
 from .characters import (
     character_class_sum,
     colength_sum,
@@ -31,9 +31,6 @@ from .partitions import (
 )
 
 
-MAX_CHARACTER_DEGREE = 32
-
-
 @dataclass(frozen=True)
 class HurwitzQuery:
     euler: int
@@ -44,8 +41,7 @@ class HurwitzQuery:
     def __post_init__(self):
         if self.degree < 1:
             raise ValidationError("degree must be >= 1")
-        if self.degree > MAX_CHARACTER_DEGREE:
-            raise GuardError(f"character formula guard: degree <= {MAX_CHARACTER_DEGREE}")
+        guard("character formula", self.degree)
         if self.cutoff is not None and self.cutoff < 1:
             raise ValidationError("cutoff must be >= 1 or None")
         profs = tuple(as_partition(p) for p in self.profiles)
@@ -55,6 +51,8 @@ class HurwitzQuery:
                 raise ValidationError(
                     f"profile {p.parts} has weight {p.weight()}, expected {self.degree}"
                 )
+        digits = len(str(factorial(self.degree)))
+        guard("output size", (abs(self.euler) + len(profs)) * digits)
 
 
 @dataclass(frozen=True)
@@ -128,8 +126,7 @@ def gluing_identity_holds(euler_a: int, euler_b: int, degree: int, profiles_a=()
     """Check the surface-gluing identity: the cover count for the connected sum
     equals the class-summed product of the two pieces, each opened by one
     extra branch point."""
-    if degree > 7:
-        raise GuardError("gluing check guard: degree <= 7")
+    guard("identity check", degree)
     profs_a = tuple(as_partition(p) for p in profiles_a)
     profs_b = tuple(as_partition(p) for p in profiles_b)
     left = hurwitz_value(euler_a + euler_b, degree, profs_a + profs_b)
@@ -146,8 +143,7 @@ def gluing_identity_holds(euler_a: int, euler_b: int, degree: int, profiles_a=()
 def hurwitz_down_identity_holds(euler: int, degree: int, profiles=()) -> bool:
     """Check that dropping the base Euler characteristic by one equals summing an
     extra branch point against the square-root weights character_class_sum."""
-    if degree > 7:
-        raise GuardError("hurwitz_down check guard: degree <= 7")
+    guard("identity check", degree)
     profs = tuple(as_partition(p) for p in profiles)
     left = hurwitz_value(euler - 1, degree, profs)
     right = Fraction(0)
@@ -159,8 +155,7 @@ def hurwitz_down_identity_holds(euler: int, degree: int, profiles=()) -> bool:
 def full_cycle_identity_holds(euler: int, degree: int, profiles=(), handles: int = 1) -> bool:
     """In the presence of a maximally ramified branch point, trading 2g of base
     Euler characteristic for 2g extra full-cycle branch points costs d^{2g}."""
-    if degree > 7:
-        raise GuardError("full-cycle check guard: degree <= 7")
+    guard("identity check", degree)
     if handles < 1:
         raise ValidationError("handles must be >= 1")
     profs = tuple(as_partition(p) for p in profiles)

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._errors import GuardError, ValidationError
+from ._errors import LIMITS, ValidationError, guard
 from .genfun import proposition_layout
 from .partitions import Partition, as_partition, partitions_of
 from .symfunc import PowerAlphabet, eval_schur, schur_poly
@@ -40,13 +40,6 @@ _RELATIONS = {
     "sAZZ+B": (False, False),
 }
 LEMMA_RELATIONS = tuple(_RELATIONS)
-
-# The |lam| guard, and the depth of a deep trace table: _batched_traces forms
-# powers up to 4 only, so a larger value fails loudly there.
-_MAX_WEIGHT = 4
-_MIN_SAMPLES = 10_000
-_MAX_SAMPLES = 10**6
-_MAX_WORKERS = 64
 
 # The trace table of the latest mc_schur_moment call, at most one entry:
 # (relation, size, samples, seed, workers, A bytes, B bytes) -> (depth, one
@@ -202,15 +195,7 @@ def _check_stream(seed: int, workers: int) -> None:
         raise ValidationError("workers must be >= 1")
     if not 0 <= seed < 2**64:
         raise ValidationError("seed must satisfy 0 <= seed < 2^64")
-    if workers > _MAX_WORKERS:
-        raise GuardError(f"mc guard: workers <= {_MAX_WORKERS}")
-
-
-def _check_samples(samples: int) -> None:
-    if samples < _MIN_SAMPLES:
-        raise GuardError("mc guard: samples >= 10^4")
-    if samples > _MAX_SAMPLES:
-        raise GuardError("mc guard: samples <= 10^6")
+    guard("mc workers", workers)
 
 
 def _as_test_matrix(matrix, size: int) -> np.ndarray:
@@ -270,13 +255,11 @@ def mc_schur_moment(
     mu = as_partition(mu) if mu is not None else lam
     if lam.weight() < 1 or mu.weight() < 1:
         raise ValidationError("partitions must be nonempty")
-    if lam.weight() > _MAX_WEIGHT or mu.weight() > _MAX_WEIGHT:
-        raise GuardError(f"mc guard: |lam| <= {_MAX_WEIGHT}")
+    guard("mc weight", max(lam.weight(), mu.weight()))
     if size < 1:
         raise ValidationError("size must be >= 1")
-    if size > 6:
-        raise GuardError("mc guard: N <= 6")
-    _check_samples(samples)
+    guard("mc moment size", size)
+    guard("mc samples", samples)
     if paired and mu != lam:
         raise ValidationError(f"{relation} takes one partition: mu must equal lambda")
     a = default_test_matrix(size, 0) if a_matrix is None else _as_test_matrix(a_matrix, size)
@@ -290,7 +273,7 @@ def mc_schur_moment(
     kept = _trace_slot.get(key)
     if kept is None or kept[0] < m_max:
         _trace_slot.clear()
-        depth = 1 if m_max == 1 else _MAX_WEIGHT
+        depth = 1 if m_max == 1 else LIMITS["mc weight"].most
         kept = (depth, _trace_tables(haar, paired, size, samples, seed, workers, a, b, depth))
         _trace_slot[key] = kept
     if paired:
@@ -363,11 +346,9 @@ def mc_proposition_check(
         raise ValidationError("size must be >= 1")
     if degree < 1:
         raise ValidationError("degree must be >= 1")
-    if size > 5:
-        raise GuardError("mc guard: N <= 5")
-    if degree > 3:
-        raise GuardError("mc guard: degree <= 3")
-    _check_samples(samples)
+    guard("mc proposition size", size)
+    guard("mc proposition degree", degree)
+    guard("mc samples", samples)
 
     cs = (
         [_as_test_matrix(c, size) for c in c_matrices]

@@ -24,8 +24,8 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
 
-from ._errors import GuardError, ValidationError
-from .partitions import as_partition
+from ._errors import ValidationError, guard
+from .partitions import as_partition, cycle_class_size
 
 Perm = tuple[int, ...]
 
@@ -176,16 +176,6 @@ def _convolve(f: dict, g: dict, d: int) -> dict:
     return out
 
 
-def _check_guards(pres: SurfacePresentation, degree: int, n_profiles: int) -> None:
-    if degree > 8:
-        raise GuardError(f"oracle guard: degree {degree} > 8")
-    complexity = pres.crosscaps + 2 * pres.handles + n_profiles
-    if complexity > 4:
-        raise GuardError(
-            f"oracle guard: crosscaps + 2*handles + branch points = {complexity} > 4"
-        )
-
-
 def _profiles(degree: int, profiles) -> list:
     if degree < 1:
         raise ValidationError("degree must be >= 1")
@@ -199,7 +189,8 @@ def _profiles(degree: int, profiles) -> list:
 def oracle_count(pres: SurfacePresentation, degree: int, profiles=()) -> int:
     """Number of surface-relation solutions with X_i in the prescribed classes."""
     profs = _profiles(degree, profiles)
-    _check_guards(pres, degree, len(profs))
+    guard("oracle degree", degree)
+    guard("oracle complexity", pres.crosscaps + 2 * pres.handles + len(profs))
     identity = (1,) * degree
     dist = {identity: 1}
     for _ in range(pres.handles):
@@ -223,9 +214,8 @@ def oracle_count_naive(pres: SurfacePresentation, degree: int, profiles=()) -> i
     profs = _profiles(degree, profiles)
     work = factorial(degree) ** (2 * pres.handles + pres.crosscaps)
     for p in profs[:-1]:
-        work *= len(class_elements(degree, p.parts))
-    if work > 2_000_000:
-        raise GuardError("naive oracle guard exceeded")
+        work *= cycle_class_size(p)
+    guard("naive oracle work", work)
     group = _group(degree)
     types = _types(degree)
     identity = tuple(range(degree))

@@ -11,7 +11,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Callable, Mapping
 
-from ._errors import ValidationError
+from ._errors import ValidationError, guard
 from .partitions import Partition, as_partition, conjugate, partitions_of
 
 Monomial = tuple[int, ...]  # a partition written as a weakly decreasing tuple
@@ -128,12 +128,6 @@ class PowerSumPoly:
                 out.pop(rkey, None)
         res = PowerSumPoly()
         res.coeffs = out
-        return res
-
-    def substitute_negated(self) -> "PowerSumPoly":
-        """Replace every p_m by -p_m."""
-        res = PowerSumPoly()
-        res.coeffs = {k: (v if len(k) % 2 == 0 else -v) for k, v in self.coeffs.items()}
         return res
 
     def evaluate(self, values: Mapping[int, object]):
@@ -373,8 +367,7 @@ def cauchy_littlewood_check(d_max: int) -> bool:
     Both sides are expanded in the ring spanned by monomial pairs
     (p*_A, p_B); equality is exact.
     """
-    if d_max > 8:
-        raise ValidationError("cauchy_littlewood_check guard: d_max <= 8")
+    guard("series degree", d_max)
     # Left side: exp of the diagonal quadratic, graded by the shared degree.
     # (p*_m p_m / m) has bidegree (m, m), so grade by the p-degree alone.
     left: dict[tuple[Monomial, Monomial], Fraction] = {((), ()): Fraction(1)}

@@ -122,6 +122,12 @@ def test_colength_sum():
     assert colength_sum(Partition((2, 1)), 2) == -1
 
 
+def test_cached_helpers_take_lists_tuples_and_partitions():
+    for lam in ([3, 1], (3, 1), Partition([3, 1])):
+        assert irrep_dimension(lam) == 3
+        assert [colength_sum(lam, k) for k in range(4)] == [1, 2, -1, -2]
+
+
 def test_weighted_colength_sum():
     for d in range(1, 7):
         for lam in partitions_of(d):

@@ -173,10 +173,8 @@ def test_selftest_quick(capsys):
 @pytest.mark.parametrize(
     "env,argv",
     [
-        ({}, ["--threads", "0", "mc", "--relation", "sAUBU-1", "--N", "2"]),
         ({}, ["mc", "--relation", "sAUBU-1", "--N", "2", "--seed", "-1"]),
         ({}, ["schur", "--partition", "2,1", "--at-constant", "1/0"]),
-        ({"HURWITZKIT_THREADS": "abc"}, ["selftest", "--quick"]),
         ({}, ["mc", "--proposition", "prop1", "--N", "2", "--degree", "0"]),
         ({}, ["mc", "--proposition", "prop1", "--N", "0"]),
         ({}, ["mc", "--relation", "sAUBU-1", "--N", "0"]),
@@ -205,8 +203,6 @@ def test_mc_proposition_too_few_samples_exits_3(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--threads", "1000000000000", "mc", "--relation", "sAUBU-1", "--N", "2"],
-        ["--threads", "1000000000000", "mc", "--proposition", "prop1", "--N", "2"],
         ["mc", "--relation", "sAUBU-1", "--N", "2", "--samples", "1000000000000000"],
         ["mc", "--proposition", "prop1", "--N", "2", "--samples", "1000000000000000"],
         ["mc", "--proposition", "prop2", "--n", "9", "--N", "3", "--samples", "10000",

@@ -1,0 +1,113 @@
+"""The guard table: its README listing, the output-size guard, and a CLI fuzz
+check that every argv ends in a documented exit code without a traceback."""
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hurwitzkit import LIMITS, GuardError
+from hurwitzkit.cli import main
+from hurwitzkit.hurwitz import hurwitz_value
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flags
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_readme_lists_every_limit_with_its_value():
+    text = README.read_text()
+    section = text.split("\n## Guards\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("- `")]
+    assert len(rows) == len(LIMITS)
+    for name, limit in LIMITS.items():
+        assert any(row.startswith(f"- `{name}`: {limit} ") for row in rows), name
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["hurwitz", "--euler", "444", "--degree", "12"], 0),
+        (["hurwitz", "--euler", "-444", "--degree", "12"], 0),
+        (["hurwitz", "--euler", "445", "--degree", "12"], 3),
+        (["hurwitz", "--euler", "2", "--degree", "32"] + ["--profile", "32"] * 130, 3),
+    ],
+)
+def test_output_size_guard_admits_only_printable_values(argv, code):
+    got, out, err = _run(argv)
+    assert got == code
+    assert "Traceback" not in err
+    if code == 3:
+        assert "guard" in err and not out
+    else:
+        assert "/" in out
+
+
+def test_output_size_guard_admits_abs_euler_111_at_degree_32():
+    # 111 * digits(32!) = 3 996 is admitted, 112 * 36 = 4 032 is not.
+    with pytest.raises(GuardError, match="output size"):
+        hurwitz_value(112, 32)
+    with pytest.raises(GuardError, match="output size"):
+        hurwitz_value(-111, 32, [(32,)])
+
+
+_BIG = 10**12
+
+# subcommand -> (choices of fixed arguments, {integer flag: the limit it meets}).
+# Every MC call gets --samples from the fuzz values, all of them outside the
+# samples limit, so no case draws a matrix.  hirota's --n offsets have no
+# guard yet (their normalisation costs O(n^2)), so they get no fuzz value.
+_FUZZ = {
+    "hurwitz": ([[]], {"--euler": "output size", "--degree": "character formula",
+                       "--cutoff": None}),
+    "oracle": ([["--surface", s] for s in ("sphere", "torus", "klein", "genus:1000000000000",
+                                            "crosscaps:-1")],
+               {"--degree": "oracle degree"}),
+    "characters": ([[]], {"--d": "character table"}),
+    "schur": ([[]], {"--partition": "schur expansion"}),
+    "genfun": ([["--layout", "prop1"], ["--layout", "int4"], ["--layout", "odd3_u"],
+                ["--unbranched"], ["--single-branch"]],
+               {"--n": "layout matrices", "--t": None, "--N": None, "--dmax": "series degree"}),
+    "hirota": ([[]], {"--N": None, "--dmax": "bilinear check"}),
+    "mc": ([["--relation", "sAUBU-1"], ["--relation", "sAZZ+B"], ["--proposition", "prop2_u"],
+            ["--proposition", "int4"]],
+           {"--lambda": "mc weight", "--n": "layout matrices", "--t": None,
+            "--N": "mc moment size", "--degree": "mc proposition degree",
+            "--samples": "mc samples", "--seed": None}),
+    "selftest": ([["--quick"]], {"--seed": None}),
+}
+
+
+def _fuzz_value(limit):
+    """-1, 0, 1, 2, one past the limit and 10^12: no value inside the table
+    that costs real work."""
+    past = [LIMITS[limit].most + 1] if limit else []
+    return st.sampled_from([-1, 0, 1, 2, *past, _BIG])
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ)))
+    fixed, flags = _FUZZ[command]
+    argv = [command, *draw(st.sampled_from(fixed))]
+    for flag, limit in flags.items():
+        argv += [flag, str(draw(_fuzz_value(limit)))]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(_argvs())
+def test_cli_fuzz_ends_in_a_documented_exit_code(argv):
+    code, _, err = _run(argv)
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err

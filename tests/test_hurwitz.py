@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurwitzkit import GuardError, ValidationError
+from hurwitzkit import LIMITS, GuardError, ValidationError
 from hurwitzkit.characters import character, hook_length_dimension
 from hurwitzkit.hurwitz import (
-    MAX_CHARACTER_DEGREE,
     HurwitzQuery,
     full_cycle_identity_holds,
     gluing_identity_holds,
@@ -148,8 +147,8 @@ def test_full_cycle_identity():
 
 
 def test_character_formula_degree_guard():
-    assert MAX_CHARACTER_DEGREE == 32
-    HurwitzQuery(1, MAX_CHARACTER_DEGREE, ())
+    assert LIMITS["character formula"].most == 32
+    HurwitzQuery(1, 32, ())
     with pytest.raises(GuardError, match="degree <= 32"):
         hurwitz_value(1, 33)
 

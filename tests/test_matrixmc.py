@@ -4,7 +4,7 @@ import pytest
 from fractions import Fraction
 
 import hurwitzkit
-from hurwitzkit import GuardError, ValidationError, matrixmc
+from hurwitzkit import LIMITS, GuardError, ValidationError, matrixmc
 from hurwitzkit.matrixmc import (
     LEMMA_RELATIONS,
     mc_proposition_check,
@@ -12,7 +12,6 @@ from hurwitzkit.matrixmc import (
     unitarity_residual,
 )
 from hurwitzkit.matrixmc import (
-    _MAX_WEIGHT,
     _RELATIONS,
     _batched_traces,
     _chunks,
@@ -25,6 +24,7 @@ from hurwitzkit.matrixmc import (
 from hurwitzkit.partitions import partitions_of
 
 SEED = 20240818
+_MAX_WEIGHT = LIMITS["mc weight"].most
 
 
 def test_ginibre_moments():
@@ -88,7 +88,7 @@ def test_batched_traces_match_matrix_powers():
 
 def test_batched_traces_stop_at_the_weight_guard():
     """X and X^2 give tr X^m up to m = 4 only; a deep trace table has depth
-    _MAX_WEIGHT, so raising that guard beyond 4 has to fail here."""
+    LIMITS["mc weight"], so raising that guard beyond 4 has to fail here."""
     x = _ginibre_batch(_worker_rng(SEED, 4), 10, 3)
     assert sorted(_batched_traces(x, _MAX_WEIGHT)) == list(range(1, _MAX_WEIGHT + 1))
     with pytest.raises(ValueError):

@@ -61,6 +61,9 @@ def test_guards():
             oracle_count(SurfacePresentation.torus(), degree)
         with pytest.raises(ValidationError):
             oracle_count_naive(SurfacePresentation.torus(), degree)
+    # 11! full cycles to enumerate: the guard fires on the class size alone.
+    with pytest.raises(GuardError, match="naive oracle work"):
+        oracle_count_naive(SurfacePresentation.sphere(), 12, [(12,), (12,)])
 
 
 def test_convolution_oracle_matches_naive_enumeration():

@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from hurwitzkit import ValidationError
+from hurwitzkit import GuardError, ValidationError
 from hurwitzkit.characters import irrep_dimension
 from hurwitzkit.partitions import Partition, partitions_of
 from hurwitzkit.symfunc import (
@@ -178,6 +178,8 @@ def test_cauchy_littlewood():
     assert cauchy_littlewood_check(1)
     assert cauchy_littlewood_check(2)
     assert cauchy_littlewood_check(6)
+    with pytest.raises(GuardError, match="d_max <= 8"):
+        cauchy_littlewood_check(9)
 
 
 def test_single_variable_schur_sum_is_geometric():
