@@ -84,7 +84,6 @@ from .matrixmc import (
     MCEstimate,
     mc_proposition_check,
     mc_schur_moment,
-    unitarity_residual,
 )
 
 from . import characters, genfun, hirota, hurwitz, matrixmc, oracle, partitions, symfunc

@@ -39,11 +39,13 @@ LIMITS = {
     "unbranched generator": Limit("d_max", 12),
     "layout matrices": Limit("n", 8),
     "bilinear check": Limit("d_max", 6),
+    # g(n) is a product of O(n^2) content values: n = +-16 at d_max 6 takes 1-7 s (2 cores).
+    "bilinear offset": Limit("|n|", 16),
     "oracle degree": Limit("degree", 8),
     "oracle complexity": Limit("crosscaps + 2*handles + branch points", 4),
     "naive oracle work": Limit("enumerated tuples", 2_000_000),
-    # Also the depth of a deep MC trace table: matrixmc._batched_traces forms
-    # powers up to 4 only, so a larger value fails loudly there.
+    # Also the depth of a deep MC trace table: matrixmc._batched_traces splits
+    # X^m into halves from {X, X^2}, so m <= 4, and a larger value fails there.
     "mc weight": Limit("|lam|", 4),
     "mc moment size": Limit("N", 6),
     "mc proposition size": Limit("N", 5),

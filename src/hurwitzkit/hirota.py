@@ -66,6 +66,7 @@ def hirota_bilinear_check(r: ContentFunction, cutoff: int, d_max: int,
                           n_values=(0, 1)) -> bool:
     """Both elementary bilinear equations hold identically in p to total degree d_max."""
     guard("bilinear check", d_max)
+    guard("bilinear offset", max((abs(n) for n in n_values), default=0))
     if cutoff < 1:
         raise ValidationError("cutoff must be >= 1 (the shifted sums need N-1 >= 0)")
     work = d_max + 2  # second derivatives drop the weight by two

@@ -2,15 +2,15 @@
 
 Sampling is batched with numpy; every run is split into worker chunks whose
 random streams are counter-based (Philox keyed by (seed, worker)), so the
-estimate is bit-identical for a fixed (seed, samples, workers) on one
-numpy/BLAS build, regardless of schedule.  Each kernel works on a whole
-chunk at once: Haar unitaries are Gram-Schmidt orthonormalised Ginibre
-matrices, which is Mezzadri's QR with the phase fix built in; a fixed test
-matrix enters as one matrix product over the chunk, placed on the right by
-cyclicity of the trace; and tr X^m for m <= 4 comes from X and X^2 alone.
-Schur functions on sampled matrices are always evaluated from these traces,
-never from eigendecompositions; exact predictions are converted to complex
-floats only at the comparison boundary.
+estimate is bit-identical for a fixed (seed, samples, workers) on one numpy
+build, regardless of schedule.  A chunk is one (N, N, batch) array, batch
+axis last, so each matrix entry is a vector over the chunk and every kernel
+is whole-vector ufuncs: Haar unitaries are Gram-Schmidt orthonormalised
+Ginibre matrices (Mezzadri's QR with the phase fix built in); one product
+kernel serves sampled and fixed test matrices, which cyclicity of the trace
+puts on the right; tr X^m for m <= 4 comes from X and X^2.  Schur functions
+of sampled matrices come from these traces, never from eigendecompositions;
+exact predictions become complex floats only at the comparison boundary.
 
 `mc_schur_moment` keeps the per-draw trace table of its latest call, so
 consecutive calls that differ only in the partitions draw once.  A kept table
@@ -76,9 +76,12 @@ def _worker_rng(seed: int, worker: int) -> np.random.Generator:
 
 
 def _ginibre_batch(rng: np.random.Generator, batch: int, size: int) -> np.ndarray:
-    re = rng.standard_normal((batch, size, size))
-    im = rng.standard_normal((batch, size, size))
-    return (re + 1j * im) / np.sqrt(2.0)
+    """(re + 1j*im)/sqrt(2) of two (batch, size, size) normal draws, batch-last."""
+    out = np.empty((size, size, batch), dtype=complex)
+    for part in (out.real, out.imag):
+        np.multiply(rng.standard_normal((batch, size, size)).transpose(1, 2, 0),
+                    1.0 / np.sqrt(2.0), out=part)
+    return out
 
 
 def _haar_batch(rng: np.random.Generator, batch: int, size: int) -> np.ndarray:
@@ -88,40 +91,37 @@ def _haar_batch(rng: np.random.Generator, batch: int, size: int) -> np.ndarray:
     diagonal is real and positive by construction; that is Mezzadri's phase
     fix, and Q is Haar distributed."""
     z = _ginibre_batch(rng, batch, size)
-    q = np.empty_like(z)
+    q, q_dag = np.empty_like(z), np.empty_like(z)
     for j in range(size):
-        v = z[:, :, j]
-        basis = q[:, :, :j]
-        for _ in range(2):
-            v = v - np.einsum("bik,bk->bi", basis, np.einsum("bik,bi->bk", basis.conj(), v))
-        q[:, :, j] = v / np.sqrt(np.einsum("bi,bi->b", v.conj(), v).real)[:, None]
+        v = z[:, j, None]
+        for _ in range(2 if j else 0):
+            v = v - _mul(q[:, :j], _mul(q_dag[:j], v))
+        q[:, j] = v[:, 0] * (1.0 / np.sqrt((v.real ** 2 + v.imag ** 2).sum(axis=0)))
+        np.conj(q[:, j], out=q_dag[j])
     return q
 
 
-def unitarity_residual(u: np.ndarray) -> float:
-    n = u.shape[-1]
-    return float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for batch-last stacks, out[i, j] = sum_k x[i, k] y[k, j] by vector
+    multiply-adds over the chunk; a 2-d y is a fixed matrix for every draw."""
+    y = y if y.ndim == 3 else y[:, :, None]
+    out = np.empty(np.broadcast_shapes(x[:, :1].shape, y[:1].shape), dtype=complex)
+    for i, j in np.ndindex(out.shape[:2]):
+        acc = np.multiply(x[i, 0], y[0, j], out=out[i, j])
+        for k in range(1, x.shape[1]):
+            acc += x[i, k] * y[k, j]
+    return out
 
 
 def _batched_traces(mats: np.ndarray, m_max: int) -> dict[int, np.ndarray]:
-    """tr X^m for m <= m_max from X and X^2 alone: tr X^3 = <X^2, X^T> and
-    tr X^4 = <X^2, (X^2)^T>, so at most one batched product is formed."""
+    """tr X^m for m <= m_max from X and X^2 alone: X^m = Y Z with halves Y, Z
+    in {X, X^2} and tr(Y Z) = sum_ij Y_ij Z_ji, so at most one product is formed."""
     if m_max > 4:
         raise ValueError(f"traces from X and X^2 reach m <= 4, not m = {m_max}")
-    traces = {1: np.einsum("bii->b", mats)}
-    if m_max >= 2:
-        traces[2] = np.einsum("bij,bji->b", mats, mats)
-    if m_max >= 3:
-        square = mats @ mats
-        traces[3] = np.einsum("bij,bji->b", square, mats)
-    if m_max >= 4:
-        traces[4] = np.einsum("bij,bji->b", square, square)
-    return traces
-
-
-def _times(mats: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """M C for every M of the batch, as one matrix product."""
-    return (mats.reshape(-1, c.shape[0]) @ c).reshape(mats.shape)
+    square = _mul(mats, mats) if m_max >= 3 else None
+    halves = {2: (mats, mats), 3: (square, mats), 4: (square, square)}
+    traces = {m: np.einsum("ijb,jib->b", *halves[m]) for m in range(2, m_max + 1)}
+    return {1: np.trace(mats), **traces}
 
 
 def _schur_on_traces(lam: Partition, traces: Mapping[int, np.ndarray]) -> np.ndarray:
@@ -152,9 +152,8 @@ def _accumulate(values_by_worker: Sequence[np.ndarray], samples: int, seed: int)
         spread += float(np.sum(np.abs(vals - chunk_mean) ** 2))
         total += chunk_total
         count += len(vals)
-    mean = total / samples
-    var = spread / (samples - 1)
-    return MCEstimate(mean=mean, stderr=sqrt(var / samples), samples=samples, seed=seed)
+    return MCEstimate(mean=total / samples, stderr=sqrt(spread / (samples - 1) / samples),
+                      samples=samples, seed=seed)
 
 
 def _chunks(samples: int, workers: int) -> list[int]:
@@ -164,8 +163,7 @@ def _chunks(samples: int, workers: int) -> list[int]:
 
 def _compare(estimate: MCEstimate, exact: complex, gate: float) -> MCComparison:
     diff = abs(estimate.mean - exact)
-    scale = 1.0 + abs(exact)
-    if diff < 1e-9 * scale:
+    if diff < 1e-9 * (1.0 + abs(exact)):
         return MCComparison(estimate, exact, 0.0, True)
     sigmas = diff / estimate.stderr if estimate.stderr > 0 else float("inf")
     return MCComparison(estimate, exact, sigmas, sigmas <= gate)
@@ -218,14 +216,14 @@ def _trace_tables(haar: bool, paired: bool, size: int, samples: int, seed: int,
     tables = []
     for worker, chunk in enumerate(_chunks(samples, workers)):
         mats = sample(_worker_rng(seed, worker), chunk, size)
-        dag = mats.conj().swapaxes(-2, -1)
+        dag = mats.conj().swapaxes(0, 1)
         # Cyclicity puts every fixed factor on the right: tr(A M B M^dag)^m =
         # tr(M B M^dag A)^m and tr(A M)^m = tr(M A)^m.
         if paired:
-            tables.append(_batched_traces(_times(mats, b) @ _times(dag, a), depth))
+            tables.append(_batched_traces(_mul(_mul(mats, b), _mul(dag, a)), depth))
         else:
-            tables.append((_batched_traces(_times(mats, a), depth),
-                           _batched_traces(_times(dag, b), depth)))
+            tables.append((_batched_traces(_mul(mats, a), depth),
+                           _batched_traces(_mul(dag, b), depth)))
     return tables
 
 
@@ -315,10 +313,10 @@ def _word_product(word, mats: Sequence[np.ndarray], cs: Sequence[np.ndarray]) ->
     out = None
     for i, power in word:
         if power == 0:
-            out = _times(out, cs[i - 1])
+            out = _mul(out, cs[i - 1])
         else:
-            z = mats[i - 1] if power > 0 else mats[i - 1].conj().swapaxes(-2, -1)
-            out = z if out is None else out @ z
+            z = mats[i - 1] if power > 0 else mats[i - 1].conj().swapaxes(0, 1)
+            out = z if out is None else _mul(out, z)
     return out
 
 

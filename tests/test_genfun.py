@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurwitzkit import GuardError, ValidationError
 from hurwitzkit.genfun import (
@@ -84,6 +86,20 @@ def test_schur_and_pochhammer_routes_identical(euler, k, exps):
     left = hypergeometric_series(euler, k, params, d_max=5, series_trunc=3, route="schur")
     right = hypergeometric_series(euler, k, params, d_max=5, series_trunc=3,
                                   route="pochhammer")
+    assert left == right
+
+
+@settings(max_examples=100, deadline=None)
+@given(euler=st.integers(-2, 2), k=st.integers(1, 2),
+       exps=st.lists(st.sampled_from([-1, 1, 2]), max_size=1),
+       symbolic=st.booleans(), d_max=st.integers(1, 4),
+       cutoff=st.none() | st.integers(1, 3))
+def test_schur_and_pochhammer_routes_agree(euler, k, exps, symbolic, d_max, cutoff):
+    params = tuple(PochhammerParam(e, symbol="a") if symbolic else
+                   PochhammerParam(e, value=Fraction(7, 2)) for e in exps)
+    left, right = (hypergeometric_series(euler, k, params, cutoff=cutoff, d_max=d_max,
+                                         route=route)
+                   for route in ("schur", "pochhammer"))
     assert left == right
 
 

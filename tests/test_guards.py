@@ -61,12 +61,23 @@ def test_output_size_guard_admits_abs_euler_111_at_degree_32():
         hurwitz_value(-111, 32, [(32,)])
 
 
+@pytest.mark.parametrize(
+    "offsets,code",
+    [("16,-16", 0), ("17", 3), ("0,-17", 3), ("1000000", 3), (str(10**12), 3)],
+)
+def test_bilinear_offset_guard_fires_before_any_normalisation(offsets, code):
+    got, out, err = _run(["hirota", "--n", offsets])
+    assert got == code
+    assert "Traceback" not in err
+    if code == 3:
+        assert "bilinear offset guard: |n| <= 16" in err and not out
+
+
 _BIG = 10**12
 
 # subcommand -> (choices of fixed arguments, {integer flag: the limit it meets}).
 # Every MC call gets --samples from the fuzz values, all of them outside the
-# samples limit, so no case draws a matrix.  hirota's --n offsets have no
-# guard yet (their normalisation costs O(n^2)), so they get no fuzz value.
+# samples limit, so no case draws a matrix.
 _FUZZ = {
     "hurwitz": ([[]], {"--euler": "output size", "--degree": "character formula",
                        "--cutoff": None}),
@@ -78,7 +89,7 @@ _FUZZ = {
     "genfun": ([["--layout", "prop1"], ["--layout", "int4"], ["--layout", "odd3_u"],
                 ["--unbranched"], ["--single-branch"]],
                {"--n": "layout matrices", "--t": None, "--N": None, "--dmax": "series degree"}),
-    "hirota": ([[]], {"--N": None, "--dmax": "bilinear check"}),
+    "hirota": ([[]], {"--N": None, "--dmax": "bilinear check", "--n": "bilinear offset"}),
     "mc": ([["--relation", "sAUBU-1"], ["--relation", "sAZZ+B"], ["--proposition", "prop2_u"],
             ["--proposition", "int4"]],
            {"--lambda": "mc weight", "--n": "layout matrices", "--t": None,
