@@ -41,6 +41,10 @@ LIMITS = {
     "bilinear check": Limit("d_max", 6),
     # g(n) is a product of O(n^2) content values: n = +-16 at d_max 6 takes 1-7 s (2 cores).
     "bilinear offset": Limit("|n|", 16),
+    # Content values x + a get longer with the digits of a: at `hirota --N 3
+    # --dmax 6 --n 16,-16`, a = 1/2 takes 1.6 s, 997/991 5.5 s, 9973/9967 7.6 s,
+    # 99991/99989 10 s and 987654321/123456787 19 s (2 cores).
+    "content shift": Limit("digits of numerator and denominator", 4),
     "oracle degree": Limit("degree", 8),
     "oracle complexity": Limit("crosscaps + 2*handles + branch points", 4),
     "naive oracle work": Limit("enumerated tuples", 2_000_000),

@@ -164,7 +164,7 @@ def _cmd_hirota(args) -> int:
     else:
         try:
             shift = Fraction(args.r)
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError("--r must be 'one' or a rational shift a for r(x)=x+a") from exc
         r = ContentFunction.rational([shift])
     n_values = tuple(int(x) for x in args.n.split(",")) if args.n else (0, 1)

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ._errors import ValidationError, guard
 from .characters import irrep_dimension, normalized_character
 from .partitions import Partition, as_partition, partitions_of
-from .symfunc import PowerSumPoly, content_product, exp_truncated, schur_poly
+from .symfunc import (PowerAlphabet, PowerSumPoly, content_product, eval_schur,
+                      exp_truncated, schur_poly)
 
 
 @dataclass(frozen=True)
@@ -135,6 +136,8 @@ class ContentFunction:
         """r(x) = prod (a_i + x) / prod (b_i + x)."""
         num = tuple(Fraction(a) for a in numer_shifts)
         den = tuple(Fraction(b) for b in denom_shifts)
+        guard("content shift", max((len(str(abs(part))) for q in num + den
+                                    for part in (q.numerator, q.denominator)), default=0))
 
         def fn(x):
             top = Fraction(1)
@@ -216,6 +219,78 @@ def _series_pow(u: list[Fraction], n: int, trunc: int) -> list[Fraction]:
     return out
 
 
+def _check_sizes(d_max: int, cutoff: int | None = None, limit: str = "series degree") -> None:
+    """Reject a degree below 0 and a cutoff (matrix size N) below 1; guard d_max."""
+    if d_max < 0:
+        raise ValidationError(f"degree must be >= 0, got {d_max}")
+    if cutoff is not None and cutoff < 1:
+        raise ValidationError(f"cutoff N must be >= 1, got {cutoff}")
+    guard(limit, d_max)
+
+
+def _lambda_weight(lam: Partition, euler: int, alphabet_count: int,
+                   params: Sequence[PochhammerParam], route: str, trunc: int):
+    """The term of lam in the hypergeometric sum, in three parts: the base
+    power (s_lam at the delta alphabet)^(euler - sum of exponents -
+    alphabet_count) times the numeric Pochhammer factors; the nonzero profile
+    coefficients {Delta: c} of s_lam = sum c p_Delta; and per symbolic
+    parameter a its factor {exponent of a: coefficient}, truncated after trunc
+    powers of 1/a.  The "schur" route, from Jacobi-Trudi polynomials alone, is
+    the independent oracle on purpose: it shares no code with the character
+    data and content products of the "pochhammer" route.  Both must give the
+    identical weight."""
+    d = lam.weight()
+    classes = partitions_of(d)
+    if route == "schur":
+        coeffs = schur_poly(lam).coeffs
+        s_inf = coeffs.get((1,) * d, Fraction(0))
+        prof_coeff = {delta: coeffs[delta.parts] for delta in classes if delta.parts in coeffs}
+    else:
+        s_inf = Fraction(irrep_dimension(lam), factorial(d))
+        prof_coeff = {delta: c for delta in classes
+                      if (c := s_inf * normalized_character(lam, delta))}
+    weight = s_inf ** (euler - sum(p.exponent for p in params) - alphabet_count)
+
+    sym_series: list[dict[int, Fraction]] = []
+    for param in params:
+        if route == "schur":
+            # s_lam(p(a)) * a^{-d} as a series in x = 1/a
+            u = [Fraction(0)] * (d + 1)
+            for delta, c in prof_coeff.items():
+                u[d - delta.length()] += c
+        else:
+            # (dim/d!) * prod_cells (1 + content*x)
+            u = [s_inf]
+            for c in lam.contents():
+                u = _series_mul(u, [Fraction(1), Fraction(c)], d)
+        if param.value is not None:
+            a = param.value
+            val = sum(u[k] * a ** (d - k) for k in range(min(d, len(u) - 1) + 1))
+            if param.exponent < 0 and val == 0:
+                raise ValidationError("cannot invert vanishing numeric factor")
+            weight *= val**param.exponent
+        else:
+            ser = _series_pow(u, param.exponent, trunc)
+            sym_series.append({d * param.exponent - k: w for k, w in enumerate(ser) if w})
+    return weight, prof_coeff, sym_series
+
+
+def _expand(series: ProfileSeries, d: int, weight, prof_coeff: Mapping[Partition, object],
+            sym_series: Sequence[Mapping[int, object]] = ()) -> None:
+    """Add weight * prod_slots (sum_Delta c_Delta p_Delta) * prod of the
+    symbolic factors to series, one key per choice of profiles and exponents;
+    the (profiles, aux, coeff) list grows slot by slot, then symbol by symbol."""
+    terms = [((), (), weight)]
+    for _ in range(series.alphabet_count):
+        terms = [(profs + (delta,), aux, acc * c) for profs, aux, acc in terms
+                 for delta, c in prof_coeff.items()]
+    for factor in sym_series:
+        terms = [(profs, aux + (e,), acc * c) for profs, aux, acc in terms
+                 for e, c in factor.items()]
+    for profs, aux, acc in terms:
+        series.add(SeriesKey(d, profs, aux), acc)
+
+
 def hypergeometric_series(
     euler: int,
     alphabet_count: int,
@@ -225,103 +300,26 @@ def hypergeometric_series(
     route: str = "schur",
     series_trunc: int | None = None,
 ) -> ProfileSeries:
-    """Expansion of the generalized hypergeometric sum over partitions.
-
-    Per partition lam the weight is (s_lam at the delta alphabet)^(euler -
-    sum of exponents - alphabet_count) times the Pochhammer-type factors,
-    and each alphabet contributes its characteristic-map expansion.  The
-    "schur" route works entirely from Jacobi-Trudi polynomials; the
-    "pochhammer" route works entirely from character data and content
-    products.  Both must produce the identical series.
-    """
-    guard("series degree", d_max)
+    """Expansion of the generalized hypergeometric sum over partitions: each
+    lam of length <= cutoff contributes its `_lambda_weight`, expanded into
+    profile keys.  Both routes must produce the identical series."""
+    _check_sizes(d_max, cutoff)
     # p(d) >= 2 for d >= 2, so an exponent of 17 already passes the bound.
     guard("series profile keys",
           sum(len(partitions_of(d)) ** min(alphabet_count, 17) for d in range(d_max + 1)))
     if route not in ("schur", "pochhammer"):
         raise ValidationError(f"unknown route {route!r}")
-    symbolic = [p for p in params if p.symbol is not None]
     trunc = d_max if series_trunc is None else series_trunc
-    aux_names = tuple(p.symbol for p in symbolic)
+    aux_names = tuple(p.symbol for p in params if p.symbol is not None)
     series = ProfileSeries(alphabet_count, d_max, aux_names)
-    series.add(SeriesKey(0, (Partition(),) * alphabet_count, (0,) * len(symbolic)), Fraction(1))
-
-    exp_sum = sum(p.exponent for p in params)
+    series.add(SeriesKey(0, (Partition(),) * alphabet_count, (0,) * len(aux_names)), Fraction(1))
     for d in range(1, d_max + 1):
-        fact = factorial(d)
-        classes = partitions_of(d)
-        for lam in classes:
-            if cutoff is not None and lam.length() > cutoff:
-                continue
-            if route == "schur":
-                # Jacobi-Trudi, an independent route on purpose: it shares no
-                # code with the character data of the "pochhammer" branch.
-                coeffs = schur_poly(lam).coeffs
-                s_inf = coeffs.get((1,) * d, Fraction(0))
-                prof_coeff = {delta: coeffs.get(delta.parts, Fraction(0)) for delta in classes}
-            else:
-                dim_frac = Fraction(irrep_dimension(lam), fact)
-                s_inf = dim_frac
-                prof_coeff = {
-                    delta: dim_frac * normalized_character(lam, delta) for delta in classes
-                }
-            base = s_inf ** (euler - exp_sum - alphabet_count)
-
-            numeric_factor = Fraction(1)
-            sym_series: list[list[Fraction]] = []
-            for param in params:
-                if route == "schur":
-                    # s_lam(p(a)) * a^{-d} as a series in x = 1/a
-                    u = [Fraction(0)] * (d + 1)
-                    for delta in classes:
-                        c = prof_coeff[delta]
-                        if c:
-                            u[d - delta.length()] += c
-                else:
-                    # (dim/d!) * prod_cells (1 + content*x)
-                    u = [s_inf]
-                    for c in lam.contents():
-                        u = _series_mul(u, [Fraction(1), Fraction(c)], d)
-                if param.value is not None:
-                    a = param.value
-                    val = sum(
-                        u[k] * a ** (d - k) for k in range(min(d, len(u) - 1) + 1)
-                    )
-                    if param.exponent < 0 and val == 0:
-                        raise ValidationError("cannot invert vanishing numeric factor")
-                    if isinstance(val, (int, Fraction)):
-                        val = Fraction(val)
-                    numeric_factor *= val**param.exponent
-                else:
-                    sym_series.append(_series_pow(u, param.exponent, trunc))
-
-            weight0 = base * numeric_factor
-            if not weight0:
-                continue
-
-            def emit(profile_tail: tuple[Partition, ...], acc, slot: int):
-                if slot == alphabet_count:
-                    if len(sym_series) == 0:
-                        series.add(SeriesKey(d, profile_tail, ()), acc)
-                        return
-                    # expand symbolic parameter exponents
-                    def emit_sym(idx: int, aux: tuple[int, ...], acc2):
-                        if idx == len(sym_series):
-                            series.add(SeriesKey(d, profile_tail, aux), acc2)
-                            return
-                        par = symbolic[idx]
-                        for k, wk in enumerate(sym_series[idx]):
-                            if wk:
-                                emit_sym(idx + 1, aux + (d * par.exponent - k,), acc2 * wk)
-
-                    emit_sym(0, (), acc)
-                    return
-                for delta in classes:
-                    c = prof_coeff[delta]
-                    if c:
-                        emit(profile_tail + (delta,), acc * c, slot + 1)
-
-            emit((), weight0, 0)
+        for lam in partitions_of(d):
+            if cutoff is None or lam.length() <= cutoff:
+                weight, prof_coeff, sym_series = _lambda_weight(
+                    lam, euler, alphabet_count, params, route, trunc)
+                if weight:
+                    _expand(series, d, weight, prof_coeff, sym_series)
     return series
 
 
@@ -346,29 +344,18 @@ def hyp_tau_series(kind: str, r: ContentFunction, n, d_max: int,
     sum_lam r_lam(n) c_{lam,A} c_{lam,B}; kind "BKP": one alphabet with the
     length cutoff.
     """
-    guard("series degree", d_max)
+    _check_sizes(d_max, cutoff)
     if kind not in ("TL", "BKP"):
         raise ValidationError("kind must be TL or BKP")
-    slots = 2 if kind == "TL" else 1
-    series = ProfileSeries(slots, d_max)
-    series.add(SeriesKey(0, (Partition(),) * slots), Fraction(1))
+    series = ProfileSeries(2 if kind == "TL" else 1, d_max)
+    series.add(SeriesKey(0, (Partition(),) * series.alphabet_count), Fraction(1))
     for d in range(1, d_max + 1):
         for lam in partitions_of(d):
-            if cutoff is not None and lam.length() > cutoff:
-                continue
-            weight = r.content_product(n, lam)
-            if not weight:
-                continue
-            coeffs = schur_poly(lam).coeffs
-            if kind == "TL":
-                for ka, va in coeffs.items():
-                    for kb, vb in coeffs.items():
-                        series.add(
-                            SeriesKey(d, (Partition(ka), Partition(kb))), weight * va * vb
-                        )
-            else:
-                for ka, va in coeffs.items():
-                    series.add(SeriesKey(d, (Partition(ka),)), weight * va)
+            if cutoff is None or lam.length() <= cutoff:
+                weight = r.content_product(n, lam)
+                if weight:
+                    coeffs = schur_poly(lam).coeffs
+                    _expand(series, d, weight, {Partition(k): c for k, c in coeffs.items()})
     return series
 
 
@@ -389,7 +376,7 @@ def single_branch_point_series(d_max: int = 8) -> ProfileSeries:
     plane cover count with the single profile Delta (the unbranched count for
     Delta = (1^d)); aux records (c exponent, h^-1 exponent).
     """
-    guard("series degree", d_max)
+    _check_sizes(d_max)
     # Track the h-exponent implicitly: every part of a monomial carries one
     # power of h^-1 (squares contribute two parts), so h-exp = len(Delta).
     arg = PowerSumPoly.zero()
@@ -410,7 +397,7 @@ def single_branch_point_series(d_max: int = 8) -> ProfileSeries:
 
 def unbranched_cover_coefficients(d_max: int = 12) -> list[Fraction]:
     """Taylor coefficients of exp(c^2/2 + c): degree-d unbranched projective covers."""
-    guard("unbranched generator", d_max)
+    _check_sizes(d_max, limit="unbranched generator")
     out = []
     for d in range(d_max + 1):
         total = Fraction(0)
@@ -500,11 +487,29 @@ class PropositionLayout:
             return f"F^{{{self.euler},{k};1}}((N);{self.poch_exponent})"
         return f"F^{{{self.euler},{k};0}}"
 
+    def _params(self, N: int) -> tuple[PochhammerParam, ...]:
+        return (PochhammerParam(self.poch_exponent, value=N),) if self.poch_exponent else ()
+
     def series(self, N: int, d_max: int, route: str = "schur") -> ProfileSeries:
-        params = (PochhammerParam(self.poch_exponent, value=N),) if self.poch_exponent else ()
         return hypergeometric_series(
-            self.euler, len(self.slots), params, cutoff=N, d_max=d_max, route=route
+            self.euler, len(self.slots), self._params(N), cutoff=N, d_max=d_max, route=route
         )
+
+    def value(self, N: int, d_max: int, alphabets: Sequence[PowerAlphabet]):
+        """series(N, d_max).evaluate(alphabets) without the profile expansion:
+        1 + the sum over |lam| <= d_max, len(lam) <= N of the weight of lam
+        times s_lam at each slot's alphabet."""
+        _check_sizes(d_max, N)
+        if len(alphabets) != len(self.slots):
+            raise ValidationError("alphabet count mismatch")
+        total = Fraction(1)
+        for d in range(1, d_max + 1):
+            for lam in partitions_of(d):
+                if lam.length() <= N:
+                    weight = _lambda_weight(lam, self.euler, len(alphabets), self._params(N),
+                                            "schur", d_max)[0]
+                    total += prod((eval_schur(lam, a) for a in alphabets), start=weight)
+        return total
 
 
 def _reorder_depth(name: str, rule: str, n: int, t: int | None) -> int:

@@ -124,18 +124,6 @@ def _batched_traces(mats: np.ndarray, m_max: int) -> dict[int, np.ndarray]:
     return {1: np.trace(mats), **traces}
 
 
-def _schur_on_traces(lam: Partition, traces: Mapping[int, np.ndarray]) -> np.ndarray:
-    poly = schur_poly(lam)
-    some = next(iter(traces.values()))
-    total = np.zeros(some.shape, dtype=complex)
-    for key, coeff in poly.coeffs.items():
-        term = np.full(some.shape, float(coeff), dtype=complex)
-        for m in key:
-            term = term * traces[m]
-        total += term
-    return total
-
-
 def _accumulate(values_by_worker: Sequence[np.ndarray], samples: int, seed: int) -> MCEstimate:
     """Mean and standard error; each chunk's squares are centred on its own
     mean and merged in worker order by the pairwise update of Chan et al., so
@@ -275,9 +263,9 @@ def mc_schur_moment(
         kept = (depth, _trace_tables(haar, paired, size, samples, seed, workers, a, b, depth))
         _trace_slot[key] = kept
     if paired:
-        values = [_schur_on_traces(lam, table) for table in kept[1]]
+        values = [schur_poly(lam).evaluate(table) for table in kept[1]]
     else:
-        values = [_schur_on_traces(mu, left) * _schur_on_traces(lam, right)
+        values = [schur_poly(mu).evaluate(left) * schur_poly(lam).evaluate(right)
                   for left, right in kept[1]]
 
     estimate = _accumulate(values, samples, seed)
@@ -304,7 +292,7 @@ def _tau_truncated(alphabet: PowerAlphabet | None, d_max: int,
         for lam in partitions_of(d):
             coeff = 1.0 if alphabet is None else complex(eval_schur(lam, alphabet))
             if coeff:
-                total = total + coeff * _schur_on_traces(lam, traces)
+                total = total + coeff * schur_poly(lam).evaluate(traces)
     return total
 
 
@@ -361,15 +349,14 @@ def mc_proposition_check(
         alphabets[name] = PowerAlphabet.explicit(
             {m: values.get(m, Fraction(0)) for m in range(1, degree + 1)})
 
-    # Exact side: layout series evaluated on the slot alphabets.
+    # Exact side: the layout's value on the slot alphabets.
     slot_alphabets = [alphabets[name] for name, _ in layout.factors if name]
     for vertex in layout.vertices:
         mat = np.eye(size, dtype=complex)
         for i in vertex:
             mat = mat @ cs[i - 1]
         slot_alphabets.append(PowerAlphabet.from_matrix([list(r) for r in mat], degree))
-    series = layout.series(N=size, d_max=degree)
-    exact = complex(series.evaluate(slot_alphabets))
+    exact = complex(layout.value(size, degree, slot_alphabets))
 
     _trace_slot.clear()
     sample = _haar_batch if layout.matrix_kind == "unitary" else _ginibre_batch

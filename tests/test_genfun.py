@@ -512,3 +512,74 @@ def test_guards():
         proposition_layout("int3", 3, t=3)
     with pytest.raises(ValidationError):
         proposition_layout("int5_odd_u", 3)
+
+
+def _rational_alphabets(count: int, d_max: int) -> list[PowerAlphabet]:
+    return [PowerAlphabet.explicit({m: Fraction((-1) ** (j * m) * (j % 3 + m), 2)
+                                    for m in range(1, d_max + 1)})
+            for j in range(count)]
+
+
+def test_layout_value_is_the_series_evaluated():
+    """value(N, d, alphabets) sums s_lam at the slot alphabets per partition;
+    it must equal the profile series evaluated there, exactly, for every
+    named layout and valid t at n <= 5, d <= 3 and N <= 3.  Both depend on
+    the layout only through (E, F, Pochhammer exponent), so the series of
+    each such triple is built once."""
+    evaluated = {}
+    checked = 0
+    for name in LAYOUT_NAMES:
+        for n in range(1, 6):
+            for t in (None, *range(1, n + 1)):
+                try:
+                    lay = proposition_layout(name, n, t=t)
+                except ValidationError:
+                    continue
+                if t is not None and lay.t != t:
+                    continue  # the same layout as t = None
+                alphabets = _rational_alphabets(len(lay.slots), 3)
+                for size in (1, 2, 3):
+                    key = (lay.euler, len(lay.slots), lay.poch_exponent, size)
+                    if key not in evaluated:
+                        evaluated[key] = lay.series(N=size, d_max=3).evaluate(
+                            alphabets, by_degree=True)
+                    by_degree = evaluated[key]
+                    for d in range(4):
+                        want = sum(by_degree.get(k, 0) for k in range(d + 1))
+                        got = lay.value(size, d, alphabets)
+                        assert isinstance(got, Fraction) and got == want, (name, n, t, size, d)
+                checked += 1
+    assert checked >= 80
+
+
+def test_layout_value_rejects_a_wrong_alphabet_count():
+    lay = proposition_layout("prop1", 2)
+    with pytest.raises(ValidationError, match="alphabet count"):
+        lay.value(2, 2, _rational_alphabets(3, 2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: hypergeometric_series(2, 1, d_max=-1),
+        lambda: hypergeometric_series(2, 1, cutoff=0),
+        lambda: hyp_tau_series("TL", ContentFunction.one(), 0, -1),
+        lambda: hyp_tau_series("BKP", ContentFunction.one(), 0, 3, cutoff=-2),
+        lambda: single_branch_point_series(-2),
+        lambda: unbranched_cover_coefficients(-1),
+        lambda: proposition_layout("prop1", 1).series(N=0, d_max=2),
+        lambda: proposition_layout("prop1", 1).series(N=2, d_max=-1),
+        lambda: proposition_layout("prop2", 1).value(0, 2, _rational_alphabets(2, 2)),
+        lambda: proposition_layout("prop2", 1).value(2, -1, _rational_alphabets(2, 2)),
+    ],
+)
+def test_negative_degree_and_nonpositive_cutoff_are_rejected(call):
+    with pytest.raises(ValidationError, match=r"must be >= [01]"):
+        call()
+
+
+def test_degree_zero_is_the_constant_term():
+    assert proposition_layout("prop1", 1).series(N=1, d_max=0).terms == {
+        SeriesKey(0, (Partition(),) * 3): 1}
+    assert proposition_layout("prop1", 1).value(1, 0, _rational_alphabets(3, 1)) == 1
+    assert unbranched_cover_coefficients(0) == [1]

@@ -1,6 +1,7 @@
 """The guard table: its README listing, the output-size guard, and a CLI fuzz
 check that every argv ends in a documented exit code without a traceback."""
 import contextlib
+import time
 import io
 from pathlib import Path
 
@@ -122,3 +123,35 @@ def test_cli_fuzz_ends_in_a_documented_exit_code(argv):
     code, _, err = _run(argv)
     assert code in (0, 1, 2, 3, 4)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "shift,code",
+    [("-9973/9967", 0), ("1/2", 0), ("10000/3", 3), ("1/10000", 3),
+     (str(10**400 + 1) + "/3", 3), ("1e400", 3), ("1/0", 2)],
+)
+def test_content_shift_guard_fires_before_any_product(shift, code):
+    start = time.monotonic()
+    got, out, err = _run(["hirota", f"--r={shift}", "--N", "1", "--dmax", "1"])
+    assert got == code
+    assert "Traceback" not in err
+    if code == 3:
+        assert "content shift guard: digits of numerator and denominator <= 4" in err
+        assert not out and time.monotonic() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["genfun", "--layout", "prop1", "--N", "0"],
+        ["genfun", "--layout", "prop1_u", "--N", "-3"],
+        ["genfun", "--layout", "prop1", "--dmax", "-1"],
+        ["genfun", "--single-branch", "--dmax", "-2"],
+        ["genfun", "--unbranched", "--dmax", "-1"],
+    ],
+)
+def test_genfun_negative_degree_or_size_exits_2(argv):
+    code, out, err = _run(argv)
+    assert code == 2
+    assert "invalid input" in err and "must be >=" in err
+    assert not out and "Traceback" not in err

@@ -385,3 +385,19 @@ def test_cache_stats_and_clear_caches():
     hurwitzkit.clear_caches()
     stats = hurwitzkit.cache_stats()
     assert stats and set(stats.values()) == {0}
+
+
+def test_proposition_check_expands_no_profile_series(monkeypatch):
+    """The exact side sums each partition's weight times its Schur values
+    (`PropositionLayout.value`), so even n = 8 at degree 3 is cheap."""
+    from hurwitzkit import genfun
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the MC exact side expanded a profile series")
+
+    monkeypatch.setattr(genfun, "hypergeometric_series", refuse)
+    monkeypatch.setattr(genfun, "ProfileSeries", refuse)
+    for name, n, degree in (("prop1", 8, 3), ("prop2_u", 2, 2), ("odd4", 3, 2)):
+        t = 3 if name == "odd4" else None
+        assert mc_proposition_check(name, n, 3, degree=degree, samples=10_000, seed=SEED,
+                                    t=t).passed, name

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurwitzkit import GuardError, ValidationError
 from hurwitzkit.characters import irrep_dimension
@@ -195,3 +198,50 @@ def test_single_variable_schur_sum_is_geometric():
 def test_power_sum_poly_json():
     s21 = schur_poly(Partition((2, 1)))
     assert s21.to_json() == {"1,1,1": "1/3", "3": "-1/3"}
+
+
+# --- ring laws of PowerSumPoly -------------------------------------------------
+
+_MONOMIALS = [lam.parts for d in range(4) for lam in partitions_of(d)]
+_COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_POLYS = st.dictionaries(st.sampled_from(_MONOMIALS), _COEFFS, max_size=4).map(PowerSumPoly)
+_POINTS = st.fixed_dictionaries({m: _COEFFS for m in (1, 2, 3)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_POLYS, b=_POLYS, c=_POLYS)
+def test_power_sum_poly_ring_laws(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a * b == b * a
+    assert a * PowerSumPoly.one() == a and (a - a).is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_POLYS, b=_POLYS, m=st.integers(1, 4))
+def test_derivative_obeys_the_leibniz_rule(a, b, m):
+    assert (a * b).derivative(m) == a.derivative(m) * b + a * b.derivative(m)
+    assert (a + b).derivative(m) == a.derivative(m) + b.derivative(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_POLYS, b=_POLYS, point=_POINTS)
+def test_evaluate_is_a_ring_homomorphism_on_fractions(a, b, point):
+    value = PowerSumPoly.evaluate
+    assert value(a * b, point) == value(a, point) * value(b, point)
+    assert value(a + b, point) == value(a, point) + value(b, point)
+    assert value(PowerSumPoly.one(), point) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_POLYS, b=_POLYS, seed=st.integers(0, 2**32 - 1))
+def test_evaluate_is_a_ring_homomorphism_on_numpy_arrays(a, b, seed):
+    """The Monte Carlo path evaluates Schur polynomials on arrays of traces."""
+    rng = np.random.default_rng(seed)
+    point = {m: rng.normal(size=5) + 1j * rng.normal(size=5) for m in (1, 2, 3)}
+    value = PowerSumPoly.evaluate
+    assert np.allclose(value(a * b, point), value(a, point) * value(b, point),
+                       rtol=1e-12, atol=1e-12)
+    assert np.allclose(value(a + b, point), value(a, point) + value(b, point),
+                       rtol=1e-12, atol=1e-12)
