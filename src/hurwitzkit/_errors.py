@@ -39,11 +39,11 @@ LIMITS = {
     "unbranched generator": Limit("d_max", 12),
     "layout matrices": Limit("n", 8),
     "bilinear check": Limit("d_max", 6),
-    # g(n) is a product of O(n^2) content values: n = +-16 at d_max 6 takes 1-7 s (2 cores).
+    # g(n) is a product of O(n^2) content values: n = +-16 at d_max 6 takes 0.1-0.6 s (2 cores).
     "bilinear offset": Limit("|n|", 16),
-    # Content values x + a get longer with the digits of a: at `hirota --N 3
-    # --dmax 6 --n 16,-16`, a = 1/2 takes 1.6 s, 997/991 5.5 s, 9973/9967 7.6 s,
-    # 99991/99989 10 s and 987654321/123456787 19 s (2 cores).
+    # Content values x + a get longer with the digits of a: the check at cutoff 3,
+    # d_max 6 and n = 16, -16 takes 0.19 s at a = 1/2, 0.63 s at 9973/9967 and, past
+    # the limit, 0.82 s at 99991/99989 and 1.7 s at 987654321/123456787 (2 cores).
     "content shift": Limit("digits of numerator and denominator", 4),
     "oracle degree": Limit("degree", 8),
     "oracle complexity": Limit("crosscaps + 2*handles + branch points", 4),

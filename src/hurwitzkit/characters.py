@@ -101,6 +101,18 @@ def normalized_character(lam, delta) -> int:
     return cycle_class_size(delta) * character(lam, delta) // irrep_dimension(lam)
 
 
+@lru_cache(maxsize=None)
+def dimensions(d: int) -> tuple[int, ...]:
+    """irrep_dimension of every lam in partitions_of(d) order."""
+    return tuple(irrep_dimension(lam) for lam in partitions_of(d))
+
+
+@lru_cache(maxsize=None)
+def class_column(delta) -> tuple[int, ...]:
+    """normalized_character(lam, delta) of every lam in partitions_of(|delta|) order."""
+    return tuple(normalized_character(lam, delta) for lam in partitions_of(sum(delta)))
+
+
 def colength_sum(lam, k: int) -> Fraction:
     """Sum of normalized characters over all classes of colength k.
 

@@ -304,10 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_genfun)
 
     p = sub.add_parser("hirota", help="elementary bilinear checks")
-    p.add_argument("--r", default="one", help="'one' or a rational a for r(x)=x+a")
+    p.add_argument("--r", default="one",
+                   help="'one' or a rational a for r(x)=x+a; a < 0 as --r=-1/2")
     p.add_argument("--N", type=int, default=2)
     p.add_argument("--dmax", type=int, default=3)
-    p.add_argument("--n", default=None, help="comma-separated offsets (default 0,1)")
+    p.add_argument("--n", default=None,
+                   help="comma-separated offsets (default 0,1); negative ones as --n=-1,1")
     p.set_defaults(fn=_cmd_hirota)
 
     p = sub.add_parser("mc", help="Monte Carlo vs exact comparisons")

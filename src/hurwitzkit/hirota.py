@@ -89,22 +89,22 @@ def hirota_bilinear_check(r: ContentFunction, cutoff: int, d_max: int,
             return p.derivative(1).derivative(1)
 
         a, b = tau(0, 0), tau(1, 1)
-        eq1 = (
-            d2(a) * b - a * d2(b)
-            + (d11(a) * b + a * d11(b)).scale(Fraction(1, 2))
-            - d1(a) * d1(b)
-            - tau(2, 2) * tau(-1, -1)
-        ).truncate(d_max)
+        eq1 = (  # products past weight d_max are never formed
+            d2(a).times(b, d_max) - a.times(d2(b), d_max)
+            + (d11(a).times(b, d_max) + a.times(d11(b), d_max)).scale(Fraction(1, 2))
+            - d1(a).times(d1(b), d_max)
+            - tau(2, 2).times(tau(-1, -1), d_max)
+        )
         if not eq1.is_zero():
             return False
 
         a, b = tau(0, 1), tau(1, 1)
         eq2 = (
-            (d11(a) * b - a * d11(b)).scale(Fraction(1, 2))
-            + d2(a) * b - a * d2(b)
-            - d1(tau(2, 2)) * tau(-1, 0)
-            + d1(tau(1, 2)) * tau(0, 0)
-        ).truncate(d_max)
+            (d11(a).times(b, d_max) - a.times(d11(b), d_max)).scale(Fraction(1, 2))
+            + d2(a).times(b, d_max) - a.times(d2(b), d_max)
+            - d1(tau(2, 2)).times(tau(-1, 0), d_max)
+            + d1(tau(1, 2)).times(tau(0, 0), d_max)
+        )
         if not eq2.is_zero():
             return False
     return True

@@ -17,9 +17,9 @@ from typing import Callable
 from ._errors import ValidationError, guard
 from .characters import (
     character_class_sum,
+    class_column,
     colength_sum,
-    irrep_dimension,
-    normalized_character,
+    dimensions,
     weighted_colength_sum,
 )
 from .partitions import (
@@ -66,16 +66,16 @@ class HurwitzResult:
 def _character_sum(query: HurwitzQuery, factor: Callable[[Partition], object] | None = None):
     """The character sum of the module docstring, each term times factor(lam)
     when given; a term is dropped as soon as it vanishes."""
-    fact = factorial(query.degree)
-    euler = query.euler
+    d, euler = query.degree, query.euler
+    fact = factorial(d)
     total = 0
-    for lam in partitions_of(query.degree):
+    columns = map(class_column, query.profiles)
+    for lam, dim, *values in zip(partitions_of(d), dimensions(d), *columns):
         if query.cutoff is not None and lam.length() > query.cutoff:
             continue
-        dim = irrep_dimension(lam)
         term = dim**euler if euler >= 0 else (fact // dim) ** -euler
-        for prof in query.profiles:
-            term *= normalized_character(lam, prof)
+        for value in values:
+            term *= value
             if not term:
                 break
         if term and factor is not None:

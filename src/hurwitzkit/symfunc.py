@@ -91,9 +91,20 @@ class PowerSumPoly:
     def __mul__(self, other):
         if not isinstance(other, PowerSumPoly):
             return self.scale(other)
+        return self.times(other)
+
+    __rmul__ = __mul__
+
+    def times(self, other: "PowerSumPoly", max_weight: int | None = None) -> "PowerSumPoly":
+        """Product keeping only the terms of weight <= max_weight (all when None);
+        a pair of monomials past the bound is never multiplied."""
+        right = [(sum(kb), kb, vb) for kb, vb in other.coeffs.items()]
         out: dict[Monomial, Fraction] = {}
         for ka, va in self.coeffs.items():
-            for kb, vb in other.coeffs.items():
+            room = None if max_weight is None else max_weight - sum(ka)
+            for wb, kb, vb in right:
+                if room is not None and wb > room:
+                    continue
                 key = _merge(ka, kb)
                 new = out.get(key, 0) + va * vb
                 if new:
@@ -103,8 +114,6 @@ class PowerSumPoly:
         res = PowerSumPoly()
         res.coeffs = out
         return res
-
-    __rmul__ = __mul__
 
     def truncate(self, max_weight: int) -> "PowerSumPoly":
         res = PowerSumPoly()
@@ -174,7 +183,7 @@ def exp_truncated(arg: PowerSumPoly, max_weight: int) -> PowerSumPoly:
     power = PowerSumPoly.one()
     k = 1
     while True:
-        power = (power * arg).truncate(max_weight)
+        power = power.times(arg, max_weight)
         if power.is_zero():
             break
         total = total + power.scale(Fraction(1, factorial(k)))

@@ -9,7 +9,9 @@ from hurwitzkit.characters import (
     character,
     character_class_sum,
     character_table,
+    class_column,
     colength_sum,
+    dimensions,
     full_cycle_normalized_character,
     hook_character_poly_check,
     hook_length_dimension,
@@ -80,6 +82,27 @@ def test_identity_tail_keeps_the_character_cache_small():
     clear_caches()
     hurwitz_value(0, 24, [(2,) + (1,) * 22] * 2)
     assert cache_stats()["characters._beta_char"] < 10_000
+
+
+def test_class_column_lists_normalized_characters_in_partition_order():
+    for d in range(9):
+        lams = partitions_of(d)
+        assert dimensions(d) == tuple(irrep_dimension(lam) for lam in lams)
+        for delta in lams:
+            column = class_column(delta)
+            assert len(column) == len(lams)
+            for lam, value in zip(lams, column):
+                assert type(value) is int and value == normalized_character(lam, delta)
+
+
+def test_class_columns_are_counted_and_cleared():
+    clear_caches()
+    hurwitz_value(0, 6, [(3, 2, 1), (2, 1, 1, 1, 1), (3, 2, 1)])
+    stats = cache_stats()
+    assert stats["characters.class_column"] == 2 and stats["characters.dimensions"] == 1
+    clear_caches()
+    stats = cache_stats()
+    assert stats["characters.class_column"] == 0 and stats["characters.dimensions"] == 0
 
 
 def test_dimension_matches_schur_leading_term():

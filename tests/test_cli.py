@@ -115,6 +115,19 @@ def test_hirota_command(capsys):
     assert code == 0 and json.loads(out)["holds"] is True
 
 
+def test_hirota_negative_values_take_the_equals_form(capsys):
+    code, out, _ = run_cli(capsys, "hirota", "--r=-1/2", "--n=-1,1", "--N", "2", "--dmax", "3")
+    assert code == 0 and json.loads(out)["holds"] is True
+    # Without "=", argparse reads "-1/2" (or "-1,1") as an option, not a value.
+    for argv in (["--r", "-1/2"], ["--n", "-1,1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["hirota", *argv, "--N", "2", "--dmax", "3"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith("usage:") and "expected one argument" in err
+        assert "Traceback" not in err
+
+
 def test_mc_command(capsys):
     code, out, _ = run_cli(
         capsys, "mc", "--relation", "sAZBZ+", "--lambda", "2", "--N", "3",

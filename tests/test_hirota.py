@@ -80,6 +80,25 @@ def test_bilinear_detects_wrong_tau():
     assert not hirota_bilinear_check(Fake(), 2, 3)
 
 
+@pytest.mark.parametrize("d_max", [2, 3, 4])
+def test_bilinear_check_reads_every_weight_up_to_d_max_plus_2(d_max):
+    """A weight that is wrong only on the diagrams of one weight w must fail
+    for every w <= d_max + 2: the second derivatives bring tau terms of weight
+    d_max + 2 down into the checked window.  Weight d_max + 3 lies outside it."""
+
+    class Fake(ContentFunction):
+        def __init__(self, w):
+            super().__init__(lambda x: Fraction(1), f"fake at weight {w}")
+            self.w = w
+
+        def content_product(self, n, lam):
+            return Fraction(1 + lam.length() if lam.weight() == self.w else 1)
+
+    for w in range(1, d_max + 3):
+        assert not hirota_bilinear_check(Fake(w), 2, d_max), w
+    assert hirota_bilinear_check(Fake(d_max + 3), 2, d_max)
+
+
 def test_guards():
     with pytest.raises(GuardError):
         hirota_bilinear_check(ContentFunction.one(), 2, 7)

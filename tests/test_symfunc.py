@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import factorial
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from hurwitzkit import GuardError, ValidationError
 from hurwitzkit.characters import irrep_dimension
+from hurwitzkit.genfun import single_branch_point_series
 from hurwitzkit.partitions import Partition, partitions_of
 from hurwitzkit.symfunc import (
     PowerAlphabet,
@@ -245,3 +248,55 @@ def test_evaluate_is_a_ring_homomorphism_on_numpy_arrays(a, b, seed):
                        rtol=1e-12, atol=1e-12)
     assert np.allclose(value(a + b, point), value(a, point) + value(b, point),
                        rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_POLYS, b=_POLYS, w=st.integers(0, 12))
+def test_truncated_product_is_the_truncated_full_product(a, b, w):
+    got, want = a.times(b, w), (a * b).truncate(w)
+    assert got == want
+    assert list(got.coeffs) == list(want.coeffs)  # same key order too
+
+
+# --- exp_truncated against full products -------------------------------------
+
+
+def _exp_by_full_products(arg, max_weight):
+    """exp_truncated as it was written with untruncated products."""
+    arg = arg.truncate(max_weight)
+    total = power = PowerSumPoly.one()
+    k = 1
+    while True:
+        power = (power * arg).truncate(max_weight)
+        if power.is_zero():
+            return total
+        total = total + power.scale(Fraction(1, factorial(k)))
+        k += 1
+
+
+def test_exp_truncated_matches_full_products():
+    rng = random.Random(12)
+    monomials = [lam.parts for d in range(1, 7) for lam in partitions_of(d)]
+    p1, p2 = PowerSumPoly.variable(1), PowerSumPoly.variable(2)
+    args = [p1, p1 + p2.scale(Fraction(1, 2)), p1 * p1 + p2]
+    args += [
+        PowerSumPoly({rng.choice(monomials): Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                      for _ in range(rng.randint(1, 5))})
+        for _ in range(12)
+    ]
+    for arg in args:
+        for w in range(9):
+            got, want = exp_truncated(arg, w), _exp_by_full_products(arg, w)
+            assert got == want
+            assert list(got.coeffs) == list(want.coeffs)
+
+
+# sha256 of json.dumps(single_branch_point_series(8).to_json_list()), recorded
+# with untruncated products in exp_truncated.
+SINGLE_BRANCH_8_SHA256 = "7891c9ed78b78e3d7d2a283771225e4d35237bea44eeb2a6b63640b34ddef106"
+
+
+def test_single_branch_point_series_is_pinned():
+    listing = single_branch_point_series(8).to_json_list()
+    assert len(listing) == 34
+    assert hashlib.sha256(json.dumps(listing).encode()).hexdigest() == SINGLE_BRANCH_8_SHA256
