@@ -4,14 +4,14 @@ Characters are evaluated by the recursive border-strip rule, implemented on
 beta-sets: removing a border strip of size t from the diagram is replacing a
 first-column hook length b by b - t, with sign (-1)^{#entries jumped over}.
 The recursion stops at the identity class, where the character is the
-dimension and has a closed form in the beta-set.
+dimension, read from one table per degree built by the branching rule.
 """
 from __future__ import annotations
 
 import io
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial
 
 from ._errors import ValidationError, guard
 from .partitions import (
@@ -21,8 +21,28 @@ from .partitions import (
     cycle_class_size,
     frobenius,
     partitions_of,
-    z_order,
+    _partition_tuples,
 )
+
+
+@lru_cache(maxsize=None)
+def _dimension_table(d: int) -> dict[tuple[int, ...], int]:
+    """{parts: dim lam} over the partitions of d, in partitions_of order, by the
+    branching rule: dim lam is the sum of dim(lam - corner) over removable corners."""
+    if d < 0:
+        raise ValidationError("d must be >= 0")
+    guard("character formula", d)
+    if d == 0:
+        return {(): 1}
+    below = _dimension_table(d - 1)
+    return {
+        parts: sum(
+            below[parts[:i] + (row - 1,) + parts[i + 1:] if row > 1 else parts[:i]]
+            for i, row in enumerate(parts)
+            if i + 1 == len(parts) or parts[i + 1] < row
+        )
+        for parts in _partition_tuples(d, d)
+    }
 
 
 @lru_cache(maxsize=None)
@@ -32,14 +52,12 @@ def _beta_char(beta: tuple[int, ...], delta: tuple[int, ...]) -> int:
 
     Strips are removed largest first, so once the first remaining part is 1
     the rest is the identity class of S_m, m = len(delta), and the value is
-    the dimension m! prod_{i<j} (b_i - b_j) / prod_i b_i!.
+    the dimension of the partition that beta encodes, read from its table.
     """
     if not delta or delta[0] == 1:
-        num = factorial(len(delta))
-        for i, b in enumerate(beta):
-            for c in beta[i + 1:]:
-                num *= b - c
-        return num // prod(factorial(b) for b in beta)
+        n = len(beta)
+        parts = tuple(b + i + 1 - n for i, b in enumerate(beta) if b + i >= n)
+        return _dimension_table(len(delta))[parts]
     t, rest = delta[0], delta[1:]
     members = set(beta)
     total = 0
@@ -68,13 +86,9 @@ def character(lam, delta) -> int:
 
 
 def irrep_dimension(lam) -> int:
-    """dim lam = character at the identity class."""
-    return _irrep_dimension(as_partition(lam))
-
-
-@lru_cache(maxsize=None)
-def _irrep_dimension(lam: Partition) -> int:
-    return character(lam, Partition([1] * lam.weight()))
+    """dim lam = character at the identity class, read from the table of |lam|."""
+    lam = as_partition(lam)
+    return _dimension_table(lam.weight())[lam.parts]
 
 
 def hook_length_dimension(lam) -> int:
@@ -104,13 +118,15 @@ def normalized_character(lam, delta) -> int:
 @lru_cache(maxsize=None)
 def dimensions(d: int) -> tuple[int, ...]:
     """irrep_dimension of every lam in partitions_of(d) order."""
-    return tuple(irrep_dimension(lam) for lam in partitions_of(d))
+    return tuple(_dimension_table(d).values())
 
 
 @lru_cache(maxsize=None)
 def class_column(delta) -> tuple[int, ...]:
     """normalized_character(lam, delta) of every lam in partitions_of(|delta|) order."""
-    return tuple(normalized_character(lam, delta) for lam in partitions_of(sum(delta)))
+    d, size = sum(delta), cycle_class_size(delta)
+    lams = partitions_of(d)
+    return tuple(size * character(lam, delta) // dim for lam, dim in zip(lams, dimensions(d)))
 
 
 def colength_sum(lam, k: int) -> Fraction:
@@ -224,42 +240,39 @@ def hook_character_poly_check(delta) -> bool:
 
 
 class CharacterTable:
-    """Full integer character table of S_d, built once and cached."""
+    """Full integer character table of S_d, built once and cached: one tuple of
+    chi_lam(delta) over the column labels per row label lam."""
 
     def __init__(self, d: int):
         if d < 0:
             raise ValidationError("d must be >= 0")
         self.d = d
-        self.row_labels = partitions_of(d)
-        self.column_labels = partitions_of(d)
-        self.entries: dict[tuple[Partition, Partition], int] = {}
-        for lam in self.row_labels:
-            for delta in self.column_labels:
-                self.entries[(lam, delta)] = character(lam, delta)
+        self.row_labels = self.column_labels = partitions_of(d)
+        self.class_sizes = tuple(map(cycle_class_size, self.column_labels))
+        self.rows = tuple(
+            tuple(character(lam, delta) for delta in self.column_labels) for lam in self.row_labels
+        )
 
     def chi(self, lam, delta) -> int:
-        return self.entries[(as_partition(lam), as_partition(delta))]
+        labels = self.row_labels
+        return self.rows[labels.index(as_partition(lam))][labels.index(as_partition(delta))]
 
     def check_row_orthogonality(self) -> bool:
         fact = factorial(self.d)
-        for lam in self.row_labels:
-            for mu in self.row_labels:
-                total = sum(
-                    cycle_class_size(delta) * self.chi(lam, delta) * self.chi(mu, delta)
-                    for delta in self.column_labels
-                )
-                if total != (fact if lam == mu else 0):
-                    return False
-        return True
+        return all(
+            sum(size * x * y for size, x, y in zip(self.class_sizes, a, b)) == (fact if i == j else 0)
+            for i, a in enumerate(self.rows)
+            for j, b in enumerate(self.rows)
+        )
 
     def check_column_orthogonality(self) -> bool:
-        for da in self.column_labels:
-            for db in self.column_labels:
-                total = sum(self.chi(lam, da) * self.chi(lam, db) for lam in self.row_labels)
-                expected = z_order(da) if da == db else 0
-                if total != expected:
-                    return False
-        return True
+        fact = factorial(self.d)
+        columns = tuple(zip(*self.rows))
+        return all(
+            sum(x * y for x, y in zip(a, b)) == (fact // size if i == j else 0)
+            for i, (a, size) in enumerate(zip(columns, self.class_sizes))
+            for j, b in enumerate(columns)
+        )
 
     def to_csv(self) -> str:
         import csv
@@ -268,10 +281,8 @@ class CharacterTable:
         writer = csv.writer(out)
         label = lambda part: ",".join(str(p) for p in part.parts) or "-"
         writer.writerow(["lam\\delta"] + [label(delta) for delta in self.column_labels])
-        for lam in self.row_labels:
-            writer.writerow(
-                [label(lam)] + [self.chi(lam, delta) for delta in self.column_labels]
-            )
+        for lam, row in zip(self.row_labels, self.rows):
+            writer.writerow([label(lam), *row])
         return out.getvalue()
 
 

@@ -103,14 +103,9 @@ def _cmd_characters(args) -> int:
     if args.format == "csv":
         sys.stdout.write(table.to_csv())
     else:
-        payload = {}
-        for lam in table.row_labels:
-            key = ",".join(str(p) for p in lam.parts) or "-"
-            payload[key] = {
-                (",".join(str(p) for p in delta.parts) or "-"): table.chi(lam, delta)
-                for delta in table.column_labels
-            }
-        _emit(payload)
+        label = lambda part: ",".join(str(p) for p in part.parts) or "-"
+        columns = [label(delta) for delta in table.column_labels]
+        _emit({label(lam): dict(zip(columns, row)) for lam, row in zip(table.row_labels, table.rows)})
     return EXIT_OK
 
 

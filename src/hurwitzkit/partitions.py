@@ -4,6 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from operator import ge
 from typing import Iterable, Iterator
 
 from ._errors import ValidationError
@@ -19,10 +20,10 @@ class Partition:
     __slots__ = ("_parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        pts = tuple(int(p) for p in parts)
-        if any(p < 1 for p in pts):
+        pts = tuple(map(int, parts))
+        if pts and min(pts) < 1:
             raise ValidationError(f"partition parts must be >= 1: {pts}")
-        if any(pts[i] < pts[i + 1] for i in range(len(pts) - 1)):
+        if not all(map(ge, pts, pts[1:])):
             raise ValidationError(f"partition parts must be weakly decreasing: {pts}")
         object.__setattr__(self, "_parts", pts)
 

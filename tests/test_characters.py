@@ -1,11 +1,13 @@
+import hashlib
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
 import pytest
 
-from hurwitzkit import ValidationError, cache_stats, clear_caches
+from hurwitzkit import GuardError, ValidationError, cache_stats, clear_caches
 from hurwitzkit.characters import (
+    CharacterTable,
     character,
     character_class_sum,
     character_table,
@@ -45,22 +47,33 @@ def test_dimensions_match_hook_lengths():
     assert irrep_dimension((5,)) == 1
     assert irrep_dimension((2, 1)) == 2
     assert irrep_dimension((2, 2)) == 2
-    for d in range(17):
+    for d in range(25):  # 24 is the degree of exact-table and `hurwitz --degree 24`
         for lam in partitions_of(d):
             assert irrep_dimension(lam) == hook_length_dimension(lam)
 
 
-def test_identity_class_follows_branching_rule():
-    """chi_lam(1^d) is the sum of chi_{lam - box}(1^{d-1}) over removable corners."""
-    for d in range(1, 13):
+def test_identity_class_matches_hook_lengths():
+    for d in range(13):
         for lam in partitions_of(d):
-            parts = lam.parts
-            below = 0
-            for i, row in enumerate(parts):
-                if i + 1 == len(parts) or parts[i + 1] < row:
-                    smaller = tuple(p for p in parts[:i] + (row - 1,) + parts[i + 1:] if p)
-                    below += character(smaller, (1,) * (d - 1))
-            assert character(lam, (1,) * d) == below
+            assert character(lam, (1,) * d) == hook_length_dimension(lam)
+
+
+def test_dimension_tables_are_guarded_and_validated():
+    assert dimensions(32)[-1] == 1 and len(dimensions(32)) == 8349
+    with pytest.raises(GuardError):
+        irrep_dimension((33,))
+    with pytest.raises(ValidationError):
+        dimensions(-1)
+
+
+def test_dimensions_leave_the_character_cache_empty():
+    """H(1, n) reads only the dimension row, so no character is evaluated."""
+    clear_caches()
+    for n in range(1, 25):
+        hurwitz_value(1, n)
+    stats = cache_stats()
+    assert stats["characters._beta_char"] == 0
+    assert stats["characters._dimension_table"] <= 25
 
 
 def test_normalized_characters_are_integers():
@@ -279,6 +292,44 @@ def test_orthogonality(d):
     table = character_table(d)
     assert table.check_row_orthogonality()
     assert table.check_column_orthogonality()
+
+
+def test_a_flipped_sign_fails_both_orthogonality_checks():
+    rows = character_table(5).rows
+    for i, row in enumerate(rows):
+        for j, value in enumerate(row):
+            if not value:
+                continue
+            table = CharacterTable(5)
+            table.rows = rows[:i] + (row[:j] + (-value,) + row[j + 1:],) + rows[i + 1:]
+            assert not table.check_row_orthogonality()
+            assert not table.check_column_orthogonality()
+
+
+def test_chi_takes_lists_tuples_and_partitions():
+    table = character_table(4)
+    for lam, delta in (([3, 1], [2, 1, 1]), ((3, 1), (2, 1, 1)), (Partition([3, 1]), Partition([2, 1, 1]))):
+        assert table.chi(lam, delta) == 1
+        assert table.chi(delta, lam) == 0
+        assert table.chi(lam, [1] * 4) == 3
+
+
+# sha256 of character_table(d).to_csv(), recorded with the Partition-keyed table.
+TABLE_CSV_SHA256 = [
+    "4eb3f847142b33b65a9759b681522b0170e08ce6b0b663f442c61e2822c632ee",
+    "cee97140375a2c55c94816b02afc17b08b337ce3bfa398ad9acddd3d20b0df30",
+    "2dc54c3709aa766c787c86ed13afddfcf141a5676025ccfdbd58e8832ba83663",
+    "b1b0b9fbae75db7e252e0b1d63d261d072b30b0fabf252807071db411a85893b",
+    "bde2956c5d5f397164bf8849dcc77309a2aece92d8a73f56ef222776522d92db",
+    "ec0a86397c1cfe2f06e98ffe1a704922dba767dfea750bca3916ffe12fa846f2",
+    "b82ca768f8bbb56472d79407eed4e1d6748e99469d9a10f80380a1c7ce3b157d",
+    "28fe1a7930652b16e450a5f695a8c357eeed8ddb41278160c30926dc93e75837",
+]
+
+
+def test_table_csv_is_pinned():
+    for d, digest in enumerate(TABLE_CSV_SHA256):
+        assert hashlib.sha256(character_table(d).to_csv().encode()).hexdigest() == digest
 
 
 def test_table_csv_shape():

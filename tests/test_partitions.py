@@ -28,6 +28,22 @@ def test_partition_validation():
     assert Partition().length() == 0
 
 
+@pytest.mark.parametrize(
+    "parts, error, message",
+    [
+        ((0,), ValidationError, "partition parts must be >= 1: (0,)"),
+        ((2, -1), ValidationError, "partition parts must be >= 1: (2, -1)"),
+        ((1, 2), ValidationError, "partition parts must be weakly decreasing: (1, 2)"),
+        ((3, 1, 2), ValidationError, "partition parts must be weakly decreasing: (3, 1, 2)"),
+        (("a",), ValueError, "invalid literal for int() with base 10: 'a'"),
+    ],
+)
+def test_partition_validation_errors(parts, error, message):
+    with pytest.raises(ValueError) as caught:
+        Partition(parts)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
 def test_partition_value_semantics():
     a = Partition((3, 1))
     b = Partition([3, 1])
