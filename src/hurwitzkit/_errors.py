@@ -33,17 +33,17 @@ LIMITS = {
     "character table": Limit("d", 8),
     "schur expansion": Limit("weight", 10),
     "series degree": Limit("d_max", 8),
-    # A k-alphabet series has sum_{d <= d_max} p(d)^k profile keys; the 80 441
-    # of `genfun --layout prop1 --n 5 --dmax 4` take 6.3 s and 378 MB (2 cores).
+    # A k-alphabet series has sum_{d <= d_max} p(d)^k profile keys; the 80 441 of `genfun
+    # --layout prop1 --n 5 --dmax 4` take 5.7-7.0 s (0.8 s series, the rest JSON), 73 MB (2 cores).
     "series profile keys": Limit("profile keys", 100_000),
     "unbranched generator": Limit("d_max", 12),
     "layout matrices": Limit("n", 8),
     "bilinear check": Limit("d_max", 6),
-    # g(n) is a product of O(n^2) content values: n = +-16 at d_max 6 takes 0.1-0.6 s (2 cores).
+    # g(n) is a product of O(n^2) content values: n = +-16 at d_max 6 takes 0.1-0.2 s (2 cores).
     "bilinear offset": Limit("|n|", 16),
     # Content values x + a get longer with the digits of a: the check at cutoff 3,
-    # d_max 6 and n = 16, -16 takes 0.19 s at a = 1/2, 0.63 s at 9973/9967 and, past
-    # the limit, 0.82 s at 99991/99989 and 1.7 s at 987654321/123456787 (2 cores).
+    # d_max 6 and n = 16, -16 takes 0.12 s at a = 1/2, 0.18 s at 9973/9967 and, past
+    # the limit, 0.20 s at 99991/99989 and 0.27 s at 987654321/123456787 (2 cores).
     "content shift": Limit("digits of numerator and denominator", 4),
     "oracle degree": Limit("degree", 8),
     "oracle complexity": Limit("crosscaps + 2*handles + branch points", 4),

@@ -254,8 +254,12 @@ class CharacterTable:
         )
 
     def chi(self, lam, delta) -> int:
+        lam, delta = as_partition(lam), as_partition(delta)
+        if lam.weight() != self.d or delta.weight() != self.d:
+            raise ValidationError(f"weight mismatch: |lam|={lam.weight()} and "
+                                  f"|delta|={delta.weight()} in the table of S_{self.d}")
         labels = self.row_labels
-        return self.rows[labels.index(as_partition(lam))][labels.index(as_partition(delta))]
+        return self.rows[labels.index(lam)][labels.index(delta)]
 
     def check_row_orthogonality(self) -> bool:
         fact = factorial(self.d)

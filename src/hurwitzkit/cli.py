@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 from ._errors import GuardError, ValidationError, guard
 from .partitions import Partition, conjugate, partitions_of
@@ -66,6 +67,19 @@ def _parse_surface(text: str) -> SurfacePresentation:
 
 def _emit(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _emit_series(terms: Iterable[dict], head: dict | None = None) -> None:
+    """Print what _emit prints for the list of terms, or for head with that list
+    under "series", writing one term at a time instead of one whole string."""
+    frame = None if head is None else {**head, "series": None}
+    before, after = json.dumps(frame, indent=2, sort_keys=True).split("null")  # head has no None
+    pad, opening = "\n" + "  " * (1 if head is None else 2), "["
+    for term in terms:
+        text = json.dumps(term, indent=2, sort_keys=True).replace("\n", pad)
+        sys.stdout.write(before + opening + pad + text)
+        before, opening = "", ","
+    sys.stdout.write(before + ("[]" if opening == "[" else pad[:-2] + "]") + after + "\n")
 
 
 def _cmd_hurwitz(args) -> int:
@@ -132,14 +146,14 @@ def _cmd_genfun(args) -> int:
         _emit({"coefficients": [_frac(c) for c in coeffs]})
         return EXIT_OK
     if args.single_branch:
-        series = single_branch_point_series(args.dmax)
-        _emit(series.to_json_list())
+        _emit_series(single_branch_point_series(args.dmax).json_terms())
         return EXIT_OK
     if not args.layout:
         raise ValidationError("choose --layout, --unbranched or --single-branch")
     layout = proposition_layout(args.layout, args.n, t=args.t)
     series = layout.series(N=args.N, d_max=args.dmax)
-    _emit(
+    _emit_series(
+        series.json_terms(),
         {
             "layout": layout.name,
             "matrix_kind": layout.matrix_kind,
@@ -147,8 +161,7 @@ def _cmd_genfun(args) -> int:
             "branch_points": layout.branch_points,
             "signature": layout.signature,
             "slots": list(layout.slots),
-            "series": series.to_json_list(),
-        }
+        },
     )
     return EXIT_OK
 

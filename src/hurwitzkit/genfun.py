@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
-from typing import Callable, Iterable, Mapping, Sequence
+from math import factorial, lcm, prod
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._errors import ValidationError, guard
 from .characters import irrep_dimension, normalized_character
-from .partitions import Partition, as_partition, partitions_of
+from .partitions import Partition, as_partition, partitions_of, z_order
 from .symfunc import (PowerAlphabet, PowerSumPoly, content_product, eval_schur,
                       exp_truncated, schur_poly)
 
@@ -81,25 +81,25 @@ class ProfileSeries:
         return self.terms.items()
 
     def to_json_list(self) -> list[dict]:
+        return list(self.json_terms())
+
+    def json_terms(self) -> Iterator[dict]:
+        """The terms as JSON-ready dicts, sorted by degree, profiles and aux."""
         def fmt(value):
             if isinstance(value, Fraction):
                 return f"{value.numerator}/{value.denominator}"
             return value
 
-        out = []
         for key in sorted(
             self.terms,
             key=lambda k: (k.degree, tuple(p.parts for p in k.profiles), k.aux),
         ):
-            out.append(
-                {
-                    "degree": key.degree,
-                    "profiles": [list(p.parts) for p in key.profiles],
-                    "aux": dict(zip(self.aux_names, key.aux)),
-                    "coeff": fmt(self.terms[key]),
-                }
-            )
-        return out
+            yield {
+                "degree": key.degree,
+                "profiles": [list(p.parts) for p in key.profiles],
+                "aux": dict(zip(self.aux_names, key.aux)),
+                "coeff": fmt(self.terms[key]),
+            }
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProfileSeries):
@@ -125,7 +125,9 @@ class ContentFunction:
         self.description = description
 
     def __call__(self, x):
-        return self._fn(x)
+        if not isinstance(value := self._fn(x), (int, Fraction)):
+            raise ValidationError(f"content function {self.description} is not rational at {x}")
+        return value
 
     @classmethod
     def one(cls) -> "ContentFunction":
@@ -189,6 +191,8 @@ class PochhammerParam:
     def __post_init__(self):
         if (self.value is None) == (self.symbol is None):
             raise ValidationError("exactly one of value/symbol must be set")
+        if self.symbol is None and not isinstance(self.value, (int, Fraction)):
+            raise ValidationError(f"Pochhammer value must be rational, got {self.value!r}")
 
 
 def _series_mul(a: list[Fraction], b: list[Fraction], trunc: int) -> list[Fraction]:
@@ -233,7 +237,7 @@ def _lambda_weight(lam: Partition, euler: int, alphabet_count: int,
     """The term of lam in the hypergeometric sum, in three parts: the base
     power (s_lam at the delta alphabet)^(euler - sum of exponents -
     alphabet_count) times the numeric Pochhammer factors; the nonzero profile
-    coefficients {Delta: c} of s_lam = sum c p_Delta; and per symbolic
+    coefficients {Delta.parts: c} of s_lam = sum c p_Delta; and per symbolic
     parameter a its factor {exponent of a: coefficient}, truncated after trunc
     powers of 1/a.  The "schur" route, from Jacobi-Trudi polynomials alone, is
     the independent oracle on purpose: it shares no code with the character
@@ -244,10 +248,10 @@ def _lambda_weight(lam: Partition, euler: int, alphabet_count: int,
     if route == "schur":
         coeffs = schur_poly(lam).coeffs
         s_inf = coeffs.get((1,) * d, Fraction(0))
-        prof_coeff = {delta: coeffs[delta.parts] for delta in classes if delta.parts in coeffs}
+        prof_coeff = {delta.parts: coeffs[delta.parts] for delta in classes if delta.parts in coeffs}
     else:
         s_inf = Fraction(irrep_dimension(lam), factorial(d))
-        prof_coeff = {delta: c for delta in classes
+        prof_coeff = {delta.parts: c for delta in classes
                       if (c := s_inf * normalized_character(lam, delta))}
     weight = s_inf ** (euler - sum(p.exponent for p in params) - alphabet_count)
 
@@ -256,8 +260,8 @@ def _lambda_weight(lam: Partition, euler: int, alphabet_count: int,
         if route == "schur":
             # s_lam(p(a)) * a^{-d} as a series in x = 1/a
             u = [Fraction(0)] * (d + 1)
-            for delta, c in prof_coeff.items():
-                u[d - delta.length()] += c
+            for parts, c in prof_coeff.items():
+                u[d - len(parts)] += c
         else:
             # (dim/d!) * prod_cells (1 + content*x)
             u = [s_inf]
@@ -275,20 +279,41 @@ def _lambda_weight(lam: Partition, euler: int, alphabet_count: int,
     return weight, prof_coeff, sym_series
 
 
-def _expand(series: ProfileSeries, d: int, weight, prof_coeff: Mapping[Partition, object],
-            sym_series: Sequence[Mapping[int, object]] = ()) -> None:
-    """Add weight * prod_slots (sum_Delta c_Delta p_Delta) * prod of the
-    symbolic factors to series, one key per choice of profiles and exponents;
-    the (profiles, aux, coeff) list grows slot by slot, then symbol by symbol."""
-    terms = [((), (), weight)]
-    for _ in range(series.alphabet_count):
-        terms = [(profs + (delta,), aux, acc * c) for profs, aux, acc in terms
-                 for delta, c in prof_coeff.items()]
-    for factor in sym_series:
-        terms = [(profs, aux + (e,), acc * c) for profs, aux, acc in terms
-                 for e, c in factor.items()]
-    for profs, aux, acc in terms:
-        series.add(SeriesKey(d, profs, aux), acc)
+def _expand(series: ProfileSeries, d: int, terms: Iterable[tuple]) -> None:
+    """Add to series, for each lam of degree d given as (weight, {Delta.parts: c_Delta},
+    symbolic factors) with weight != 0, weight * prod_slots (sum c_Delta p_Delta) * the
+    symbolic factors, one key per profiles (outer) and exponents (inner).  A key sums the
+    integers its exact terms are times W * prod z_Delta > 0 (c_Delta * z_Delta is integral,
+    W the lcm of the weight-times-symbolic denominators): zero tests and key order hold."""
+    classes = {delta.parts: (delta, z_order(delta)) for delta in partitions_of(d)}
+    folded = []
+    for weight, prof_coeff, sym_series in (term for term in terms if term[0]):
+        by_aux = {(): weight}
+        for factor in sym_series:
+            by_aux = {aux + (e,): w * c for aux, w in by_aux.items() for e, c in factor.items()}
+        cz = {parts: c.numerator * classes[parts][1] // c.denominator
+              for parts, c in prof_coeff.items()}
+        folded.append((by_aux, cz))
+    common = lcm(*(w.denominator for by_aux, _ in folded for w in by_aux.values()))
+    sums: dict[tuple, int] = {}
+    for by_aux, cz in folded:
+        scaled = [(aux, w.numerator * (common // w.denominator)) for aux, w in by_aux.items()]
+        choices = [((), 1)]
+        for _ in range(series.alphabet_count):
+            choices = [(profs + (parts,), acc * c) for profs, acc in choices
+                       for parts, c in cz.items()]
+        for profs, acc in choices:
+            for aux, w in scaled:
+                key = (profs, aux)
+                new = sums.get(key, 0) + acc * w
+                if new:
+                    sums[key] = new
+                else:
+                    del sums[key]
+    for (profs, aux), total in sums.items():
+        slots = [classes[parts] for parts in profs]
+        key = SeriesKey(d, tuple(delta for delta, _ in slots), aux)
+        series.terms[key] = Fraction(total, common * prod(z for _, z in slots))
 
 
 def hypergeometric_series(
@@ -314,12 +339,8 @@ def hypergeometric_series(
     series = ProfileSeries(alphabet_count, d_max, aux_names)
     series.add(SeriesKey(0, (Partition(),) * alphabet_count, (0,) * len(aux_names)), Fraction(1))
     for d in range(1, d_max + 1):
-        for lam in partitions_of(d):
-            if cutoff is None or lam.length() <= cutoff:
-                weight, prof_coeff, sym_series = _lambda_weight(
-                    lam, euler, alphabet_count, params, route, trunc)
-                if weight:
-                    _expand(series, d, weight, prof_coeff, sym_series)
+        _expand(series, d, (_lambda_weight(lam, euler, alphabet_count, params, route, trunc)
+                            for lam in partitions_of(d) if cutoff is None or lam.length() <= cutoff))
     return series
 
 
@@ -350,12 +371,9 @@ def hyp_tau_series(kind: str, r: ContentFunction, n, d_max: int,
     series = ProfileSeries(2 if kind == "TL" else 1, d_max)
     series.add(SeriesKey(0, (Partition(),) * series.alphabet_count), Fraction(1))
     for d in range(1, d_max + 1):
-        for lam in partitions_of(d):
-            if cutoff is None or lam.length() <= cutoff:
-                weight = r.content_product(n, lam)
-                if weight:
-                    coeffs = schur_poly(lam).coeffs
-                    _expand(series, d, weight, {Partition(k): c for k, c in coeffs.items()})
+        weights = ((r.content_product(n, lam), lam) for lam in partitions_of(d)
+                   if cutoff is None or lam.length() <= cutoff)
+        _expand(series, d, ((w, schur_poly(lam).coeffs, ()) for w, lam in weights if w))
     return series
 
 

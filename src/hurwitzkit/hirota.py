@@ -18,11 +18,11 @@ t_2 derivative shows up as 2 d/dp_2.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from ._errors import ValidationError, guard
-from .genfun import ContentFunction
-from .partitions import partitions_of
-from .symfunc import PowerSumPoly, schur_poly
+from .genfun import ContentFunction, hyp_tau_series
+from .symfunc import PowerSumPoly
 
 
 def g_normalization(r: ContentFunction, n: int) -> Fraction:
@@ -49,35 +49,30 @@ def _nonzero(r: ContentFunction, x: int):
 
 
 def bkp_tau_poly(r: ContentFunction, n: int, cutoff: int | None, d_max: int) -> PowerSumPoly:
-    """g(n) * sum_{len(lam)<=cutoff} r_lam(n) s_lam(p), truncated by weight."""
+    """g(n) * sum_{len(lam)<=cutoff} r_lam(n) s_lam(p) to weight d_max: g(n) times hyp_tau_series."""
     g = g_normalization(r, n)
-    total = PowerSumPoly.one().scale(g)
-    for d in range(1, d_max + 1):
-        for lam in partitions_of(d):
-            if cutoff is not None and lam.length() > cutoff:
-                continue
-            weight = r.content_product(n, lam)
-            if weight:
-                total = total + schur_poly(lam).scale(g * weight)
-    return total
+    if cutoff == 0:
+        return PowerSumPoly.one().scale(g)
+    series = hyp_tau_series("BKP", r, n, d_max, cutoff)
+    return PowerSumPoly({key.profiles[0].parts: g * c for key, c in series.items()})
 
 
 def hirota_bilinear_check(r: ContentFunction, cutoff: int, d_max: int,
                           n_values=(0, 1)) -> bool:
-    """Both elementary bilinear equations hold identically in p to total degree d_max."""
+    """Both elementary bilinear equations hold identically in p to total degree d_max.
+    Scaled by 2 and by the lcm of the denominators of an offset's seven taus,
+    they are checked in integers: a nonzero scale does not change a zero test."""
     guard("bilinear check", d_max)
     guard("bilinear offset", max((abs(n) for n in n_values), default=0))
     if cutoff < 1:
         raise ValidationError("cutoff must be >= 1 (the shifted sums need N-1 >= 0)")
     work = d_max + 2  # second derivatives drop the weight by two
     for n in n_values:
-        taus: dict[tuple[int, int], PowerSumPoly] = {}
-
-        def tau(dN: int, dn: int) -> PowerSumPoly:
-            key = (dN, dn)
-            if key not in taus:
-                taus[key] = bkp_tau_poly(r, n + dn, cutoff + dN, work)
-            return taus[key]
+        taus = {(dN, dn): bkp_tau_poly(r, n + dn, cutoff + dN, work)
+                for dN, dn in ((0, 0), (1, 1), (2, 2), (-1, -1), (0, 1), (-1, 0), (1, 2))}
+        scale = lcm(*(c.denominator for t in taus.values() for c in t.coeffs.values()))
+        for t in taus.values():
+            t.coeffs = {k: c.numerator * (scale // c.denominator) for k, c in t.coeffs.items()}
 
         def d1(p):
             return p.derivative(1)
@@ -88,22 +83,22 @@ def hirota_bilinear_check(r: ContentFunction, cutoff: int, d_max: int,
         def d11(p):
             return p.derivative(1).derivative(1)
 
-        a, b = tau(0, 0), tau(1, 1)
+        a, b = taus[0, 0], taus[1, 1]
         eq1 = (  # products past weight d_max are never formed
-            d2(a).times(b, d_max) - a.times(d2(b), d_max)
-            + (d11(a).times(b, d_max) + a.times(d11(b), d_max)).scale(Fraction(1, 2))
-            - d1(a).times(d1(b), d_max)
-            - tau(2, 2).times(tau(-1, -1), d_max)
+            (d2(a).times(b, d_max) - a.times(d2(b), d_max)
+             - d1(a).times(d1(b), d_max)
+             - taus[2, 2].times(taus[-1, -1], d_max)).scale(2)
+            + d11(a).times(b, d_max) + a.times(d11(b), d_max)
         )
         if not eq1.is_zero():
             return False
 
-        a, b = tau(0, 1), tau(1, 1)
+        a, b = taus[0, 1], taus[1, 1]
         eq2 = (
-            (d11(a).times(b, d_max) - a.times(d11(b), d_max)).scale(Fraction(1, 2))
-            + d2(a).times(b, d_max) - a.times(d2(b), d_max)
-            - d1(tau(2, 2)).times(tau(-1, 0), d_max)
-            + d1(tau(1, 2)).times(tau(0, 0), d_max)
+            d11(a).times(b, d_max) - a.times(d11(b), d_max)
+            + (d2(a).times(b, d_max) - a.times(d2(b), d_max)
+               - d1(taus[2, 2]).times(taus[-1, 0], d_max)
+               + d1(taus[1, 2]).times(taus[0, 0], d_max)).scale(2)
         )
         if not eq2.is_zero():
             return False

@@ -82,7 +82,7 @@ class PowerSumPoly:
         return self + (-other)
 
     def scale(self, factor) -> "PowerSumPoly":
-        factor = Fraction(factor)
+        factor = factor if isinstance(factor, int) else Fraction(factor)
         res = PowerSumPoly()
         if factor:
             res.coeffs = {k: v * factor for k, v in self.coeffs.items()}

@@ -4,6 +4,8 @@ from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurwitzkit import GuardError, ValidationError, cache_stats, clear_caches
 from hurwitzkit.characters import (
@@ -312,6 +314,41 @@ def test_chi_takes_lists_tuples_and_partitions():
         assert table.chi(lam, delta) == 1
         assert table.chi(delta, lam) == 0
         assert table.chi(lam, [1] * 4) == 3
+
+
+def test_chi_rejects_labels_of_another_degree():
+    table = character_table(3)
+    for lam, delta in (((2, 1), (1, 1)), ((2, 2), (1, 1, 1)), ((3,), (4,)), ((), (3,))):
+        with pytest.raises(ValidationError, match="weight mismatch"):
+            table.chi(lam, delta)
+
+
+_table_cells = st.integers(0, 8).flatmap(
+    lambda d: st.tuples(st.just(d), st.integers(0, len(partitions_of(d)) - 1),
+                        st.integers(0, len(partitions_of(d)) - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_table_cells)
+def test_rows_are_orthonormal(cell):
+    """sum_delta chi_lam(delta) chi_mu(delta) / z_delta = [lam == mu]."""
+    d, i, j = cell
+    classes = partitions_of(d)
+    table = character_table(d)
+    total = sum(Fraction(table.chi(classes[i], delta) * table.chi(classes[j], delta), z_order(delta))
+                for delta in classes)
+    assert total == (i == j)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_table_cells)
+def test_columns_are_orthogonal(cell):
+    """sum_lam chi_lam(delta) chi_lam(gamma) = z_delta [delta == gamma]."""
+    d, i, j = cell
+    classes = partitions_of(d)
+    table = character_table(d)
+    total = sum(table.chi(lam, classes[i]) * table.chi(lam, classes[j]) for lam in classes)
+    assert total == (z_order(classes[i]) if i == j else 0)
 
 
 # sha256 of character_table(d).to_csv(), recorded with the Partition-keyed table.

@@ -229,3 +229,15 @@ def test_mc_size_guards_exit_3_without_traceback(capsys, argv):
     err = capsys.readouterr().err
     assert code == 3
     assert "guard" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--single-branch", "--dmax", "0"],
+    ["--single-branch", "--dmax", "4"],
+    ["--layout", "prop1", "--n", "2", "--N", "2", "--dmax", "2"],
+    ["--layout", "odd3", "--n", "3", "--t", "2", "--N", "1", "--dmax", "3"],
+])
+def test_genfun_streams_the_json_of_the_whole_listing(capsys, argv):
+    code, out, _ = run_cli(capsys, "genfun", *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"

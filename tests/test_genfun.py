@@ -1,8 +1,9 @@
+import hashlib
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hurwitzkit import GuardError, ValidationError
@@ -20,10 +21,11 @@ from hurwitzkit.genfun import (
     tau_bkp_series,
     tau_tl_series,
     unbranched_cover_coefficients,
+    _lambda_weight,
 )
 from hurwitzkit.hurwitz import hurwitz_value, hurwitz_weighted_sum
 from hurwitzkit.partitions import Partition, partitions_of
-from hurwitzkit.symfunc import PowerAlphabet, pochhammer_lambda
+from hurwitzkit.symfunc import PowerAlphabet, pochhammer_lambda, schur_poly
 
 
 def test_series_key_validation():
@@ -583,3 +585,112 @@ def test_degree_zero_is_the_constant_term():
         SeriesKey(0, (Partition(),) * 3): 1}
     assert proposition_layout("prop1", 1).value(1, 0, _rational_alphabets(3, 1)) == 1
     assert unbranched_cover_coefficients(0) == [1]
+
+
+def _per_term_reference(alphabet_count, aux_names, d_max, lam_terms):
+    """The series summed one Fraction term at a time through ProfileSeries.add:
+    lam_terms(d) lists each lam's (weight, {Delta.parts: c}, symbolic factors),
+    and every choice of profiles (outer) and exponents (inner) is one term."""
+    series = ProfileSeries(alphabet_count, d_max, aux_names)
+    series.add(SeriesKey(0, (Partition(),) * alphabet_count, (0,) * len(aux_names)), Fraction(1))
+    for d in range(1, d_max + 1):
+        for weight, prof_coeff, sym_series in lam_terms(d):
+            terms = [((), (), weight)]
+            for _ in range(alphabet_count):
+                terms = [(profs + (Partition(parts),), aux, acc * c) for profs, aux, acc in terms
+                         for parts, c in prof_coeff.items()]
+            for factor in sym_series:
+                terms = [(profs, aux + (e,), acc * c) for profs, aux, acc in terms
+                         for e, c in factor.items()]
+            for profs, aux, acc in terms:
+                series.add(SeriesKey(d, profs, aux), acc)
+    return series
+
+
+def _same_terms_in_order(got, want):
+    assert all(type(v) is Fraction for v in got.terms.values())
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
+_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@settings(max_examples=80, deadline=None)
+@given(euler=st.integers(-2, 2), k=st.integers(0, 3), route=st.sampled_from(["schur", "pochhammer"]),
+       params=st.lists(st.tuples(st.sampled_from([-2, -1, 1, 2]), st.none() | _rationals),
+                       max_size=2),
+       cutoff=st.sampled_from([None, 1, 2]), d_max=st.integers(0, 3),
+       trunc=st.sampled_from([None, 1, 2]))
+def test_series_expansion_matches_per_term_fraction_sums(euler, k, route, params, cutoff, d_max,
+                                                         trunc):
+    # s_lam(p(a)) vanishes at an integer a, which a negative exponent cannot invert.
+    assume(all(a is None or e > 0 or a.denominator > 1 for e, a in params))
+    params = tuple(PochhammerParam(e, symbol=f"a{j}") if a is None else PochhammerParam(e, value=a)
+                   for j, (e, a) in enumerate(params))
+    got = hypergeometric_series(euler, k, params, cutoff=cutoff, d_max=d_max, route=route,
+                                series_trunc=trunc)
+    t = d_max if trunc is None else trunc
+
+    def lam_terms(d):
+        out = (_lambda_weight(lam, euler, k, params, route, t) for lam in partitions_of(d)
+               if cutoff is None or lam.length() <= cutoff)
+        return [term for term in out if term[0]]
+
+    names = tuple(p.symbol for p in params if p.symbol is not None)
+    _same_terms_in_order(got, _per_term_reference(k, names, d_max, lam_terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["TL", "BKP"]), shifts=st.lists(_rationals, max_size=2),
+       poles=st.lists(st.integers(-5, 5).map(lambda m: Fraction(2 * m + 1, 2)), max_size=1),
+       n=st.integers(-2, 2), cutoff=st.sampled_from([None, 1, 2]), d_max=st.integers(0, 4))
+def test_tau_expansion_matches_per_term_fraction_sums(kind, shifts, poles, n, cutoff, d_max):
+    r = ContentFunction.rational(shifts, poles)
+    got = hyp_tau_series(kind, r, n, d_max, cutoff)
+
+    def lam_terms(d):
+        out = ((r.content_product(n, lam), schur_poly(lam).coeffs, ()) for lam in partitions_of(d)
+               if cutoff is None or lam.length() <= cutoff)
+        return [term for term in out if term[0]]
+
+    _same_terms_in_order(got, _per_term_reference(2 if kind == "TL" else 1, (), d_max, lam_terms))
+
+
+# sha256 of every term (degree, profiles, aux, type and value) of the sweep
+# below, in insertion order; recorded with the per-term Fraction expansion.
+SERIES_SWEEP_SHA256 = "215b578f4fd066dc5aeabd03ad61f329f1dc8bed09689b7fa1e8e4309aa8a198"
+
+
+def test_series_sweep_matches_golden_fingerprint():
+    a, b = PochhammerParam(-1, symbol="a"), PochhammerParam(2, symbol="b")
+    layouts = [("prop1", 1, None), ("prop1", 3, None), ("prop2_odd", 2, None), ("int4", 3, 1),
+               ("int4", 3, 3), ("odd3_u", 2, None)]
+    sweep = [proposition_layout(name, n, t).series(N, 3, route) for name, n, t in layouts
+             for N in (1, 2) for route in ("schur", "pochhammer")]
+    sweep += [hypergeometric_series(e, k, params, cutoff=cutoff, d_max=3, series_trunc=2,
+                                    route=route)
+              for e in (2, -1) for k in (0, 2) for params in ((), (a,), (a, b),
+                                                              (PochhammerParam(1, value=Fraction(5, 3)),))
+              for cutoff in (None, 2) for route in ("schur", "pochhammer")]
+    sweep += [hyp_tau_series(kind, r, n, 4, cutoff) for kind in ("TL", "BKP")
+              for r in (ContentFunction.rational([Fraction(1, 2)]),
+                        ContentFunction.rational([3], [Fraction(-7, 2)]))
+              for n in (0, -2) for cutoff in (None, 2)]
+    digest = hashlib.sha256()
+    for series in sweep:
+        for key, value in series.terms.items():
+            digest.update(f"{key.degree}|{[p.parts for p in key.profiles]}|{key.aux}|"
+                          f"{type(value).__name__}|{value}\n".encode())
+    assert digest.hexdigest() == SERIES_SWEEP_SHA256
+
+
+def test_non_rational_values_are_rejected():
+    with pytest.raises(ValidationError):
+        PochhammerParam(1, value=0.5)
+    with pytest.raises(ValidationError):
+        PochhammerParam(-1, value=2.0)
+    floats = ContentFunction.tabulated({x: x + 0.5 for x in range(-6, 7)})
+    with pytest.raises(ValidationError):
+        hyp_tau_series("TL", floats, 0, 3)
+    with pytest.raises(ValidationError):
+        hyp_tau_series("BKP", ContentFunction.power(ContentFunction.tabulated({0: 2}), -1), 0, 1)

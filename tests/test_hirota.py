@@ -104,3 +104,31 @@ def test_guards():
         hirota_bilinear_check(ContentFunction.one(), 2, 7)
     with pytest.raises(ValidationError):
         hirota_bilinear_check(ContentFunction.one(), 0, 3)
+
+
+def test_bilinear_check_at_a_four_digit_shift():
+    """At a = 9973/9967 and n = +-16 the common denominator of the seven taus
+    runs to hundreds of digits; a weight moved by 9967^-3 on one diagram, which
+    is no longer a content product, still fails."""
+    a = Fraction(9973, 9967)
+    assert hirota_bilinear_check(ContentFunction.rational([a]), 2, 4, n_values=(16, -16))
+
+    class Skewed(ContentFunction):
+        def __init__(self, shape):
+            super().__init__(lambda x: x + a, f"x+{a}, skewed at {shape}")
+            self.shape = shape
+
+        def content_product(self, n, lam):
+            value = super().content_product(n, lam)
+            return value * (1 + Fraction(1, 9967**3)) if lam.parts == self.shape else value
+
+    for shape in ((1,), (2, 1), (3, 1, 1)):
+        assert not hirota_bilinear_check(Skewed(shape), 2, 4, n_values=(16, -16))
+
+
+def test_non_rational_content_values_are_rejected():
+    floats = ContentFunction.tabulated({x: x + 0.5 for x in range(-12, 12)})
+    with pytest.raises(ValidationError):
+        hirota_bilinear_check(floats, 2, 3)
+    with pytest.raises(ValidationError):
+        g_normalization(floats, 3)
