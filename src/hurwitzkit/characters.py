@@ -17,7 +17,6 @@ from ._errors import ValidationError, guard
 from .partitions import (
     Partition,
     as_partition,
-    aut_order,
     cycle_class_size,
     frobenius,
     partitions_of,
@@ -115,7 +114,6 @@ def normalized_character(lam, delta) -> int:
     return cycle_class_size(delta) * character(lam, delta) // irrep_dimension(lam)
 
 
-@lru_cache(maxsize=None)
 def dimensions(d: int) -> tuple[int, ...]:
     """irrep_dimension of every lam in partitions_of(d) order."""
     return tuple(_dimension_table(d).values())
@@ -152,34 +150,25 @@ def _colength_sum(lam: Partition, k: int) -> Fraction:
     )
 
 
-def _falling(c, l: int):
-    out = 1
-    for i in range(l):
-        out = out * (c - i)
-    return out
-
-
 def weighted_colength_sum(lam, k: int, c):
-    """Coefficient of x^k in (1 + sum_{j>0} colength_sum(lam, j) x^j)^c.
+    """Coefficient f_k of x^k in phi(x)^c, phi = 1 + sum_{j>0} colength_sum(lam, j) x^j.
 
-    Computed by the finite expansion over partitions mu of k: sum over mu of
-    c(c-1)...(c-l+1) * prod_i colength_sum(lam, mu_i) / |Aut mu|, l = len(mu).
-    At c = 1 this reduces to colength_sum(lam, k).
+    By J.C.P. Miller's power recurrence, read off phi (phi^c)' = c phi' phi^c:
+    f_0 = 1 and f_m = (1/m) sum_j ((c + 1) j - m) phi_j f_{m-j}, over the
+    j < |lam| where phi_j can be nonzero.  At c = 1 this reduces to
+    colength_sum(lam, k).  The symbolic Pochhammer series of genfun raise by
+    repeated products (`_series_pow`) instead; the series tests compare the
+    two, so each is the other's independent check.
     """
     lam = as_partition(lam)
     if k < 1:
         raise ValidationError("k must be >= 1")
-    total = 0
-    for mu in partitions_of(k):
-        prod = Fraction(1)
-        for part in mu.parts:
-            prod *= colength_sum(lam, part)
-            if not prod:
-                break
-        if not prod:
-            continue
-        total = total + _falling(c, mu.length()) * prod / aut_order(mu)
-    return total
+    phi = [colength_sum(lam, j) for j in range(1, lam.weight())]
+    f = [Fraction(1)]
+    for m in range(1, k + 1):
+        terms = (((c + 1) * j - m) * p * f[m - j] for j, p in enumerate(phi[:m], start=1))
+        f.append(sum(terms, Fraction(0)) / m)
+    return f[k]
 
 
 def character_class_sum(delta) -> int:

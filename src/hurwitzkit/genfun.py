@@ -80,9 +80,6 @@ class ProfileSeries:
     def items(self):
         return self.terms.items()
 
-    def to_json_list(self) -> list[dict]:
-        return list(self.json_terms())
-
     def json_terms(self) -> Iterator[dict]:
         """The terms as JSON-ready dicts, sorted by degree, profiles and aux."""
         def fmt(value):
@@ -206,7 +203,9 @@ def _series_mul(a: list[Fraction], b: list[Fraction], trunc: int) -> list[Fracti
 
 
 def _series_pow(u: list[Fraction], n: int, trunc: int) -> list[Fraction]:
-    """u(x)^n truncated at x^trunc; u[0] must be nonzero; n may be negative."""
+    """u(x)^n truncated at x^trunc; u[0] must be nonzero; n may be negative.
+    characters.weighted_colength_sum raises by Miller's recurrence instead; the
+    series tests compare the two, so each is the other's independent check."""
     u = list(u[: trunc + 1]) + [Fraction(0)] * max(0, trunc + 1 - len(u))
     if not u[0]:
         raise ValidationError("series power needs invertible constant term")
@@ -603,10 +602,17 @@ def proposition_layout(name: str, n: int, t: int | None = None) -> PropositionLa
     alphabets = iter(("p", "p*"))
     factors = tuple((next(alphabets) if k == "TL" else None, w) for k, w in zip(kinds, words))
 
+    vertices, euler, empty, merges = _glued(kinds, words, n)
+    poch = empty - (n if kind == "unitary" else 0)
+    return PropositionLayout(name, kind, n, depth, factors, constant, vertices, euler, poch, merges)
+
+
+def _glued(kinds: Sequence[str], words: Sequence[tuple], n: int) -> tuple[tuple, int, int, int]:
+    """Glue the words of tau factors of these kinds: the non-empty vertices,
+    each written from its smallest index and sorted; E = (#TL factors) - n +
+    (#vertices, the empty ones included); the number of empty vertices; and
+    the number of merging moves."""
     left, merges = _glue(words, n)
     indices = [[i for i, _ in word] for word in left]
     vertices = sorted(tuple(v[v.index(min(v)):] + v[:v.index(min(v))]) for v in indices if v)
-    euler = kinds.count("TL") - n + len(left)
-    poch = len(left) - len(vertices) - (n if kind == "unitary" else 0)
-    return PropositionLayout(name, kind, n, depth, factors, constant,
-                             tuple(vertices), euler, poch, merges)
+    return tuple(vertices), kinds.count("TL") - n + len(left), len(left) - len(vertices), merges

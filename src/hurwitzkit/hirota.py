@@ -26,18 +26,12 @@ from .symfunc import PowerSumPoly
 
 
 def g_normalization(r: ContentFunction, n: int) -> Fraction:
-    """Product of e^{-U_i} factors between 0 and n, with U_0 = 0."""
-    if n == 0:
-        return Fraction(1)
+    """Product of e^{-U_i} factors between 0 and n, with U_0 = 0: r(j) is a
+    factor of the |n - j| products e^{-U_i} that reach it, so g(n) is the
+    product of r(j)^|n - j| over 0 < j < n, or over n < j <= 0 for n < 0."""
     out = Fraction(1)
-    if n > 0:
-        for i in range(1, n):
-            for j in range(1, i + 1):
-                out *= _nonzero(r, j)
-        return out
-    for m in range(1, -n + 1):
-        for j in range(0, m):
-            out *= _nonzero(r, -j)
+    for j in range(1, n) if n > 0 else range(0, n, -1):
+        out *= _nonzero(r, j) ** abs(n - j)
     return out
 
 

@@ -16,10 +16,10 @@ from typing import Callable
 
 from ._errors import ValidationError, guard
 from .characters import (
+    _dimension_table,
     character_class_sum,
     class_column,
     colength_sum,
-    dimensions,
     weighted_colength_sum,
 )
 from .partitions import (
@@ -70,7 +70,7 @@ def _character_sum(query: HurwitzQuery, factor: Callable[[Partition], object] | 
     fact = factorial(d)
     total = 0
     columns = map(class_column, query.profiles)
-    for lam, dim, *values in zip(partitions_of(d), dimensions(d), *columns):
+    for lam, dim, *values in zip(partitions_of(d), _dimension_table(d).values(), *columns):
         if query.cutoff is not None and lam.length() > query.cutoff:
             continue
         term = dim**euler if euler >= 0 else (fact // dim) ** -euler

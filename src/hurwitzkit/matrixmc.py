@@ -41,6 +41,9 @@ _RELATIONS = {
 }
 LEMMA_RELATIONS = tuple(_RELATIONS)
 
+# Every estimate is gated at this many standard errors.
+_GATE = 5.0
+
 # The trace table of the latest mc_schur_moment call, at most one entry:
 # (relation, size, samples, seed, workers, A bytes, B bytes) -> (depth, one
 # table per chunk).  A table is {m: tr X^m for m <= depth} of X = A M B M^dag
@@ -149,12 +152,12 @@ def _chunks(samples: int, workers: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(workers) if base + (i < extra) > 0]
 
 
-def _compare(estimate: MCEstimate, exact: complex, gate: float) -> MCComparison:
+def _compare(estimate: MCEstimate, exact: complex) -> MCComparison:
     diff = abs(estimate.mean - exact)
     if diff < 1e-9 * (1.0 + abs(exact)):
         return MCComparison(estimate, exact, 0.0, True)
     sigmas = diff / estimate.stderr if estimate.stderr > 0 else float("inf")
-    return MCComparison(estimate, exact, sigmas, sigmas <= gate)
+    return MCComparison(estimate, exact, sigmas, sigmas <= _GATE)
 
 
 def default_test_matrix(size: int, which: int = 0) -> np.ndarray:
@@ -225,10 +228,9 @@ def mc_schur_moment(
     a_matrix: np.ndarray | None = None,
     b_matrix: np.ndarray | None = None,
     workers: int = 4,
-    gate: float = 5.0,
 ) -> MCComparison:
     """Estimate one of the four single/paired Schur averages and compare with
-    its exact value at `gate` standard errors.
+    its exact value at 5 standard errors.
 
     The draws' trace table is kept until the next call of either entry point;
     a call with the same (relation, size, samples, seed, workers, A, B) reuses
@@ -279,7 +281,7 @@ def mc_schur_moment(
     else:
         exact = _exact_schur(lam, a @ b) / _schur_norm(lam, size, haar) if mu == lam else 0j
 
-    return _compare(estimate, exact, gate)
+    return _compare(estimate, exact)
 
 
 def _tau_truncated(alphabet: PowerAlphabet | None, d_max: int,
@@ -316,14 +318,13 @@ def mc_proposition_check(
     samples: int = 100_000,
     seed: int = 11,
     c_matrices: Sequence[np.ndarray] | None = None,
-    p_values: Mapping[int, Fraction] | None = None,
-    p_star_values: Mapping[int, Fraction] | None = None,
     workers: int = 4,
-    gate: float = 5.0,
     t: int | None = None,
 ) -> MCComparison:
     """MC average of the degree-truncated integrand of a layout, built from its
-    words, against the exact truncated character sum from the same layout."""
+    words, against the exact truncated character sum from the same layout, at
+    5 standard errors.  The free alphabets are p = (1/2, 1/3) and
+    p* = (1/3, 1/4) in p_1, p_2, and 0 beyond."""
     layout = proposition_layout(layout_name, n, t)
     if layout.constant is not None:
         raise ValidationError(f"{layout_name} has no test matrix for {layout.constant}")
@@ -344,10 +345,10 @@ def mc_proposition_check(
     if len(cs) != n:
         raise ValidationError("need one C matrix per sampled matrix")
     alphabets = {None: None}  # a BKP factor has no free alphabet
-    for name, values in (("p", p_values or {1: Fraction(1, 2), 2: Fraction(1, 3)}),
-                         ("p*", p_star_values or {1: Fraction(1, 3), 2: Fraction(1, 4)})):
+    for name, values in (("p", (Fraction(1, 2), Fraction(1, 3))),
+                         ("p*", (Fraction(1, 3), Fraction(1, 4)))):
         alphabets[name] = PowerAlphabet.explicit(
-            {m: values.get(m, Fraction(0)) for m in range(1, degree + 1)})
+            {m: values[m - 1] if m <= 2 else Fraction(0) for m in range(1, degree + 1)})
 
     # Exact side: the layout's value on the slot alphabets.
     slot_alphabets = [alphabets[name] for name, _ in layout.factors if name]
@@ -370,4 +371,4 @@ def mc_proposition_check(
             for name, word in layout.factors))
 
     estimate = _accumulate(values, samples, seed)
-    return _compare(estimate, exact, gate)
+    return _compare(estimate, exact)

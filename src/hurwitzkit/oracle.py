@@ -108,13 +108,9 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _group(d: int) -> tuple[Perm, ...]:
-    return tuple(permutations(range(d)))
-
-
-@lru_cache(maxsize=None)
 def _types(d: int) -> dict[Perm, tuple[int, ...]]:
-    return {p: cycle_type(p) for p in _group(d)}
+    """The cycle type of every permutation of S_d, keyed in permutations order."""
+    return {p: cycle_type(p) for p in permutations(range(d))}
 
 
 @lru_cache(maxsize=None)
@@ -145,7 +141,7 @@ def _class_pairs(d: int) -> dict[tuple[int, ...], dict[tuple, int]]:
 @lru_cache(maxsize=None)
 def _square_counts(d: int) -> dict[tuple[int, ...], int]:
     """counts[type h] = number of R in S_d with R^2 = h."""
-    hits = Counter(cycle_type(compose(r, r)) for r in _group(d))
+    hits = Counter(cycle_type(compose(r, r)) for r in _types(d))
     sizes = _class_sizes(d)
     return {t: n // sizes[t] for t, n in hits.items()}
 
@@ -216,13 +212,12 @@ def oracle_count_naive(pres: SurfacePresentation, degree: int, profiles=()) -> i
     for p in profs[:-1]:
         work *= cycle_class_size(p)
     guard("naive oracle work", work)
-    group = _group(degree)
     types = _types(degree)
     identity = tuple(range(degree))
     free_slots = 2 * pres.handles + pres.crosscaps
     class_lists = [class_elements(degree, p.parts) for p in profs]
     total = 0
-    for frees in product(group, repeat=free_slots):
+    for frees in product(types, repeat=free_slots):
         prefix = identity
         if pres.kind == "orientable":
             for i in range(pres.handles):

@@ -64,10 +64,6 @@ class Partition:
     def to_json(self) -> list[int]:
         return list(self._parts)
 
-    @classmethod
-    def from_json(cls, data) -> "Partition":
-        return cls(data)
-
     def __iter__(self) -> Iterator[int]:
         return iter(self._parts)
 

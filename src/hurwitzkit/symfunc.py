@@ -58,9 +58,6 @@ class PowerSumPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def max_weight(self) -> int:
-        return max((sum(k) for k in self.coeffs), default=0)
-
     def __add__(self, other: "PowerSumPoly") -> "PowerSumPoly":
         out = dict(self.coeffs)
         for key, val in other.coeffs.items():
@@ -205,13 +202,16 @@ def complete_homogeneous(k: int) -> PowerSumPoly:
 
 
 @lru_cache(maxsize=None)
-def _jacobi_trudi(entries: tuple[tuple[int, ...], ...]) -> PowerSumPoly:
-    """Determinant of [h_{entries[i][j]}] by minor expansion along the first row."""
-    size = len(entries)
-    if size == 0:
-        return PowerSumPoly.one()
-    if size == 1:
-        return complete_homogeneous(entries[0][0])
+def schur_poly(lam: Partition) -> PowerSumPoly:
+    """Schur function s_lam as a polynomial in power sums, via Jacobi-Trudi:
+    the determinant of [h_{lam_i - i + j}] by minor expansion along the first row.
+
+    Kept on purpose as a route independent of the character recursion: the
+    "schur" route of genfun.hypergeometric_series, cauchy_littlewood_check
+    and the MC harness are built on it, and the character-side "pochhammer"
+    route is checked against it."""
+    parts = as_partition(lam).parts
+    size = len(parts)
 
     @lru_cache(maxsize=None)
     def minor(row: int, cols: tuple[int, ...]) -> PowerSumPoly:
@@ -219,7 +219,7 @@ def _jacobi_trudi(entries: tuple[tuple[int, ...], ...]) -> PowerSumPoly:
             return PowerSumPoly.one()
         total = PowerSumPoly.zero()
         for pos, col in enumerate(cols):
-            entry = complete_homogeneous(entries[row][col])
+            entry = complete_homogeneous(parts[row] - row + col)
             if entry.is_zero():
                 continue
             rest = minor(row + 1, cols[:pos] + cols[pos + 1 :])
@@ -230,38 +230,19 @@ def _jacobi_trudi(entries: tuple[tuple[int, ...], ...]) -> PowerSumPoly:
     return minor(0, tuple(range(size)))
 
 
-@lru_cache(maxsize=None)
-def schur_poly(lam: Partition) -> PowerSumPoly:
-    """Schur function s_lam as a polynomial in power sums, via Jacobi-Trudi.
-
-    Kept on purpose as a route independent of the character recursion: the
-    "schur" route of genfun.hypergeometric_series, cauchy_littlewood_check
-    and the MC harness are built on it, and the character-side "pochhammer"
-    route is checked against it."""
-    lam = as_partition(lam)
-    ell = lam.length()
-    entries = tuple(
-        tuple(lam.parts[i] - (i + 1) + (j + 1) for j in range(ell)) for i in range(ell)
-    )
-    return _jacobi_trudi(entries)
-
-
 class PowerAlphabet:
-    """Finite assignment of values to p_1 ... p_m_max, with a kind tag.
-
-    Kinds: explicit, p_infinity, p_of_a, p_of_qt, matrix_traces.  Operations
-    must reject alphabets truncated below the weight they are evaluated at.
+    """Finite assignment of values to p_1 ... p_m_max: explicit, one-hot
+    (p_infinity), all-equal, q/t, or the traces of a matrix's powers, which
+    carry the matrix size.  Operations must reject alphabets truncated below
+    the weight they are evaluated at.
     """
 
-    __slots__ = ("kind", "values", "m_max", "matrix_size", "params")
+    __slots__ = ("values", "m_max", "matrix_size")
 
-    def __init__(self, kind: str, values: Mapping[int, object], m_max: int,
-                 matrix_size: int | None = None, params: tuple = ()):
-        self.kind = kind
+    def __init__(self, values: Mapping[int, object], m_max: int, matrix_size: int | None = None):
         self.values = dict(values)
         self.m_max = m_max
         self.matrix_size = matrix_size
-        self.params = params
         for m in range(1, m_max + 1):
             if m not in self.values:
                 raise ValidationError(f"alphabet missing p_{m}")
@@ -270,17 +251,17 @@ class PowerAlphabet:
     def explicit(cls, values: Mapping[int, object]) -> "PowerAlphabet":
         m_max = max(values, default=0)
         filled = {m: values.get(m, 0) for m in range(1, m_max + 1)}
-        return cls("explicit", filled, m_max)
+        return cls(filled, m_max)
 
     @classmethod
     def p_infinity(cls, m_max: int) -> "PowerAlphabet":
         vals = {m: Fraction(1) if m == 1 else Fraction(0) for m in range(1, m_max + 1)}
-        return cls("p_infinity", vals, m_max)
+        return cls(vals, m_max)
 
     @classmethod
     def constant(cls, a, m_max: int) -> "PowerAlphabet":
         """The specialization with p_m = a for every m."""
-        return cls("p_of_a", {m: a for m in range(1, m_max + 1)}, m_max, params=(a,))
+        return cls({m: a for m in range(1, m_max + 1)}, m_max)
 
     @classmethod
     def qt(cls, q, t, m_max: int) -> "PowerAlphabet":
@@ -295,7 +276,7 @@ class PowerAlphabet:
             if denom == 0:
                 raise ValidationError(f"p_{m} undefined: 1 - t^{m} vanishes")
             vals[m] = (1 - q**m) / denom
-        return cls("p_of_qt", vals, m_max, params=(q, t))
+        return cls(vals, m_max)
 
     @classmethod
     def from_matrix(cls, matrix, m_max: int) -> "PowerAlphabet":
@@ -313,20 +294,20 @@ class PowerAlphabet:
                     [sum(power[i][k] * rows[k][j] for k in range(size)) for j in range(size)]
                     for i in range(size)
                 ]
-        return cls("matrix_traces", vals, m_max, matrix_size=size)
+        return cls(vals, m_max, matrix_size=size)
 
     def negated(self) -> "PowerAlphabet":
-        return PowerAlphabet("explicit", {m: -v for m, v in self.values.items()}, self.m_max)
+        return PowerAlphabet({m: -v for m, v in self.values.items()}, self.m_max)
 
     def __repr__(self) -> str:
-        return f"PowerAlphabet({self.kind}, m_max={self.m_max})"
+        return f"PowerAlphabet(m_max={self.m_max}, matrix_size={self.matrix_size})"
 
 
 def eval_schur(lam, alphabet: PowerAlphabet):
     """s_lam evaluated on an alphabet; exactly 0 for matrix alphabets with
     more rows than the matrix size."""
     lam = as_partition(lam)
-    if alphabet.kind == "matrix_traces" and lam.length() > (alphabet.matrix_size or 0):
+    if alphabet.matrix_size is not None and lam.length() > alphabet.matrix_size:
         return 0 if all(isinstance(v, (int, Fraction)) for v in alphabet.values.values()) else 0j
     if lam.weight() > alphabet.m_max:
         raise ValidationError(
@@ -377,27 +358,9 @@ def cauchy_littlewood_check(d_max: int) -> bool:
     (p*_A, p_B); equality is exact.
     """
     guard("series degree", d_max)
-    # Left side: exp of the diagonal quadratic, graded by the shared degree.
-    # (p*_m p_m / m) has bidegree (m, m), so grade by the p-degree alone.
-    left: dict[tuple[Monomial, Monomial], Fraction] = {((), ()): Fraction(1)}
-    arg = {((m,), (m,)): Fraction(1, m) for m in range(1, d_max + 1)}
-    power: dict[tuple[Monomial, Monomial], Fraction] = {((), ()): Fraction(1)}
-    k = 1
-    while True:
-        new: dict[tuple[Monomial, Monomial], Fraction] = {}
-        for (la, lb), va in power.items():
-            for (ra, rb), vb in arg.items():
-                if sum(lb) + sum(rb) > d_max:
-                    continue
-                key = (_merge(la, ra), _merge(lb, rb))
-                new[key] = new.get(key, Fraction(0)) + va * vb
-        power = {k2: v for k2, v in new.items() if v}
-        if not power:
-            break
-        for key, val in power.items():
-            left[key] = left.get(key, Fraction(0)) + val * Fraction(1, factorial(k))
-        k += 1
-    left = {k2: v for k2, v in left.items() if v}
+    # Left side: exp(sum x_m / m) with x_m = p*_m p_m, so x_Delta keys (Delta, Delta).
+    diagonal = exp_truncated(PowerSumPoly({(m,): Fraction(1, m) for m in range(1, d_max + 1)}), d_max)
+    left = {(delta, delta): c for delta, c in diagonal.coeffs.items()}
 
     right: dict[tuple[Monomial, Monomial], Fraction] = {((), ()): Fraction(1)}
     for d in range(1, d_max + 1):

@@ -1,4 +1,5 @@
 import hashlib
+import time
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -114,10 +115,10 @@ def test_class_columns_are_counted_and_cleared():
     clear_caches()
     hurwitz_value(0, 6, [(3, 2, 1), (2, 1, 1, 1, 1), (3, 2, 1)])
     stats = cache_stats()
-    assert stats["characters.class_column"] == 2 and stats["characters.dimensions"] == 1
+    assert stats["characters.class_column"] == 2 and stats["characters._dimension_table"] == 7
     clear_caches()
     stats = cache_stats()
-    assert stats["characters.class_column"] == 0 and stats["characters.dimensions"] == 0
+    assert stats["characters.class_column"] == 0 and stats["characters._dimension_table"] == 0
 
 
 def test_dimension_matches_schur_leading_term():
@@ -193,6 +194,24 @@ def test_weighted_colength_sum_is_power_series_coefficient():
             for k in range(1, d + 2):
                 want = power[k] if k < len(power) else Fraction(0)
                 assert weighted_colength_sum(lam, k, c) == want
+
+
+def test_weighted_colength_sum_is_fast_and_exact_at_large_k():
+    """At c = -1 the coefficients are those of 1 / phi, so phi times them
+    vanishes past x^0: checked to k = 60, where one call takes well under a
+    second.  Every value is a Fraction, also where each term vanishes."""
+    lam = Partition((3, 2, 1))
+    start = time.perf_counter()
+    value = weighted_colength_sum(lam, 60, -1)
+    assert time.perf_counter() - start < 1.0
+    assert type(value) is Fraction
+    phi = [Fraction(1)] + [colength_sum(lam, j) for j in range(1, lam.weight())]
+    f = [Fraction(1)] + [weighted_colength_sum(lam, k, -1) for k in range(1, 61)]
+    assert f[60] == value
+    for k in range(1, 61):
+        assert sum(p * f[k - j] for j, p in enumerate(phi[:k + 1])) == 0, k
+    for lam, k, c in (((1,), 5, 2), ((), 3, Fraction(1, 3)), ((2, 1), 4, 0)):
+        assert type(weighted_colength_sum(lam, k, c)) is Fraction
 
 
 def _square_root_counts(d):

@@ -1,6 +1,7 @@
 import hashlib
 from fractions import Fraction
-from itertools import product
+from collections import Counter
+from itertools import permutations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,6 +22,7 @@ from hurwitzkit.genfun import (
     tau_bkp_series,
     tau_tl_series,
     unbranched_cover_coefficients,
+    _glued,
     _lambda_weight,
 )
 from hurwitzkit.hurwitz import hurwitz_value, hurwitz_weighted_sum
@@ -371,6 +373,37 @@ def test_layout_words_glue_into_vertices():
     lay = proposition_layout("prop1_odd_u", 2)
     assert [alphabet for alphabet, _ in lay.factors] == [None, "p"]
     assert lay.integrand_degree == 3 and lay.poch_exponent == -2
+
+
+def _every_dagger_order(shape, n):
+    """(sigma, E, F) for Z1 C1 ... Zn Cn glued against the daggers in every
+    order sigma: on one polygon after the forward word, or on a second one."""
+    kinds = shape.split("|")
+    forward = tuple(letter for i in range(1, n + 1) for letter in ((i, 1), (i, 0)))
+    for sigma in permutations(range(1, n + 1)):
+        back = tuple((i, -1) for i in sigma)
+        words = (forward, back) if len(kinds) == 2 else (forward + back,)
+        vertices, euler, _, _ = _glued(kinds, words, n)
+        yield sigma, euler, kinds.count("TL") + len(vertices)
+
+
+def test_every_dagger_order_obeys_the_surface_bounds():
+    """The paper's claim over every order of the daggers, not only the named
+    layouts: E <= 2 and F <= n + 2; F = n + 2 only for TL|TL at E = 2; TL
+    reaches E = 2 only at plain reversal; E is odd exactly when one factor is BKP."""
+    for shape in ("TL", "TL|TL", "BKP", "BKP|TL"):
+        for n in range(1, 7):
+            top = set()
+            for sigma, euler, f in _every_dagger_order(shape, n):
+                assert euler <= 2 and f <= n + 2, (shape, sigma)
+                assert f < n + 2 or (shape == "TL|TL" and euler == 2), (shape, sigma)
+                assert (euler % 2 == 1) == ("BKP" in shape), (shape, sigma)
+                if euler == 2:
+                    top.add(sigma)
+            if shape == "TL":
+                assert top == {tuple(range(n, 0, -1))}, n
+    counts = Counter((euler, f) for _, euler, f in _every_dagger_order("TL|TL", 7))
+    assert counts == {(2, 9): 7, (0, 7): 490, (-2, 5): 3283, (-4, 3): 1260}
 
 
 def test_layout_and_series_size_guards():

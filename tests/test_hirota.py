@@ -25,6 +25,27 @@ def test_g_normalization_rejects_vanishing():
     assert g_normalization(r, 2) == 1  # only positive arguments touched
 
 
+@pytest.mark.parametrize("r", [
+    ContentFunction.one(),
+    ContentFunction.rational([Fraction(3, 2)]),
+    ContentFunction.rational([Fraction(9973, 9967)], [Fraction(1, 3)]),
+], ids=["one", "x+3/2", "four-digit"])
+def test_g_normalization_is_the_nested_product(r):
+    """g(n) against its definition written out: the product of e^{-U_i} =
+    r(1)...r(i) over 0 < i < n, and of r(0) r(-1)...r(1 - m) over
+    0 < m <= -n below zero."""
+    for n in range(-16, 17):
+        want = Fraction(1)
+        for i in range(1, n):
+            for j in range(1, i + 1):
+                want *= r(j)
+        for m in range(1, -n + 1):
+            for j in range(m):
+                want *= r(-j)
+        got = g_normalization(r, n)
+        assert got == want and type(got) is Fraction, n
+
+
 def test_tau_poly_structure():
     tau = bkp_tau_poly(ContentFunction.one(), 0, 1, 3)
     # length <= 1: single-row diagrams only

@@ -135,5 +135,4 @@ def test_euler_char_cover():
 def test_partition_json_round_trip():
     lam = Partition((3, 1, 1))
     assert lam.to_json() == [3, 1, 1]
-    assert Partition.from_json([3, 1, 1]) == lam
     assert Partition().to_json() == []
