@@ -430,9 +430,9 @@ def unbranched_cover_coefficients(d_max: int = 12) -> list[Fraction]:
 # name -> (shape, matrix kind, t rule, constant).  The shape lists the tau
 # factors, one polygon each between "|" or one polygon for both daggered
 # halves: a TL factor carries a free alphabet, a BKP factor none.  The t rule
-# fixes the dagger-reordering depth: "none" (plain reversal), "even"/"odd" (a
-# given t of that parity), "n" (t = n), "n even"/"n odd" (t = n of that
-# parity).  The constant is a fixed matrix that closes the word.
+# fixes the depth t, and so the dagger order sigma: "none" (plain reversal),
+# "even"/"odd" (a given t of that parity), "n" (t = n), "n even"/"n odd" (t =
+# n of that parity).  The constant is a fixed matrix that closes the word.
 _FAMILIES = {
     "prop1": ("TL|TL", "complex", "none", None),
     "prop2": ("TL", "complex", "none", None),
@@ -529,32 +529,33 @@ class PropositionLayout:
         return total
 
 
-def _reorder_depth(name: str, rule: str, n: int, t: int | None) -> int:
+def _dagger_order(name: str, rule: str, two_polygons: bool, n: int,
+                  t: int | None) -> tuple[int, tuple[int, ...]]:
+    """The depth t a layout's t rule fixes, and its dagger order sigma:
+    Zn^dag ... Z(t+1)^dag followed by Z1^dag ... Zt^dag on one polygon, or by
+    Z2^dag ... Zt^dag Z1^dag on a second one; t <= 1 is plain reversal."""
     if rule == "none":
-        return 0
-    if rule.startswith("n"):
+        t = 0
+    elif rule.startswith("n"):
         if rule != "n" and (n % 2 == 0) != (rule == "n even"):
             raise ValidationError(f"{name} needs {rule.split()[1]} n")
-        return n
-    if t is None:
+        t = n
+    elif t is None:
         raise ValidationError(f"layout {name} needs the t parameter")
-    if not 1 <= t <= n:
+    elif not 1 <= t <= n:
         raise ValidationError("t must be in 1..n")
-    if (t % 2 == 0) != (rule == "even"):
+    elif (t % 2 == 0) != (rule == "even"):
         raise ValidationError(f"layout {name} needs {rule} t")
-    return t
-
-
-def _words(two_polygons: bool, n: int, t: int, constant: bool) -> tuple[tuple, ...]:
-    """Z1 C1 ... Zn Cn, then the daggers Zn^dag ... Z(t+1)^dag followed by
-    Z1^dag ... Zt^dag on one polygon, or by Z2^dag ... Zt^dag Z1^dag on a
-    second one; t <= 1 is plain reversal.  The constant's letter (0, 0) closes
-    the word."""
-    forward = tuple(letter for i in range(1, n + 1) for letter in ((i, 1), (i, 0)))
     cut = max(t, 1)
-    tail = [*range(2, cut + 1), 1] if two_polygons else range(1, cut + 1)
-    back = tuple((i, -1) for i in [*range(n, cut, -1), *tail])
-    back += ((0, 0),) if constant else ()
+    tail = (*range(2, cut + 1), 1) if two_polygons else range(1, cut + 1)
+    return t, (*range(n, cut, -1), *tail)
+
+
+def _words(two_polygons: bool, sigma: Sequence[int], constant: bool) -> tuple[tuple, ...]:
+    """Z1 C1 ... Zn Cn, then the daggers in the order sigma, on the same polygon
+    or on a second one; the constant's letter (0, 0) closes the word."""
+    forward = tuple(letter for i in range(1, len(sigma) + 1) for letter in ((i, 1), (i, 0)))
+    back = tuple((i, -1) for i in sigma) + (((0, 0),) if constant else ())
     return (forward, back) if two_polygons else (forward + back,)
 
 
@@ -586,7 +587,7 @@ def _glue(words: Sequence[tuple], n: int) -> tuple[list[tuple], int]:
 def proposition_layout(name: str, n: int, t: int | None = None) -> PropositionLayout:
     """Build one of the LAYOUT_NAMES from its words and glue them.
 
-    t is the dagger-reordering depth of the complex order-changed layouts;
+    t is the depth of the dagger order of the complex order-changed layouts;
     the unitary ones use t = n.  E = (#TL factors) - n + (#vertices, the
     empty ones included), and each empty vertex is a Pochhammer factor.
     """
@@ -596,9 +597,9 @@ def proposition_layout(name: str, n: int, t: int | None = None) -> PropositionLa
     if n < 1:
         raise ValidationError("need at least one matrix")
     guard("layout matrices", n)
-    depth = _reorder_depth(name, rule, n, t)
     kinds = shape.split("|")
-    words = _words(len(kinds) == 2, n, depth, constant is not None)
+    depth, sigma = _dagger_order(name, rule, len(kinds) == 2, n, t)
+    words = _words(len(kinds) == 2, sigma, constant is not None)
     alphabets = iter(("p", "p*"))
     factors = tuple((next(alphabets) if k == "TL" else None, w) for k, w in zip(kinds, words))
 

@@ -1,18 +1,21 @@
 """Monte Carlo evaluation of the unitary/complex matrix integrals.
 
-Sampling is batched with numpy; every run is split into worker chunks whose
-random streams are counter-based (Philox keyed by (seed, worker)), so the
-estimate is bit-identical for a fixed (seed, samples, workers) on one numpy
-build, regardless of schedule.  A chunk is one (N, N, batch) array, batch
-axis last, so each matrix entry is a vector over the chunk and every kernel
-is whole-vector ufuncs: Haar unitaries are Gram-Schmidt orthonormalised
-Ginibre matrices (Mezzadri's QR with the phase fix built in); one product
-kernel serves sampled and fixed test matrices, which cyclicity of the trace
-puts on the right; tr X^m for m <= 4 comes from X and X^2.  Schur functions
-of sampled matrices come from these traces, never from eigendecompositions;
-exact predictions become complex floats only at the comparison boundary.
+Every integrand is built from words in the sampled matrices, their daggers
+and fixed test matrices, in the letters of the genfun layouts; the four lemma
+relations are words too.  One pipeline, `_word_traces`, draws for both entry
+points: a run is split into worker chunks whose random streams are
+counter-based (Philox keyed by (seed, worker)), so the estimate is
+bit-identical for a fixed (seed, samples, workers) on one numpy build.  A
+chunk is one (N, N, batch) array, batch axis last, so each matrix entry is a
+vector over the chunk and every kernel is whole-vector ufuncs: Haar unitaries
+are Gram-Schmidt orthonormalised Ginibre matrices (Mezzadri's QR with the
+phase fix built in); one product kernel multiplies a word's letters, sampled
+or fixed, left to right; tr X^m for m <= 4 comes from X and X^2.  Schur
+functions of sampled matrices come from these traces, never from
+eigendecompositions; exact predictions become complex floats only at the
+comparison boundary.
 
-`mc_schur_moment` keeps the per-draw trace table of its latest call, so
+`mc_schur_moment` keeps the per-draw trace tables of its latest call, so
 consecutive calls that differ only in the partitions draw once.  A kept table
 holds the same arrays a fresh draw computes, so results do not depend on it.
 """
@@ -30,25 +33,29 @@ from .genfun import proposition_layout
 from .partitions import Partition, as_partition, partitions_of
 from .symfunc import PowerAlphabet, eval_schur, schur_poly
 
-# relation -> (Haar unitary M, else Ginibre; paired s_lam(A M B M^dag), else
-# split s_mu(A M) s_lam(M^dag B)).  The exact side divides by s_lam(N) for
-# Haar matrices and by s_lam(p_infinity) for Ginibre ones.
+# relation -> (matrix kind, integrand words), in layout letters: (1, 1) is
+# M, (1, -1) is M^dag, (1, 0) is A and (2, 0) is B.  A paired relation
+# s_lam(A M B M^dag) is one word, rotated by cyclicity of the trace to M B
+# M^dag A; a split one s_mu(A M) s_lam(M^dag B) is the two words M A and
+# M^dag B.  The exact side divides by s_lam(N) for Haar (unitary) matrices
+# and by s_lam(p_infinity) for Ginibre (complex) ones.
+_PAIRED = (((1, 1), (2, 0), (1, -1), (1, 0)),)
+_SPLIT = (((1, 1), (1, 0)), ((1, -1), (2, 0)))
 _RELATIONS = {
-    "sAUBU-1": (True, True),
-    "sAUU-1B": (True, False),
-    "sAZBZ+": (False, True),
-    "sAZZ+B": (False, False),
+    "sAUBU-1": ("unitary", _PAIRED),
+    "sAUU-1B": ("unitary", _SPLIT),
+    "sAZBZ+": ("complex", _PAIRED),
+    "sAZZ+B": ("complex", _SPLIT),
 }
 LEMMA_RELATIONS = tuple(_RELATIONS)
 
 # Every estimate is gated at this many standard errors.
 _GATE = 5.0
 
-# The trace table of the latest mc_schur_moment call, at most one entry:
-# (relation, size, samples, seed, workers, A bytes, B bytes) -> (depth, one
-# table per chunk).  A table is {m: tr X^m for m <= depth} of X = A M B M^dag
-# for paired relations, and a (left, right) pair of them for X = A M and
-# X = M^dag B for split ones.
+# The trace tables of the latest mc_schur_moment call, at most one entry:
+# (relation, size, samples, seed, workers, A bytes, B bytes) -> (depth, per
+# chunk the list `_word_traces` yields: one table {m: tr X^m for m <= depth}
+# per word of the relation).
 _trace_slot: dict[tuple, tuple[int, list]] = {}
 
 
@@ -172,10 +179,11 @@ def _exact_schur(lam: Partition, matrix: np.ndarray) -> complex:
     return complex(eval_schur(lam, alpha))
 
 
-def _schur_norm(lam: Partition, size: int, haar: bool) -> complex:
+def _schur_norm(lam: Partition, size: int, kind: str) -> complex:
     """s_lam(N) = s_lam at p_m = N for Haar matrices, s_lam(p_infinity) for Ginibre ones."""
     m_max = max(lam.weight(), 1)
-    alpha = PowerAlphabet.constant(Fraction(size), m_max) if haar else PowerAlphabet.p_infinity(m_max)
+    alpha = (PowerAlphabet.constant(Fraction(size), m_max) if kind == "unitary"
+             else PowerAlphabet.p_infinity(m_max))
     return complex(eval_schur(lam, alpha))
 
 
@@ -201,21 +209,27 @@ def _as_test_matrix(matrix, size: int) -> np.ndarray:
     return out
 
 
-def _trace_tables(haar: bool, paired: bool, size: int, samples: int, seed: int,
-                  workers: int, a: np.ndarray, b: np.ndarray, depth: int) -> list:
-    sample = _haar_batch if haar else _ginibre_batch
-    tables = []
-    for worker, chunk in enumerate(_chunks(samples, workers)):
-        mats = sample(_worker_rng(seed, worker), chunk, size)
-        dag = mats.conj().swapaxes(0, 1)
-        # Cyclicity puts every fixed factor on the right: tr(A M B M^dag)^m =
-        # tr(M B M^dag A)^m and tr(A M)^m = tr(M A)^m.
-        if paired:
-            tables.append(_batched_traces(_mul(_mul(mats, b), _mul(dag, a)), depth))
+def _word_product(word, mats: Sequence[np.ndarray], cs: Sequence[np.ndarray]) -> np.ndarray:
+    """The batch of products a layout word spells, evaluated left to right."""
+    out = None
+    for i, power in word:
+        if power == 0:
+            out = _mul(out, cs[i - 1])
         else:
-            tables.append((_batched_traces(_mul(mats, a), depth),
-                           _batched_traces(_mul(dag, b), depth)))
-    return tables
+            z = mats[i - 1] if power > 0 else mats[i - 1].conj().swapaxes(0, 1)
+            out = z if out is None else _mul(out, z)
+    return out
+
+
+def _word_traces(kind: str, words: Sequence[tuple], cs: Sequence[np.ndarray], n: int,
+                 size: int, samples: int, seed: int, workers: int, depth: int):
+    """Per chunk, the trace tables {m: tr X^m for m <= depth} of the products
+    X the words spell, on n matrices of the kind drawn from the chunk's stream."""
+    sample = _haar_batch if kind == "unitary" else _ginibre_batch
+    for worker, chunk in enumerate(_chunks(samples, workers)):
+        rng = _worker_rng(seed, worker)
+        mats = [sample(rng, chunk, size) for _ in range(n)]
+        yield [_batched_traces(_word_product(word, mats, cs), depth) for word in words]
 
 
 def mc_schur_moment(
@@ -232,12 +246,12 @@ def mc_schur_moment(
     """Estimate one of the four single/paired Schur averages and compare with
     its exact value at 5 standard errors.
 
-    The draws' trace table is kept until the next call of either entry point;
+    The draws' trace tables are kept until the next call of either entry point;
     a call with the same (relation, size, samples, seed, workers, A, B) reuses
     it and draws nothing."""
     if relation not in _RELATIONS:
         raise ValidationError(f"relation must be one of {LEMMA_RELATIONS}")
-    haar, paired = _RELATIONS[relation]
+    kind, words = _RELATIONS[relation]
     _check_stream(seed, workers)
     lam = as_partition(lam)
     mu = as_partition(mu) if mu is not None else lam
@@ -248,7 +262,7 @@ def mc_schur_moment(
         raise ValidationError("size must be >= 1")
     guard("mc moment size", size)
     guard("mc samples", samples)
-    if paired and mu != lam:
+    if len(words) == 1 and mu != lam:
         raise ValidationError(f"{relation} takes one partition: mu must equal lambda")
     a = default_test_matrix(size, 0) if a_matrix is None else _as_test_matrix(a_matrix, size)
     b = default_test_matrix(size, 1) if b_matrix is None else _as_test_matrix(b_matrix, size)
@@ -262,13 +276,12 @@ def mc_schur_moment(
     if kept is None or kept[0] < m_max:
         _trace_slot.clear()
         depth = 1 if m_max == 1 else LIMITS["mc weight"].most
-        kept = (depth, _trace_tables(haar, paired, size, samples, seed, workers, a, b, depth))
+        kept = (depth, list(_word_traces(kind, words, (a, b), 1, size, samples, seed,
+                                         workers, depth)))
         _trace_slot[key] = kept
-    if paired:
-        values = [schur_poly(lam).evaluate(table) for table in kept[1]]
-    else:
-        values = [schur_poly(mu).evaluate(left) * schur_poly(lam).evaluate(right)
-                  for left, right in kept[1]]
+    parts = (lam,) if len(words) == 1 else (mu, lam)
+    values = [prod(schur_poly(part).evaluate(table) for part, table in zip(parts, tables))
+              for tables in kept[1]]
 
     estimate = _accumulate(values, samples, seed)
 
@@ -276,10 +289,10 @@ def mc_schur_moment(
     # those relations degenerate to 0 = 0.
     if lam.length() > size or mu.length() > size:
         exact = 0j
-    elif paired:
-        exact = _exact_schur(lam, a) * _exact_schur(lam, b) / _schur_norm(lam, size, haar)
+    elif len(words) == 1:
+        exact = _exact_schur(lam, a) * _exact_schur(lam, b) / _schur_norm(lam, size, kind)
     else:
-        exact = _exact_schur(lam, a @ b) / _schur_norm(lam, size, haar) if mu == lam else 0j
+        exact = _exact_schur(lam, a @ b) / _schur_norm(lam, size, kind) if mu == lam else 0j
 
     return _compare(estimate, exact)
 
@@ -296,18 +309,6 @@ def _tau_truncated(alphabet: PowerAlphabet | None, d_max: int,
             if coeff:
                 total = total + coeff * schur_poly(lam).evaluate(traces)
     return total
-
-
-def _word_product(word, mats: Sequence[np.ndarray], cs: Sequence[np.ndarray]) -> np.ndarray:
-    """The batch of products a layout word spells, evaluated left to right."""
-    out = None
-    for i, power in word:
-        if power == 0:
-            out = _mul(out, cs[i - 1])
-        else:
-            z = mats[i - 1] if power > 0 else mats[i - 1].conj().swapaxes(0, 1)
-            out = z if out is None else _mul(out, z)
-    return out
 
 
 def mc_proposition_check(
@@ -360,15 +361,11 @@ def mc_proposition_check(
     exact = complex(layout.value(size, degree, slot_alphabets))
 
     _trace_slot.clear()
-    sample = _haar_batch if layout.matrix_kind == "unitary" else _ginibre_batch
-    values = []
-    for worker, chunk in enumerate(_chunks(samples, workers)):
-        rng = _worker_rng(seed, worker)
-        ms = [sample(rng, chunk, size) for _ in range(n)]
-        values.append(prod(
-            _tau_truncated(alphabets[name], degree,
-                           _batched_traces(_word_product(word, ms, cs), degree))
-            for name, word in layout.factors))
+    names, words = zip(*layout.factors)
+    values = [prod(_tau_truncated(alphabets[name], degree, table)
+                   for name, table in zip(names, tables))
+              for tables in _word_traces(layout.matrix_kind, words, cs, n, size, samples,
+                                         seed, workers, degree)]
 
     estimate = _accumulate(values, samples, seed)
     return _compare(estimate, exact)

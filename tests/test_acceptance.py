@@ -8,8 +8,6 @@ import time
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
-import pytest
-
 from hurwitzkit.characters import (
     character_class_sum,
     character_table,

@@ -1,7 +1,7 @@
 import hashlib
 from fractions import Fraction
 from collections import Counter
-from itertools import permutations, product
+from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,6 +24,7 @@ from hurwitzkit.genfun import (
     unbranched_cover_coefficients,
     _glued,
     _lambda_weight,
+    _words,
 )
 from hurwitzkit.hurwitz import hurwitz_value, hurwitz_weighted_sum
 from hurwitzkit.partitions import Partition, partitions_of
@@ -379,11 +380,8 @@ def _every_dagger_order(shape, n):
     """(sigma, E, F) for Z1 C1 ... Zn Cn glued against the daggers in every
     order sigma: on one polygon after the forward word, or on a second one."""
     kinds = shape.split("|")
-    forward = tuple(letter for i in range(1, n + 1) for letter in ((i, 1), (i, 0)))
     for sigma in permutations(range(1, n + 1)):
-        back = tuple((i, -1) for i in sigma)
-        words = (forward, back) if len(kinds) == 2 else (forward + back,)
-        vertices, euler, _, _ = _glued(kinds, words, n)
+        vertices, euler, _, _ = _glued(kinds, _words(len(kinds) == 2, sigma, False), n)
         yield sigma, euler, kinds.count("TL") + len(vertices)
 
 

@@ -5,7 +5,6 @@ import pytest
 from hurwitzkit import GuardError, ValidationError
 from hurwitzkit.genfun import ContentFunction
 from hurwitzkit.hirota import bkp_tau_poly, g_normalization, hirota_bilinear_check
-from hurwitzkit.symfunc import PowerSumPoly
 
 
 def test_g_normalization_convention():

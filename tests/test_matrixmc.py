@@ -17,9 +17,10 @@ from hurwitzkit.matrixmc import (
     _ginibre_batch,
     _haar_batch,
     _trace_slot,
-    _trace_tables,
+    _word_traces,
     _worker_rng,
 )
+from hurwitzkit.genfun import proposition_layout
 from hurwitzkit.partitions import partitions_of
 
 SEED = 20240818
@@ -104,20 +105,47 @@ def test_batched_traces_stop_at_the_weight_guard():
         _batched_traces(x, 5)
 
 
+def _random_matrices(rng, count, size=3):
+    return [rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+            for _ in range(count)]
+
+
 @pytest.mark.parametrize("relation", LEMMA_RELATIONS)
 def test_trace_tables_match_the_direct_products(relation):
-    haar, paired = _RELATIONS[relation]
-    rng = np.random.default_rng(SEED)
-    a, b = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2))
-    [table] = _trace_tables(haar, paired, 3, 500, SEED, 1, a, b, _MAX_WEIGHT)
-    sample = _haar_batch if haar else _ginibre_batch
+    kind, words = _RELATIONS[relation]
+    a, b = _random_matrices(np.random.default_rng(SEED), 2)
+    [tables] = _word_traces(kind, words, (a, b), 1, 3, 500, SEED, 1, _MAX_WEIGHT)
+    sample = _haar_batch if kind == "unitary" else _ginibre_batch
     mats = np.moveaxis(sample(_worker_rng(SEED, 0), 500, 3), -1, 0)
     dag = mats.conj().swapaxes(-2, -1)
-    if paired:
+    if len(words) == 1:
+        [table] = tables
         _assert_traces_close(table, _power_traces(a @ mats @ b @ dag, _MAX_WEIGHT))
     else:
-        _assert_traces_close(table[0], _power_traces(a @ mats, _MAX_WEIGHT))
-        _assert_traces_close(table[1], _power_traces(dag @ b, _MAX_WEIGHT))
+        _assert_traces_close(tables[0], _power_traces(a @ mats, _MAX_WEIGHT))
+        _assert_traces_close(tables[1], _power_traces(dag @ b, _MAX_WEIGHT))
+
+
+@pytest.mark.parametrize("name,n,t", [("int4", 3, 3), ("prop3_u", 3, None), ("odd3", 2, 2)])
+def test_layout_words_match_products_in_word_order(name, n, t):
+    """Each word's product, letter by letter in word order, against
+    multi_dot and matrix powers, with C matrices that do not commute: the
+    default diagonal ones cannot tell a word from its letters reordered."""
+    layout = proposition_layout(name, n, t)
+    cs = _random_matrices(np.random.default_rng(SEED + n), n)
+    words = [word for _, word in layout.factors]
+    sample = _haar_batch if layout.matrix_kind == "unitary" else _ginibre_batch
+    chunks = _word_traces(layout.matrix_kind, words, cs, n, 3, 300, SEED, 2, _MAX_WEIGHT)
+    for worker, tables in enumerate(chunks):
+        rng = _worker_rng(SEED, worker)
+        draws = [np.moveaxis(sample(rng, 150, 3), -1, 0) for _ in range(n)]
+        for word, table in zip(words, tables):
+            letters = [cs[i - 1] if power == 0 else
+                       draws[i - 1] if power > 0 else draws[i - 1].conj().swapaxes(-2, -1)
+                       for i, power in word]
+            products = np.array([np.linalg.multi_dot([x if x.ndim == 2 else x[k] for x in letters])
+                                 for k in range(150)])
+            _assert_traces_close(table, _power_traces(products, _MAX_WEIGHT))
 
 
 def test_haar_first_moments():
@@ -291,7 +319,6 @@ def test_stderr_of_a_constant_integrand_is_rounding_free():
 def test_proposition_wick_degree_one():
     """E tr(Z C Z^dag) = N tr C: the degree-one coefficient of the one-matrix
     single-tau layout."""
-    from hurwitzkit.genfun import proposition_layout
     from hurwitzkit.symfunc import PowerAlphabet
 
     size = 3
@@ -377,7 +404,8 @@ def test_proposition_check_empties_the_slot():
 
 
 def test_cache_stats_and_clear_caches():
-    hurwitzkit.hurwitz_value(1, 5)
+    # A profile other than the identity reaches the character recursion.
+    hurwitzkit.hurwitz_value(1, 5, [(2, 1, 1, 1)])
     mc_schur_moment("sAZBZ+", (1,), 2, samples=10_000, seed=SEED)
     stats = hurwitzkit.cache_stats()
     assert stats["matrixmc.trace_slot"] == 1
