@@ -68,6 +68,7 @@ from .genfun import (
     ProfileSeries,
     PropositionLayout,
     SeriesKey,
+    build_layout,
     fold_alphabet,
     hyp_tau_series,
     hypergeometric_series,

@@ -1,7 +1,8 @@
 """Batch command-line front end; machine-readable output only.
 
-Exit codes: 0 success, 2 validation error / bad flags, 3 guard violation,
-4 Monte Carlo gate failure.  Rationals are always printed as "num/den"
+Exit codes: 0 success, 1 an exact check failed (`hirota` when an equation
+fails, `selftest` when an exact check fails), 2 validation error / bad flags,
+3 guard violation, 4 Monte Carlo gate failure.  Rationals are always printed as "num/den"
 strings so golden files stay diff-stable.
 """
 from __future__ import annotations

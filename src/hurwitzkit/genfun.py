@@ -458,7 +458,6 @@ _FAMILIES = {
 LAYOUT_NAMES = tuple(_FAMILIES)
 
 
-
 @dataclass(frozen=True)
 class PropositionLayout:
     """One matrix-integral layout: its tau factors' words and what gluing them
@@ -514,26 +513,32 @@ class PropositionLayout:
 
     def value(self, N: int, d_max: int, alphabets: Sequence[PowerAlphabet]):
         """series(N, d_max).evaluate(alphabets) without the profile expansion:
-        1 + the sum over |lam| <= d_max, len(lam) <= N of the weight of lam
-        times s_lam at each slot's alphabet."""
+        1 + the sum of `term` over |lam| <= d_max."""
         _check_sizes(d_max, N)
         if len(alphabets) != len(self.slots):
             raise ValidationError("alphabet count mismatch")
-        total = Fraction(1)
-        for d in range(1, d_max + 1):
-            for lam in partitions_of(d):
-                if lam.length() <= N:
-                    weight = _lambda_weight(lam, self.euler, len(alphabets), self._params(N),
-                                            "schur", d_max)[0]
-                    total += prod((eval_schur(lam, a) for a in alphabets), start=weight)
-        return total
+        return sum((self.term(lam, N, alphabets) for d in range(1, d_max + 1)
+                    for lam in partitions_of(d)), start=Fraction(1))
+
+    def term(self, lam: Partition, N: int, alphabets: Sequence[PowerAlphabet]):
+        """The weight of lam times s_lam at each slot's alphabet; 0 when lam
+        has more than N rows."""
+        if lam.length() > N:
+            return 0
+        weight = _lambda_weight(lam, self.euler, len(alphabets), self._params(N), "schur",
+                                lam.weight())[0]
+        return prod((eval_schur(lam, a) for a in alphabets), start=weight)
 
 
 def _dagger_order(name: str, rule: str, two_polygons: bool, n: int,
                   t: int | None) -> tuple[int, tuple[int, ...]]:
     """The depth t a layout's t rule fixes, and its dagger order sigma:
     Zn^dag ... Z(t+1)^dag followed by Z1^dag ... Zt^dag on one polygon, or by
-    Z2^dag ... Zt^dag Z1^dag on a second one; t <= 1 is plain reversal."""
+    Z2^dag ... Zt^dag Z1^dag on a second one; t <= 1 is plain reversal.  n is
+    checked first, so a guarded n builds no order."""
+    if n < 1:
+        raise ValidationError("need at least one matrix")
+    guard("layout matrices", n)
     if rule == "none":
         t = 0
     elif rule.startswith("n"):
@@ -584,36 +589,41 @@ def _glue(words: Sequence[tuple], n: int) -> tuple[list[tuple], int]:
     return words, merges
 
 
-def proposition_layout(name: str, n: int, t: int | None = None) -> PropositionLayout:
-    """Build one of the LAYOUT_NAMES from its words and glue them.
-
-    t is the depth of the dagger order of the complex order-changed layouts;
-    the unitary ones use t = n.  E = (#TL factors) - n + (#vertices, the
-    empty ones included), and each empty vertex is a Pochhammer factor.
-    """
-    if name not in _FAMILIES:
-        raise ValidationError(f"unknown layout {name!r}")
-    shape, kind, rule, constant = _FAMILIES[name]
-    if n < 1:
-        raise ValidationError("need at least one matrix")
+def build_layout(shape: str, kind: str, sigma: Sequence[int], constant: str | None = None,
+                 name: str | None = None, t: int = 0) -> PropositionLayout:
+    """The layout of one or two tau factors ("TL" or "BKP" each, "|" between
+    two polygons) over n = len(sigma) matrices of the kind ("complex" or
+    "unitary"): Z1 C1 ... Zn Cn against the daggers in the order sigma, closed
+    by the constant if one is named, glued by the two lemma moves.  The
+    vertices are the non-empty words left, each written from its smallest
+    index; E = (#TL factors) - n + (#vertices, the empty ones included); each
+    empty vertex is a Pochhammer factor, and each unitary matrix one to the
+    power -1.  name and t only label the layout."""
+    kinds, n = shape.split("|"), len(sigma)
+    if len(kinds) > 2 or not set(kinds) <= {"TL", "BKP"} or kind not in ("complex", "unitary"):
+        raise ValidationError(f"unknown shape {shape!r} or matrix kind {kind!r}")
+    if n < 1 or {type(i) for i in sigma} != {int} or sorted(sigma) != list(range(1, n + 1)):
+        raise ValidationError(f"sigma must order 1..n for some n >= 1, got {tuple(sigma)}")
     guard("layout matrices", n)
-    kinds = shape.split("|")
-    depth, sigma = _dagger_order(name, rule, len(kinds) == 2, n, t)
     words = _words(len(kinds) == 2, sigma, constant is not None)
     alphabets = iter(("p", "p*"))
     factors = tuple((next(alphabets) if k == "TL" else None, w) for k, w in zip(kinds, words))
-
-    vertices, euler, empty, merges = _glued(kinds, words, n)
-    poch = empty - (n if kind == "unitary" else 0)
-    return PropositionLayout(name, kind, n, depth, factors, constant, vertices, euler, poch, merges)
-
-
-def _glued(kinds: Sequence[str], words: Sequence[tuple], n: int) -> tuple[tuple, int, int, int]:
-    """Glue the words of tau factors of these kinds: the non-empty vertices,
-    each written from its smallest index and sorted; E = (#TL factors) - n +
-    (#vertices, the empty ones included); the number of empty vertices; and
-    the number of merging moves."""
     left, merges = _glue(words, n)
     indices = [[i for i, _ in word] for word in left]
-    vertices = sorted(tuple(v[v.index(min(v)):] + v[:v.index(min(v))]) for v in indices if v)
-    return tuple(vertices), kinds.count("TL") - n + len(left), len(left) - len(vertices), merges
+    vertices = tuple(sorted(tuple(v[v.index(min(v)):] + v[:v.index(min(v))])
+                            for v in indices if v))
+    empty = len(left) - len(vertices)
+    return PropositionLayout(name or shape, kind, n, t, factors, constant, vertices,
+                             kinds.count("TL") - n + len(left),
+                             empty - (n if kind == "unitary" else 0), merges)
+
+
+def proposition_layout(name: str, n: int, t: int | None = None) -> PropositionLayout:
+    """One of the LAYOUT_NAMES: the `build_layout` of its family-table row, with
+    the dagger order its t rule fixes.  t is the depth of that order for the
+    complex order-changed layouts; the unitary ones use t = n."""
+    if name not in _FAMILIES:
+        raise ValidationError(f"unknown layout {name!r}")
+    shape, kind, rule, constant = _FAMILIES[name]
+    depth, sigma = _dagger_order(name, rule, "|" in shape, n, t)
+    return build_layout(shape, kind, sigma, constant, name, depth)

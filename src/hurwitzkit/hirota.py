@@ -56,6 +56,8 @@ def hirota_bilinear_check(r: ContentFunction, cutoff: int, d_max: int,
     """Both elementary bilinear equations hold identically in p to total degree d_max.
     Scaled by 2 and by the lcm of the denominators of an offset's seven taus,
     they are checked in integers: a nonzero scale does not change a zero test."""
+    if d_max < 0:
+        raise ValidationError(f"d_max must be >= 0, got {d_max}")
     guard("bilinear check", d_max)
     guard("bilinear offset", max((abs(n) for n in n_values), default=0))
     if cutoff < 1:

@@ -1,19 +1,19 @@
 """Monte Carlo evaluation of the unitary/complex matrix integrals.
 
 Every integrand is built from words in the sampled matrices, their daggers
-and fixed test matrices, in the letters of the genfun layouts; the four lemma
-relations are words too.  One pipeline, `_word_traces`, draws for both entry
-points: a run is split into worker chunks whose random streams are
-counter-based (Philox keyed by (seed, worker)), so the estimate is
-bit-identical for a fixed (seed, samples, workers) on one numpy build.  A
-chunk is one (N, N, batch) array, batch axis last, so each matrix entry is a
-vector over the chunk and every kernel is whole-vector ufuncs: Haar unitaries
-are Gram-Schmidt orthonormalised Ginibre matrices (Mezzadri's QR with the
-phase fix built in); one product kernel multiplies a word's letters, sampled
-or fixed, left to right; tr X^m for m <= 4 comes from X and X^2.  Schur
-functions of sampled matrices come from these traces, never from
-eigendecompositions; exact predictions become complex floats only at the
-comparison boundary.
+and fixed test matrices, in the letters of the genfun layouts, the four lemma
+relations included: they are the layouts of one matrix.  One pipeline,
+`_word_traces`, draws for both entry points: a run is split into worker
+chunks whose random streams are counter-based (Philox keyed by (seed,
+worker)), so the estimate is bit-identical for a fixed (seed, samples,
+workers) on one numpy build.  A chunk is one (N, N, batch) array, batch axis
+last, so each matrix entry is a vector over the chunk and every kernel is
+whole-vector ufuncs: Haar unitaries are Gram-Schmidt orthonormalised Ginibre
+matrices (Mezzadri's QR with the phase fix built in); one product kernel
+multiplies a word's letters, sampled or fixed, left to right; tr X^m for
+m <= 4 comes from X and X^2.  Schur functions of sampled matrices come from
+these traces, never from eigendecompositions; exact predictions become
+complex floats only at the comparison boundary.
 
 `mc_schur_moment` keeps the per-draw trace tables of its latest call, so
 consecutive calls that differ only in the partitions draw once.  A kept table
@@ -23,29 +23,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import prod, sqrt
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from ._errors import LIMITS, ValidationError, guard
-from .genfun import proposition_layout
-from .partitions import Partition, as_partition, partitions_of
+from .genfun import build_layout, proposition_layout
+from .partitions import as_partition, partitions_of
 from .symfunc import PowerAlphabet, eval_schur, schur_poly
 
-# relation -> (matrix kind, integrand words), in layout letters: (1, 1) is
-# M, (1, -1) is M^dag, (1, 0) is A and (2, 0) is B.  A paired relation
-# s_lam(A M B M^dag) is one word, rotated by cyclicity of the trace to M B
-# M^dag A; a split one s_mu(A M) s_lam(M^dag B) is the two words M A and
-# M^dag B.  The exact side divides by s_lam(N) for Haar (unitary) matrices
-# and by s_lam(p_infinity) for Ginibre (complex) ones.
-_PAIRED = (((1, 1), (2, 0), (1, -1), (1, 0)),)
-_SPLIT = (((1, 1), (1, 0)), ((1, -1), (2, 0)))
+# The lemma relations are the layouts of one matrix M = Z1 with a constant
+# C0.  A paired relation s_lam(A M B M^dag) is the BKP word Z1 C1 Z1^dag C0
+# (C1 = B, C0 = A, by cyclicity of the trace), glued into the vertices C0 and
+# C1; a split one s_mu(A M) s_lam(M^dag B) is the BKP|BKP words Z1 C1 and
+# Z1^dag C0 (C1 = A, C0 = B), glued into the one vertex C0 C1.
 _RELATIONS = {
-    "sAUBU-1": ("unitary", _PAIRED),
-    "sAUU-1B": ("unitary", _SPLIT),
-    "sAZBZ+": ("complex", _PAIRED),
-    "sAZZ+B": ("complex", _SPLIT),
+    relation: build_layout(shape, kind, (1,), "C0", relation)
+    for relation, shape, kind in (("sAUBU-1", "BKP", "unitary"), ("sAUU-1B", "BKP|BKP", "unitary"),
+                                  ("sAZBZ+", "BKP", "complex"), ("sAZZ+B", "BKP|BKP", "complex"))
 }
 LEMMA_RELATIONS = tuple(_RELATIONS)
 
@@ -174,19 +171,6 @@ def default_test_matrix(size: int, which: int = 0) -> np.ndarray:
     return np.diag(diag).astype(complex)
 
 
-def _exact_schur(lam: Partition, matrix: np.ndarray) -> complex:
-    alpha = PowerAlphabet.from_matrix([list(row) for row in matrix], max(lam.weight(), 1))
-    return complex(eval_schur(lam, alpha))
-
-
-def _schur_norm(lam: Partition, size: int, kind: str) -> complex:
-    """s_lam(N) = s_lam at p_m = N for Haar matrices, s_lam(p_infinity) for Ginibre ones."""
-    m_max = max(lam.weight(), 1)
-    alpha = (PowerAlphabet.constant(Fraction(size), m_max) if kind == "unitary"
-             else PowerAlphabet.p_infinity(m_max))
-    return complex(eval_schur(lam, alpha))
-
-
 def _check_stream(seed: int, workers: int) -> None:
     if workers < 1:
         raise ValidationError("workers must be >= 1")
@@ -207,6 +191,14 @@ def _as_test_matrix(matrix, size: int) -> np.ndarray:
     if not np.isfinite(out).all():
         raise ValidationError("test matrices must have finite entries")
     return out
+
+
+def _vertex_alphabets(vertices, cs: Sequence[np.ndarray], depth: int) -> list[PowerAlphabet]:
+    """The trace alphabet, to p_depth, of each vertex's product of C matrices;
+    cs[i - 1] is C_i, so the constant C0 is cs[-1]."""
+    return [PowerAlphabet.from_matrix(reduce(np.matmul, (cs[i - 1] for i in vertex),
+                                             np.eye(len(cs[0]), dtype=complex)), depth)
+            for vertex in vertices]
 
 
 def _word_product(word, mats: Sequence[np.ndarray], cs: Sequence[np.ndarray]) -> np.ndarray:
@@ -244,14 +236,16 @@ def mc_schur_moment(
     workers: int = 4,
 ) -> MCComparison:
     """Estimate one of the four single/paired Schur averages and compare with
-    its exact value at 5 standard errors.
+    the exact term of lam in the relation's layout (0 when mu != lam), at 5
+    standard errors.
 
     The draws' trace tables are kept until the next call of either entry point;
     a call with the same (relation, size, samples, seed, workers, A, B) reuses
     it and draws nothing."""
     if relation not in _RELATIONS:
         raise ValidationError(f"relation must be one of {LEMMA_RELATIONS}")
-    kind, words = _RELATIONS[relation]
+    layout = _RELATIONS[relation]
+    words = [word for _, word in layout.factors]
     _check_stream(seed, workers)
     lam = as_partition(lam)
     mu = as_partition(mu) if mu is not None else lam
@@ -266,6 +260,7 @@ def mc_schur_moment(
         raise ValidationError(f"{relation} takes one partition: mu must equal lambda")
     a = default_test_matrix(size, 0) if a_matrix is None else _as_test_matrix(a_matrix, size)
     b = default_test_matrix(size, 1) if b_matrix is None else _as_test_matrix(b_matrix, size)
+    cs = (b, a) if len(words) == 1 else (a, b)  # C1, then the constant C0
 
     # Weight-1 calls build p_1 alone, so a single such call does no extra
     # work; any deeper need builds p_1..p_4 once, enough for every partition
@@ -276,25 +271,17 @@ def mc_schur_moment(
     if kept is None or kept[0] < m_max:
         _trace_slot.clear()
         depth = 1 if m_max == 1 else LIMITS["mc weight"].most
-        kept = (depth, list(_word_traces(kind, words, (a, b), 1, size, samples, seed,
-                                         workers, depth)))
+        kept = (depth, list(_word_traces(layout.matrix_kind, words, cs, 1, size, samples,
+                                         seed, workers, depth)))
         _trace_slot[key] = kept
     parts = (lam,) if len(words) == 1 else (mu, lam)
     values = [prod(schur_poly(part).evaluate(table) for part, table in zip(parts, tables))
               for tables in kept[1]]
 
     estimate = _accumulate(values, samples, seed)
-
-    # Schur functions of N x N matrices vanish identically beyond N rows, so
-    # those relations degenerate to 0 = 0.
-    if lam.length() > size or mu.length() > size:
-        exact = 0j
-    elif len(words) == 1:
-        exact = _exact_schur(lam, a) * _exact_schur(lam, b) / _schur_norm(lam, size, kind)
-    else:
-        exact = _exact_schur(lam, a @ b) / _schur_norm(lam, size, kind) if mu == lam else 0j
-
-    return _compare(estimate, exact)
+    exact = (layout.term(lam, size, _vertex_alphabets(layout.vertices, cs, lam.weight()))
+             if mu == lam else 0j)
+    return _compare(estimate, complex(exact))
 
 
 def _tau_truncated(alphabet: PowerAlphabet | None, d_max: int,
@@ -325,10 +312,10 @@ def mc_proposition_check(
     """MC average of the degree-truncated integrand of a layout, built from its
     words, against the exact truncated character sum from the same layout, at
     5 standard errors.  The free alphabets are p = (1/2, 1/3) and
-    p* = (1/3, 1/4) in p_1, p_2, and 0 beyond."""
+    p* = (1/3, 1/4) in p_1, p_2, and 0 beyond.  c_matrices are C1 ... Cn, then
+    the constant's matrix if the layout has one (by default
+    default_test_matrix(size, i) for C_(i+1), and (size, n) for the constant)."""
     layout = proposition_layout(layout_name, n, t)
-    if layout.constant is not None:
-        raise ValidationError(f"{layout_name} has no test matrix for {layout.constant}")
     _check_stream(seed, workers)
     if size < 1:
         raise ValidationError("size must be >= 1")
@@ -338,13 +325,12 @@ def mc_proposition_check(
     guard("mc proposition degree", degree)
     guard("mc samples", samples)
 
-    cs = (
-        [_as_test_matrix(c, size) for c in c_matrices]
-        if c_matrices is not None
-        else [default_test_matrix(size, i) for i in range(n)]
-    )
-    if len(cs) != n:
-        raise ValidationError("need one C matrix per sampled matrix")
+    count = n + (layout.constant is not None)
+    cs = ([default_test_matrix(size, i) for i in range(count)] if c_matrices is None
+          else [_as_test_matrix(c, size) for c in c_matrices])
+    if len(cs) != count:
+        raise ValidationError(f"{layout_name} takes {count} C matrices: C1 ... Cn, then"
+                              " its constant's if it has one")
     alphabets = {None: None}  # a BKP factor has no free alphabet
     for name, values in (("p", (Fraction(1, 2), Fraction(1, 3))),
                          ("p*", (Fraction(1, 3), Fraction(1, 4)))):
@@ -352,12 +338,8 @@ def mc_proposition_check(
             {m: values[m - 1] if m <= 2 else Fraction(0) for m in range(1, degree + 1)})
 
     # Exact side: the layout's value on the slot alphabets.
-    slot_alphabets = [alphabets[name] for name, _ in layout.factors if name]
-    for vertex in layout.vertices:
-        mat = np.eye(size, dtype=complex)
-        for i in vertex:
-            mat = mat @ cs[i - 1]
-        slot_alphabets.append(PowerAlphabet.from_matrix([list(r) for r in mat], degree))
+    slot_alphabets = ([alphabets[name] for name, _ in layout.factors if name]
+                      + _vertex_alphabets(layout.vertices, cs, degree))
     exact = complex(layout.value(size, degree, slot_alphabets))
 
     _trace_slot.clear()

@@ -357,6 +357,8 @@ def cauchy_littlewood_check(d_max: int) -> bool:
     Both sides are expanded in the ring spanned by monomial pairs
     (p*_A, p_B); equality is exact.
     """
+    if d_max < 0:
+        raise ValidationError(f"d_max must be >= 0, got {d_max}")
     guard("series degree", d_max)
     # Left side: exp(sum x_m / m) with x_m = p*_m p_m, so x_Delta keys (Delta, Delta).
     diagonal = exp_truncated(PowerSumPoly({(m,): Fraction(1, m) for m in range(1, d_max + 1)}), d_max)

@@ -154,6 +154,9 @@ def test_mc_proposition_takes_every_layout_and_t(capsys):
         "--samples", "10000",
     )
     assert code == 0 and json.loads(out)["pass"] is True
+    code, out, _ = run_cli(capsys, "mc", "--proposition", "chekhov", "--n", "2", "--N", "3",
+                           "--samples", "10000")
+    assert code == 0 and json.loads(out)["pass"] is True
 
 
 @pytest.mark.parametrize(
@@ -192,6 +195,8 @@ def test_selftest_quick(capsys):
         ({}, ["mc", "--proposition", "prop1", "--N", "0"]),
         ({}, ["mc", "--relation", "sAUBU-1", "--N", "0"]),
         ({}, ["oracle", "--surface", "torus", "--degree", "0"]),
+        ({}, ["hirota", "--dmax", "-1"]),
+        ({}, ["hirota", "--dmax", "-2"]),
         ({}, ["mc", "--relation", "sAUBU-1", "--lambda", "2", "--mu", "1,1", "--N", "2",
               "--samples", "10000"]),
     ],

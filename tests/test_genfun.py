@@ -2,6 +2,7 @@ import hashlib
 from fractions import Fraction
 from collections import Counter
 from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,6 +15,7 @@ from hurwitzkit.genfun import (
     PochhammerParam,
     ProfileSeries,
     SeriesKey,
+    build_layout,
     fold_alphabet,
     hyp_tau_series,
     hypergeometric_series,
@@ -22,11 +24,10 @@ from hurwitzkit.genfun import (
     tau_bkp_series,
     tau_tl_series,
     unbranched_cover_coefficients,
-    _glued,
     _lambda_weight,
-    _words,
 )
 from hurwitzkit.hurwitz import hurwitz_value, hurwitz_weighted_sum
+from hurwitzkit.matrixmc import _RELATIONS
 from hurwitzkit.partitions import Partition, partitions_of
 from hurwitzkit.symfunc import PowerAlphabet, pochhammer_lambda, schur_poly
 
@@ -357,7 +358,9 @@ def test_layout_words_glue_into_vertices():
     """The words of a layout and what gluing them leaves: int4 at t = 3 sends
     Z2^dag Z3^dag Z1^dag to the second polygon and glues C1 C3 C2 into one
     vertex; prop2 leaves an empty vertex, a Pochhammer factor; chekhov's
-    constant closes its word and stays a vertex of its own."""
+    constant closes its word and stays a vertex of its own.  The lemma
+    relations are layouts of one matrix with the constant C0: a paired one
+    keeps C0 and C1 apart, a split one joins them."""
     lay = proposition_layout("int4", 3, t=3)
     assert lay.factors == (
         ("p", ((1, 1), (1, 0), (2, 1), (2, 0), (3, 1), (3, 0))),
@@ -374,15 +377,109 @@ def test_layout_words_glue_into_vertices():
     lay = proposition_layout("prop1_odd_u", 2)
     assert [alphabet for alphabet, _ in lay.factors] == [None, "p"]
     assert lay.integrand_degree == 3 and lay.poch_exponent == -2
+    for relation, lay in _RELATIONS.items():
+        unitary = relation.startswith("sAU")
+        assert lay.matrix_kind == ("unitary" if unitary else "complex") and lay.n == 1
+        assert lay.poch_exponent == (-1 if unitary else 0)
+        if relation in ("sAUBU-1", "sAZBZ+"):
+            assert lay.factors == ((None, ((1, 1), (1, 0), (1, -1), (0, 0))),)
+            assert lay.vertices == ((0,), (1,)) and lay.euler == 1
+        else:
+            assert lay.factors == ((None, ((1, 1), (1, 0))), (None, ((1, -1), (0, 0))))
+            assert lay.vertices == ((0, 1),) and lay.euler == 0
 
 
-def _every_dagger_order(shape, n):
-    """(sigma, E, F) for Z1 C1 ... Zn Cn glued against the daggers in every
-    order sigma: on one polygon after the forward word, or on a second one."""
-    kinds = shape.split("|")
+def _wick_vertices(words):
+    """Independent oracle of genfun._glue, sharing no code with it: Wick's
+    theorem at degree one.  Each letter is a matrix with a row and a column
+    index slot; within a word the column of a letter is the row of the next,
+    cyclically (the trace), and E[Z_ab conj(Z_cd)] = delta_ac delta_bd joins
+    the row of Z_i to the column of Z_i^dag and the column of Z_i to the row
+    of Z_i^dag.  A
+    union-find over the slots leaves classes that each join a C letter's
+    column to the row of the C letter that follows it on its vertex, or that
+    carry no C: the empty vertices.  Returns the vertices as C-index words,
+    each from its smallest index, sorted, and the number of empty ones."""
+    parent = {}
+
+    def find(slot):
+        while parent.setdefault(slot, slot) != slot:
+            slot = parent[slot]
+        return slot
+
+    def join(x, y):
+        parent[find(x)] = find(y)
+
+    where = {letter: (w, j) for w, word in enumerate(words) for j, letter in enumerate(word)}
+    for w, word in enumerate(words):
+        for j in range(len(word)):
+            join(("col", w, j), ("row", w, (j + 1) % len(word)))
+    for (i, power), (w, j) in where.items():
+        if power == 1:
+            dag = where[i, -1]
+            join(("row", w, j), ("col", *dag))
+            join(("col", w, j), ("row", *dag))
+    cs = {(w, j): i for (i, power), (w, j) in where.items() if power == 0}
+    follows = {find(("row", *c)): c for c in cs}
+    vertices, seen = [], set()
+    for start in cs:
+        cycle, c = [], start
+        while c not in seen:
+            seen.add(c)
+            cycle.append(cs[c])
+            c = follows[find(("col", *c))]
+        if cycle:
+            k = cycle.index(min(cycle))
+            vertices.append(tuple(cycle[k:] + cycle[:k]))
+    classes = {find(slot) for slot in list(parent)}
+    return tuple(sorted(vertices)), len(classes) - len(cs)
+
+
+def _assert_glued_as_wick_says(layout):
+    """The layout's vertices, with orientation, its empty vertices and E are
+    the Wick contraction's."""
+    vertices, empty = _wick_vertices([word for _, word in layout.factors])
+    assert layout.vertices == vertices, layout
+    unitary = layout.n if layout.matrix_kind == "unitary" else 0
+    assert layout.poch_exponent == empty - unitary, layout
+    tl = sum(1 for alphabet, _ in layout.factors if alphabet)
+    assert layout.euler == tl - layout.n + len(vertices) + empty, layout
+
+
+def _every_dagger_order(shape, n, constant=None):
+    """(sigma, layout) for Z1 C1 ... Zn Cn glued against the daggers in
+    every order sigma, on one polygon after the forward word or on a second
+    one, each layout checked against the Wick contraction."""
     for sigma in permutations(range(1, n + 1)):
-        vertices, euler, _, _ = _glued(kinds, _words(len(kinds) == 2, sigma, False), n)
-        yield sigma, euler, kinds.count("TL") + len(vertices)
+        layout = build_layout(shape, "complex", sigma, constant)
+        _assert_glued_as_wick_says(layout)
+        yield sigma, layout
+
+
+def test_wick_oracle_on_a_hand_contraction():
+    """E tr(Z1 C1 Z2 C2 Z2^dag Z1^dag) = N tr(C1) tr(C2): C1 and C2 each close a
+    loop, and the indices between Z2^dag and Z1^dag a third, empty one;
+    E tr(Z1 C1 C2) tr(Z1^dag C3) = tr(C1 C2 C3)."""
+    words = [((1, 1), (1, 0), (2, 1), (2, 0), (2, -1), (1, -1))]
+    assert _wick_vertices(words) == (((1,), (2,)), 1)
+    assert _wick_vertices([((1, 1), (1, 0), (2, 0)), ((1, -1), (3, 0))]) == (((1, 2, 3),), 0)
+
+
+def test_gluing_matches_the_wick_oracle_with_a_constant():
+    """Every order at n <= 5 of every shape with a constant closing the
+    daggers' word, every named layout, and the lemma relations."""
+    for shape in ("TL", "TL|TL", "BKP", "BKP|TL", "BKP|BKP"):
+        for n in range(1, 6):
+            assert sum(1 for _ in _every_dagger_order(shape, n, "C0")) == factorial(n)
+    for name in LAYOUT_NAMES:
+        for n in range(1, 9):
+            for t in range(1, n + 1):
+                try:
+                    _assert_glued_as_wick_says(proposition_layout(name, n, t))
+                except ValidationError:
+                    pass  # t of the wrong parity for this layout
+    for layout in _RELATIONS.values():
+        _assert_glued_as_wick_says(layout)
 
 
 def test_every_dagger_order_obeys_the_surface_bounds():
@@ -392,7 +489,8 @@ def test_every_dagger_order_obeys_the_surface_bounds():
     for shape in ("TL", "TL|TL", "BKP", "BKP|TL"):
         for n in range(1, 7):
             top = set()
-            for sigma, euler, f in _every_dagger_order(shape, n):
+            for sigma, layout in _every_dagger_order(shape, n):
+                euler, f = layout.euler, layout.branch_points
                 assert euler <= 2 and f <= n + 2, (shape, sigma)
                 assert f < n + 2 or (shape == "TL|TL" and euler == 2), (shape, sigma)
                 assert (euler % 2 == 1) == ("BKP" in shape), (shape, sigma)
@@ -400,7 +498,7 @@ def test_every_dagger_order_obeys_the_surface_bounds():
                     top.add(sigma)
             if shape == "TL":
                 assert top == {tuple(range(n, 0, -1))}, n
-    counts = Counter((euler, f) for _, euler, f in _every_dagger_order("TL|TL", 7))
+    counts = Counter((lay.euler, lay.branch_points) for _, lay in _every_dagger_order("TL|TL", 7))
     assert counts == {(2, 9): 7, (0, 7): 490, (-2, 5): 3283, (-4, 3): 1260}
 
 
@@ -471,7 +569,6 @@ def test_layout_series_values():
 def test_layout_coefficients_match_direct_character_sums(name, n, t, size):
     """Independent route: every series key must equal
     sum over lam (len <= N) of (dim/d!)^E * ((N)_lam)^rho * prod phi_lam(Delta_i)."""
-    from math import factorial
 
     from hurwitzkit.characters import irrep_dimension, normalized_character
 
@@ -498,7 +595,6 @@ def test_layout_coefficients_match_direct_character_sums(name, n, t, size):
 def test_layout_identity_matrices_fold_to_rising_factorials():
     """With every fixed matrix equal to the identity, the two-tau layout's
     degree-d totals carry ((N)_lam)^n weights."""
-    from math import factorial
 
     from hurwitzkit.characters import irrep_dimension
     from hurwitzkit.symfunc import eval_schur
@@ -545,6 +641,14 @@ def test_guards():
         proposition_layout("int3", 3, t=3)
     with pytest.raises(ValidationError):
         proposition_layout("int5_odd_u", 3)
+    for shape, kind, sigma in (("TL|TL|TL", "complex", (1,)), ("GUE", "complex", (1,)),
+                               ("TL", "real", (1,)), ("TL", "complex", ()),
+                               ("TL", "complex", (1, 1)), ("TL", "complex", (2, 3)),
+                               ("TL", "complex", (1, "2")), ("TL", "complex", (True,))):
+        with pytest.raises(ValidationError):
+            build_layout(shape, kind, sigma)
+    with pytest.raises(GuardError, match="n <= 8"):
+        build_layout("TL", "complex", range(1, 10))
 
 
 def _rational_alphabets(count: int, d_max: int) -> list[PowerAlphabet]:

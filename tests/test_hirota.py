@@ -124,6 +124,9 @@ def test_guards():
         hirota_bilinear_check(ContentFunction.one(), 2, 7)
     with pytest.raises(ValidationError):
         hirota_bilinear_check(ContentFunction.one(), 0, 3)
+    for d_max in (-1, -2, -3):
+        with pytest.raises(ValidationError, match=f"d_max must be >= 0, got {d_max}"):
+            hirota_bilinear_check(ContentFunction.one(), 2, d_max)
 
 
 def test_bilinear_check_at_a_four_digit_shift():

@@ -1,10 +1,12 @@
-"""Every module uses every name it imports.  The package __init__ is left out:
-its imports are its re-exports."""
+"""Every module uses every name it imports (the package __init__ is left out:
+its imports are its re-exports), and every private module-level name of the
+package is read somewhere in the package, not only by the tests."""
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "hurwitzkit").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "hurwitzkit").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -27,3 +29,36 @@ def test_every_imported_name_is_used():
     unused = {f"{path.parent.name}/{path.name}": names for path in MODULES
               if path.name != "__init__.py" and (names := _unused_imports(path.read_text()))}
     assert unused == {}
+
+
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The private module-level functions, classes and constants of these
+    modules that no module reads, by name or as a module attribute."""
+    defined, read = {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{module}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{name} ({where})" for name, where in sorted(defined.items()) if name not in read]
+
+
+def test_every_private_name_is_read_by_the_package():
+    assert _unread_private_names({"a": "_x = 1\n_y: int = 2\ndef _f():\n    return _x\n"
+                                       "class _C:\n    pass\n__all__ = []\n",
+                                  "b": "import a\nprint(a._C)\n"}) == ["_f (a:3)", "_y (a:2)"]
+    sources = {path.name: path.read_text() for path in PACKAGE}
+    assert _unread_private_names(sources) == []

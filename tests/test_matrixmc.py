@@ -112,10 +112,15 @@ def _random_matrices(rng, count, size=3):
 
 @pytest.mark.parametrize("relation", LEMMA_RELATIONS)
 def test_trace_tables_match_the_direct_products(relation):
-    kind, words = _RELATIONS[relation]
+    """The words of each relation's layout, with C1 = B and C0 = A in the
+    paired word Z1 C1 Z1^dag C0 and C1 = A, C0 = B in the split words Z1 C1 and
+    Z1^dag C0, spell A M B M^dag, or A M and M^dag B."""
+    layout = _RELATIONS[relation]
+    words = [word for _, word in layout.factors]
     a, b = _random_matrices(np.random.default_rng(SEED), 2)
-    [tables] = _word_traces(kind, words, (a, b), 1, 3, 500, SEED, 1, _MAX_WEIGHT)
-    sample = _haar_batch if kind == "unitary" else _ginibre_batch
+    cs = (b, a) if len(words) == 1 else (a, b)
+    [tables] = _word_traces(layout.matrix_kind, words, cs, 1, 3, 500, SEED, 1, _MAX_WEIGHT)
+    sample = _haar_batch if layout.matrix_kind == "unitary" else _ginibre_batch
     mats = np.moveaxis(sample(_worker_rng(SEED, 0), 500, 3), -1, 0)
     dag = mats.conj().swapaxes(-2, -1)
     if len(words) == 1:
@@ -184,8 +189,8 @@ def test_guards():
         mc_schur_moment("nope", (2,), 3)
     with pytest.raises(GuardError):
         mc_proposition_check("prop1", 1, 6)
-    with pytest.raises(ValidationError):
-        mc_proposition_check("chekhov", 1, 3)
+    with pytest.raises(ValidationError, match="2 C matrices"):
+        mc_proposition_check("chekhov", 1, 3, c_matrices=[np.eye(3)])
     with pytest.raises(GuardError):
         mc_proposition_check("prop1", 1, 2, samples=1)
     with pytest.raises(ValidationError):
@@ -276,12 +281,10 @@ def test_propositions_small(name, n):
 def test_every_layout_passes_a_small_gate():
     """Each layout's word-built integrand against its exact series, at n = 2
     (n = 3 for int6_odd_u), t = 2 (t = 1 where t must be odd) and degree 2;
-    chekhov has no test matrix for its constant."""
+    chekhov's constant takes the test matrix after C1 ... Cn."""
     from hurwitzkit.genfun import LAYOUT_NAMES
 
     for name in LAYOUT_NAMES:
-        if name == "chekhov":
-            continue
         n = 3 if name == "int6_odd_u" else 2
         t = 1 if name in ("int4", "int6", "odd4") else 2
         cmp = mc_proposition_check(name, n, 2, degree=2, samples=10_000, seed=SEED, t=t)

@@ -185,6 +185,8 @@ def test_cauchy_littlewood():
     assert cauchy_littlewood_check(6)
     with pytest.raises(GuardError, match="d_max <= 8"):
         cauchy_littlewood_check(9)
+    with pytest.raises(ValidationError, match="d_max must be >= 0, got -2"):
+        cauchy_littlewood_check(-2)
 
 
 def test_single_variable_schur_sum_is_geometric():
