@@ -21,7 +21,6 @@ from .partitions import (
 from .symfunc import (
     PowerAlphabet,
     PowerSumPoly,
-    cauchy_littlewood_check,
     complete_homogeneous,
     conjugation_identity_check,
     content_product,
@@ -69,13 +68,12 @@ from .genfun import (
     PropositionLayout,
     SeriesKey,
     build_layout,
+    cauchy_littlewood_check,
     fold_alphabet,
     hyp_tau_series,
     hypergeometric_series,
     proposition_layout,
     single_branch_point_series,
-    tau_bkp_series,
-    tau_tl_series,
     unbranched_cover_coefficients,
 )
 from .hirota import bkp_tau_poly, g_normalization, hirota_bilinear_check

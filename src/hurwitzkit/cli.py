@@ -11,15 +11,17 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import factorial
 from typing import Iterable
 
 from ._errors import GuardError, ValidationError, guard
 from .partitions import Partition, conjugate, partitions_of
-from .symfunc import PowerAlphabet, cauchy_littlewood_check, eval_schur, pochhammer_lambda, schur_poly
+from .symfunc import PowerAlphabet, eval_schur, pochhammer_lambda, schur_poly
 from .characters import character_table
 from .genfun import (
     ContentFunction,
     LAYOUT_NAMES,
+    cauchy_littlewood_check,
     proposition_layout,
     single_branch_point_series,
     unbranched_cover_coefficients,
@@ -100,13 +102,12 @@ def _cmd_oracle(args) -> int:
     pres = _parse_surface(args.surface)
     profiles = [_parse_partition(p) for p in args.profile]
     count = oracle_count(pres, args.degree, profiles)
-    value = oracle_hurwitz(pres, args.degree, profiles)
     _emit(
         {
             "surface": {"kind": pres.kind, "handles": pres.handles, "crosscaps": pres.crosscaps},
             "euler": pres.euler,
             "count": count,
-            "value": _frac(value),
+            "value": _frac(Fraction(count, factorial(args.degree))),
         }
     )
     return EXIT_OK

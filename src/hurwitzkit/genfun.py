@@ -223,9 +223,9 @@ def _series_pow(u: list[Fraction], n: int, trunc: int) -> list[Fraction]:
 
 
 def _check_sizes(d_max: int, cutoff: int | None = None, limit: str = "series degree") -> None:
-    """Reject a degree below 0 and a cutoff (matrix size N) below 1; guard d_max."""
+    """Reject a d_max below 0 and a cutoff (matrix size N) below 1; guard d_max."""
     if d_max < 0:
-        raise ValidationError(f"degree must be >= 0, got {d_max}")
+        raise ValidationError(f"d_max must be >= 0, got {d_max}")
     if cutoff is not None and cutoff < 1:
         raise ValidationError(f"cutoff N must be >= 1, got {cutoff}")
     guard(limit, d_max)
@@ -376,14 +376,17 @@ def hyp_tau_series(kind: str, r: ContentFunction, n, d_max: int,
     return series
 
 
-def tau_tl_series(d_max: int, cutoff: int | None = None) -> ProfileSeries:
-    """Two-alphabet diagonal Schur sum (the simplest lattice tau function)."""
-    return hyp_tau_series("TL", ContentFunction.one(), 0, d_max, cutoff)
+def cauchy_littlewood_check(d_max: int) -> bool:
+    """Degree-by-degree comparison of exp(sum p*_m p_m / m) with sum_lam s_lam(p) s_lam(p*).
 
-
-def tau_bkp_series(d_max: int, cutoff: int | None = None) -> ProfileSeries:
-    """One-alphabet Schur sum with length cutoff (the simplest BKP-type sum)."""
-    return hyp_tau_series("BKP", ContentFunction.one(), 0, d_max, cutoff)
+    The right side is the TL series of r = 1, so the check runs the profile
+    expansion `_expand` that every series uses; the left side, with
+    x_m = p_m p*_m, keys each monomial x_Delta as (Delta, Delta).  Equality is
+    exact."""
+    right = hyp_tau_series("TL", ContentFunction.one(), 0, d_max)
+    diagonal = exp_truncated(PowerSumPoly({(m,): Fraction(1, m) for m in range(1, d_max + 1)}), d_max)
+    return right.terms == {SeriesKey(sum(delta), (Partition(delta),) * 2): c
+                           for delta, c in diagonal.coeffs.items()}
 
 
 def single_branch_point_series(d_max: int = 8) -> ProfileSeries:

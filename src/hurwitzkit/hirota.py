@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 
 from ._errors import ValidationError, guard
-from .genfun import ContentFunction, hyp_tau_series
+from .genfun import ContentFunction, _check_sizes, hyp_tau_series
 from .symfunc import PowerSumPoly
 
 
@@ -56,12 +56,8 @@ def hirota_bilinear_check(r: ContentFunction, cutoff: int, d_max: int,
     """Both elementary bilinear equations hold identically in p to total degree d_max.
     Scaled by 2 and by the lcm of the denominators of an offset's seven taus,
     they are checked in integers: a nonzero scale does not change a zero test."""
-    if d_max < 0:
-        raise ValidationError(f"d_max must be >= 0, got {d_max}")
-    guard("bilinear check", d_max)
+    _check_sizes(d_max, cutoff, "bilinear check")  # the shifted sums need N - 1 >= 0
     guard("bilinear offset", max((abs(n) for n in n_values), default=0))
-    if cutoff < 1:
-        raise ValidationError("cutoff must be >= 1 (the shifted sums need N-1 >= 0)")
     work = d_max + 2  # second derivatives drop the weight by two
     for n in n_values:
         taus = {(dN, dn): bkp_tau_poly(r, n + dn, cutoff + dN, work)

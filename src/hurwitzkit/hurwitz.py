@@ -25,6 +25,7 @@ from .characters import (
 from .partitions import (
     Partition,
     as_partition,
+    checked_profiles,
     euler_char_cover,
     partitions_of,
     z_order,
@@ -39,18 +40,11 @@ class HurwitzQuery:
     cutoff: int | None = None  # None means no length cutoff
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValidationError("degree must be >= 1")
         guard("character formula", self.degree)
+        profs = checked_profiles(self.degree, self.profiles)
+        object.__setattr__(self, "profiles", profs)
         if self.cutoff is not None and self.cutoff < 1:
             raise ValidationError("cutoff must be >= 1 or None")
-        profs = tuple(as_partition(p) for p in self.profiles)
-        object.__setattr__(self, "profiles", profs)
-        for p in profs:
-            if p.weight() != self.degree:
-                raise ValidationError(
-                    f"profile {p.parts} has weight {p.weight()}, expected {self.degree}"
-                )
         digits = len(str(factorial(self.degree)))
         guard("output size", (abs(self.euler) + len(profs)) * digits)
 

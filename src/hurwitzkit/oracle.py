@@ -25,7 +25,7 @@ from itertools import permutations, product
 from math import factorial
 
 from ._errors import ValidationError, guard
-from .partitions import as_partition, cycle_class_size
+from .partitions import checked_profiles, cycle_class_size, z_order
 
 Perm = tuple[int, ...]
 
@@ -119,11 +119,6 @@ def class_elements(d: int, delta: tuple[int, ...]) -> tuple[Perm, ...]:
 
 
 @lru_cache(maxsize=None)
-def _class_sizes(d: int) -> dict[tuple[int, ...], int]:
-    return Counter(_types(d).values())
-
-
-@lru_cache(maxsize=None)
 def _class_pairs(d: int) -> dict[tuple[int, ...], dict[tuple, int]]:
     """pairs[type h][(type x, type x^-1 h)] = number of x in S_d, for one
     representative h per class.  x^-1 runs over S_d as x does and has the
@@ -142,21 +137,18 @@ def _class_pairs(d: int) -> dict[tuple[int, ...], dict[tuple, int]]:
 def _square_counts(d: int) -> dict[tuple[int, ...], int]:
     """counts[type h] = number of R in S_d with R^2 = h."""
     hits = Counter(cycle_type(compose(r, r)) for r in _types(d))
-    sizes = _class_sizes(d)
-    return {t: n // sizes[t] for t, n in hits.items()}
+    return {t: n // cycle_class_size(t) for t, n in hits.items()}
 
 
 @lru_cache(maxsize=None)
 def _commutator_counts(d: int) -> dict[tuple[int, ...], int]:
     """counts[type h] = number of pairs (A, B) with A B A^-1 B^-1 = h.
 
-    B A^-1 B^-1 = A^-1 h has |Z(A)| = d!/|class(A)| solutions B when A^-1 h
+    B A^-1 B^-1 = A^-1 h has |Z(A)| = z(type A) solutions B when A^-1 h
     has the type of A, and none otherwise."""
-    sizes = _class_sizes(d)
-    n_group = factorial(d)
     counts = {}
     for t, pairs in _class_pairs(d).items():
-        total = sum(n * n_group // sizes[a] for (a, b), n in pairs.items() if a == b)
+        total = sum(n * z_order(a) for (a, b), n in pairs.items() if a == b)
         if total:
             counts[t] = total
     return counts
@@ -172,19 +164,9 @@ def _convolve(f: dict, g: dict, d: int) -> dict:
     return out
 
 
-def _profiles(degree: int, profiles) -> list:
-    if degree < 1:
-        raise ValidationError("degree must be >= 1")
-    profs = [as_partition(p) for p in profiles]
-    for p in profs:
-        if p.weight() != degree:
-            raise ValidationError("profile weight mismatch")
-    return profs
-
-
 def oracle_count(pres: SurfacePresentation, degree: int, profiles=()) -> int:
     """Number of surface-relation solutions with X_i in the prescribed classes."""
-    profs = _profiles(degree, profiles)
+    profs = checked_profiles(degree, profiles)
     guard("oracle degree", degree)
     guard("oracle complexity", pres.crosscaps + 2 * pres.handles + len(profs))
     identity = (1,) * degree
@@ -207,7 +189,7 @@ def oracle_count_naive(pres: SurfacePresentation, degree: int, profiles=()) -> i
     """Literal nested-tuple enumeration (last class factor solved for and
     membership-tested).  Exponentially slower than oracle_count; kept as an
     independent cross-check for tiny inputs."""
-    profs = _profiles(degree, profiles)
+    profs = checked_profiles(degree, profiles)
     work = factorial(degree) ** (2 * pres.handles + pres.crosscaps)
     for p in profs[:-1]:
         work *= cycle_class_size(p)

@@ -186,6 +186,17 @@ def aut_order(mu) -> int:
     return out
 
 
+def checked_profiles(degree: int, profiles: Iterable) -> tuple[Partition, ...]:
+    """The profiles of a degree-d branched cover as Partitions, each of weight d >= 1."""
+    if degree < 1:
+        raise ValidationError("degree must be >= 1")
+    profs = tuple(as_partition(p) for p in profiles)
+    for p in profs:
+        if p.weight() != degree:
+            raise ValidationError(f"profile {p.parts} has weight {p.weight()}, expected {degree}")
+    return profs
+
+
 def euler_char_cover(euler: int, profiles: Iterable, degree: int | None = None) -> int:
     """Euler characteristic of a degree-d cover of a surface with Euler characteristic
     `euler`, branched with the given profiles: d*euler - sum of colengths.

@@ -11,8 +11,8 @@ from functools import lru_cache
 from math import factorial
 from typing import Callable, Mapping
 
-from ._errors import ValidationError, guard
-from .partitions import Partition, as_partition, conjugate, partitions_of
+from ._errors import ValidationError
+from .partitions import Partition, as_partition, conjugate
 
 Monomial = tuple[int, ...]  # a partition written as a weakly decreasing tuple
 
@@ -85,12 +85,8 @@ class PowerSumPoly:
             res.coeffs = {k: v * factor for k, v in self.coeffs.items()}
         return res
 
-    def __mul__(self, other):
-        if not isinstance(other, PowerSumPoly):
-            return self.scale(other)
+    def __mul__(self, other: "PowerSumPoly") -> "PowerSumPoly":
         return self.times(other)
-
-    __rmul__ = __mul__
 
     def times(self, other: "PowerSumPoly", max_weight: int | None = None) -> "PowerSumPoly":
         """Product keeping only the terms of weight <= max_weight (all when None);
@@ -118,22 +114,11 @@ class PowerSumPoly:
         return res
 
     def derivative(self, m: int) -> "PowerSumPoly":
-        """Partial derivative with respect to p_m."""
-        out: dict[Monomial, Fraction] = {}
-        for key, val in self.coeffs.items():
-            mult = key.count(m)
-            if not mult:
-                continue
-            reduced = list(key)
-            reduced.remove(m)
-            rkey = tuple(reduced)
-            new = out.get(rkey, 0) + val * mult
-            if new:
-                out[rkey] = new
-            else:
-                out.pop(rkey, None)
+        """Partial derivative with respect to p_m.  Distinct monomials stay
+        distinct when one p_m is removed, so no two terms meet."""
         res = PowerSumPoly()
-        res.coeffs = out
+        res.coeffs = {key[:i] + key[i + 1:]: val * key.count(m)
+                      for key, val in self.coeffs.items() if m in key for i in [key.index(m)]}
         return res
 
     def evaluate(self, values: Mapping[int, object]):
@@ -207,9 +192,9 @@ def schur_poly(lam: Partition) -> PowerSumPoly:
     the determinant of [h_{lam_i - i + j}] by minor expansion along the first row.
 
     Kept on purpose as a route independent of the character recursion: the
-    "schur" route of genfun.hypergeometric_series, cauchy_littlewood_check
-    and the MC harness are built on it, and the character-side "pochhammer"
-    route is checked against it."""
+    "schur" route of genfun.hypergeometric_series, genfun.hyp_tau_series (so
+    genfun.cauchy_littlewood_check) and the MC harness are built on it, and
+    the character-side "pochhammer" route is checked against it."""
     parts = as_partition(lam).parts
     size = len(parts)
 
@@ -349,31 +334,3 @@ def conjugation_identity_check(lam, alphabet: PowerAlphabet) -> bool:
     left = eval_schur(lam, alphabet)
     right = eval_schur(conjugate(lam), alphabet.negated())
     return left == sign * right
-
-
-def cauchy_littlewood_check(d_max: int) -> bool:
-    """Degree-by-degree comparison of exp(sum p*_m p_m / m) with sum_lam s_lam(p*) s_lam(p).
-
-    Both sides are expanded in the ring spanned by monomial pairs
-    (p*_A, p_B); equality is exact.
-    """
-    if d_max < 0:
-        raise ValidationError(f"d_max must be >= 0, got {d_max}")
-    guard("series degree", d_max)
-    # Left side: exp(sum x_m / m) with x_m = p*_m p_m, so x_Delta keys (Delta, Delta).
-    diagonal = exp_truncated(PowerSumPoly({(m,): Fraction(1, m) for m in range(1, d_max + 1)}), d_max)
-    left = {(delta, delta): c for delta, c in diagonal.coeffs.items()}
-
-    right: dict[tuple[Monomial, Monomial], Fraction] = {((), ()): Fraction(1)}
-    for d in range(1, d_max + 1):
-        for lam in partitions_of(d):
-            poly = schur_poly(lam)
-            for ka, va in poly.coeffs.items():
-                for kb, vb in poly.coeffs.items():
-                    key = (ka, kb)
-                    new = right.get(key, Fraction(0)) + va * vb
-                    if new:
-                        right[key] = new
-                    else:
-                        right.pop(key, None)
-    return left == right

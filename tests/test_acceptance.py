@@ -18,6 +18,7 @@ from hurwitzkit.characters import (
 from hurwitzkit.genfun import (
     ContentFunction,
     PochhammerParam,
+    cauchy_littlewood_check,
     hypergeometric_series,
     proposition_layout,
     unbranched_cover_coefficients,
@@ -39,7 +40,6 @@ from hurwitzkit.oracle import (
 from hurwitzkit.partitions import Partition, cycle_class_size, partitions_of
 from hurwitzkit.symfunc import (
     PowerAlphabet,
-    cauchy_littlewood_check,
     eval_schur,
     pochhammer_lambda,
     qt_pochhammer_lambda,

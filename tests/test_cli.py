@@ -199,6 +199,9 @@ def test_selftest_quick(capsys):
         ({}, ["hirota", "--dmax", "-2"]),
         ({}, ["mc", "--relation", "sAUBU-1", "--lambda", "2", "--mu", "1,1", "--N", "2",
               "--samples", "10000"]),
+        ({}, ["genfun"]),
+        ({}, ["mc", "--N", "2"]),
+        ({}, ["mc", "--relation", "sAUBU-1", "--lambda=-", "--N", "2"]),
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, monkeypatch, env, argv):
@@ -210,6 +213,21 @@ def test_bad_input_exits_2_without_traceback(capsys, monkeypatch, env, argv):
         code = exc.code
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["oracle", "--surface", "torus", "--degree", "3", "--profile", "4"],
+         "profile (4,) has weight 4, expected 3"),
+        (["genfun", "--layout", "prop1", "--dmax", "-1"], "d_max must be >= 0, got -1"),
+        (["hirota", "--N", "0"], "cutoff N must be >= 1, got 0"),
+        (["hirota", "--N", "0", "--dmax", "7"], "cutoff N must be >= 1, got 0"),
+    ],
+)
+def test_bad_input_names_what_is_wrong(capsys, argv, message):
+    assert main(argv) == 2
+    assert f"invalid input: {message}\n" == capsys.readouterr().err
 
 
 def test_mc_proposition_too_few_samples_exits_3(capsys):

@@ -21,8 +21,6 @@ from hurwitzkit.genfun import (
     hypergeometric_series,
     proposition_layout,
     single_branch_point_series,
-    tau_bkp_series,
-    tau_tl_series,
     unbranched_cover_coefficients,
     _lambda_weight,
 )
@@ -158,7 +156,7 @@ def test_fold_all_alphabets_gives_pure_weights():
 
 
 def test_tau_tl_series_degree_one():
-    series = tau_tl_series(2)
+    series = hyp_tau_series("TL", ContentFunction.one(), 0, 2)
     assert series.coefficient(1, [(1,), (1,)]) == 1
     # coefficient of (p_A, p*_B) is the sphere count with the two profiles
     for d in (1, 2):
@@ -217,7 +215,7 @@ def test_tau_bkp_matches_product_formula(nvars):
     alpha = PowerAlphabet.explicit(
         {m: sum(x**m for x in xs) for m in range(1, d_max + 1)}
     )
-    series = tau_bkp_series(d_max, cutoff=nvars)
+    series = hyp_tau_series("BKP", ContentFunction.one(), 0, d_max, cutoff=nvars)
     got = series.evaluate([alpha], by_degree=True)
     want = _truncated_product_expansion(xs, d_max)
     for d in range(d_max + 1):
@@ -251,13 +249,6 @@ def test_hyp_tau_series_with_linear_weight():
     direct = hypergeometric_series(2, 2, (PochhammerParam(1, value=Fraction(n_val)),),
                                    d_max=3)
     assert series == direct
-
-
-def test_hyp_tau_reduces_to_tau1():
-    assert hyp_tau_series("TL", ContentFunction.one(), 0, 3) == tau_tl_series(3)
-    assert hyp_tau_series("BKP", ContentFunction.one(), 0, 3, cutoff=2) == tau_bkp_series(
-        3, cutoff=2
-    )
 
 
 def test_hyp_tau_rational_weight_matches_pochhammer_signature():

@@ -1,17 +1,26 @@
-"""The guard table: its README listing, the output-size guard, and a CLI fuzz
-check that every argv ends in a documented exit code without a traceback."""
+"""The guard table: its README listing, the output-size guard, a CLI fuzz
+check that every argv ends in a documented exit code without a traceback, and
+a table of library inputs that each end in their own ValidationError."""
 import contextlib
 import time
 import io
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurwitzkit import LIMITS, GuardError
+from hurwitzkit import LIMITS, GuardError, ValidationError
+from hurwitzkit.characters import colength_sum, full_cycle_normalized_character, weighted_colength_sum
 from hurwitzkit.cli import main
-from hurwitzkit.hurwitz import hurwitz_value
+from hurwitzkit.genfun import (ContentFunction, PochhammerParam, ProfileSeries, SeriesKey,
+                               fold_alphabet, hyp_tau_series, hypergeometric_series)
+from hurwitzkit.hurwitz import full_cycle_identity_holds, hurwitz_value, hurwitz_weighted_sum
+from hurwitzkit.matrixmc import MCEstimate, mc_proposition_check, mc_schur_moment
+from hurwitzkit.oracle import SurfacePresentation
+from hurwitzkit.partitions import FrobeniusCoords, Partition, euler_char_cover, partitions_of
+from hurwitzkit.symfunc import PowerAlphabet, PowerSumPoly, qt_pochhammer_lambda
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -155,3 +164,74 @@ def test_genfun_negative_degree_or_size_exits_2(argv):
     assert code == 2
     assert "invalid input" in err and "must be >=" in err
     assert not out and "Traceback" not in err
+
+
+def _p2_series(aux_names=()):
+    """The one-alphabet series whose only term is p_2, times each aux symbol."""
+    series = ProfileSeries(1, 2, aux_names)
+    series.add(SeriesKey(2, (Partition((2,)),), (1,) * len(aux_names)), Fraction(1))
+    return series
+
+
+# (input, the message it must be rejected with): one row per rejection, each
+# reached past every check before it.
+_REJECTIONS = {
+    "mc workers 0": (lambda: mc_schur_moment("sAUBU-1", (1,), 2, samples=10_000, workers=0),
+                     "workers must be >= 1"),
+    "mc empty lambda": (lambda: mc_schur_moment("sAUBU-1", (), 2, samples=10_000),
+                        "partitions must be nonempty"),
+    "mc proposition workers 0": (lambda: mc_proposition_check("prop2", 1, 2, workers=0),
+                                 "workers must be >= 1"),
+    "estimate of 1 sample": (lambda: MCEstimate(0j, 0.0, 1, 0), "at least 2 samples"),
+    "negative stderr": (lambda: MCEstimate(0j, -1.0, 10, 0), "stderr must be nonnegative"),
+    "weighted sum k = 0": (lambda: hurwitz_weighted_sum(2, 3, [], [(0, 1)]),
+                           "weight order k must be >= 1"),
+    "full cycle, no handles": (lambda: full_cycle_identity_holds(2, 3, handles=0),
+                               "handles must be >= 1"),
+    "colength -1": (lambda: colength_sum((2, 1), -1), "colength must be >= 0"),
+    "weighted colength k = 0": (lambda: weighted_colength_sum((2, 1), 0, 2), "k must be >= 1"),
+    "full cycle of ()": (lambda: full_cycle_normalized_character(()),
+                         "full cycle needs weight >= 1"),
+    "surface kind klein": (lambda: SurfacePresentation("klein"), "unknown surface kind 'klein'"),
+    "evaluate, no alphabet": (lambda: _p2_series().evaluate([]), "alphabet count mismatch"),
+    "evaluate, truncated alphabet": (lambda: _p2_series().evaluate([PowerAlphabet.p_infinity(1)]),
+                                     "alphabet truncated below p_2"),
+    "evaluate, missing symbol": (
+        lambda: _p2_series(("a",)).evaluate([PowerAlphabet.p_infinity(2)]),
+        "no value supplied for symbol 'a'"),
+    "Pochhammer value and symbol": (lambda: PochhammerParam(1, value=1, symbol="a"),
+                                    "exactly one of value/symbol"),
+    "Pochhammer, neither": (lambda: PochhammerParam(1), "exactly one of value/symbol"),
+    "inverse of a vanishing Pochhammer": (
+        lambda: hypergeometric_series(2, 1, (PochhammerParam(-1, value=0),), d_max=1),
+        "cannot invert vanishing numeric factor"),
+    "unknown route": (lambda: hypergeometric_series(2, 1, d_max=1, route="hook"),
+                      "unknown route 'hook'"),
+    "fold index 1 of 1": (lambda: fold_alphabet(_p2_series(), 1, "a"),
+                          "alphabet index out of range"),
+    "fold index -1": (lambda: fold_alphabet(_p2_series(), -1, "a"),
+                      "alphabet index out of range"),
+    "tau kind KP": (lambda: hyp_tau_series("KP", ContentFunction.one(), 0, 2),
+                    "kind must be TL or BKP"),
+    "partitions of -1": (lambda: partitions_of(-1), "d must be >= 0"),
+    "arms without legs": (lambda: FrobeniusCoords((1,), ()), "arm and leg counts differ"),
+    "cover degree mismatch": (lambda: euler_char_cover(2, [(2, 1)], degree=4),
+                              "degree 4 does not match profile weight 3"),
+    "cover degree 0": (lambda: euler_char_cover(2, [], degree=0), "degree must be >= 1"),
+    "p_0": (lambda: PowerSumPoly.variable(0), "power-sum index must be >= 1"),
+    "evaluate without p_2": (lambda: PowerSumPoly.variable(2).evaluate({1: 1}),
+                             "alphabet does not define p_2"),
+    "alphabet without p_2": (lambda: PowerAlphabet({1: 1, 3: 1}, 3), "alphabet missing p_2"),
+    "q/t alphabet at t = 1": (lambda: PowerAlphabet.qt(2, 1, 2),
+                              r"p_1 undefined: 1 - t\^1 vanishes"),
+    "non-square matrix": (lambda: PowerAlphabet.from_matrix([[1, 2], [3]], 2),
+                          "matrix must be square"),
+    "q/t Pochhammer at t = 0": (lambda: qt_pochhammer_lambda(2, 0, (1, 1)),
+                                "undefined at t = 0 below the diagonal"),
+}
+
+
+@pytest.mark.parametrize("call,message", _REJECTIONS.values(), ids=_REJECTIONS)
+def test_every_library_rejection_is_a_validation_error(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()

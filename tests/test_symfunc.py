@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 
 from hurwitzkit import GuardError, ValidationError
 from hurwitzkit.characters import irrep_dimension
-from hurwitzkit.genfun import single_branch_point_series
+from hurwitzkit.genfun import cauchy_littlewood_check, single_branch_point_series
 from hurwitzkit.partitions import Partition, partitions_of
 from hurwitzkit.symfunc import (
     PowerAlphabet,
     PowerSumPoly,
-    cauchy_littlewood_check,
     complete_homogeneous,
     conjugation_identity_check,
     content_product,
