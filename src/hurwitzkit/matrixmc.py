@@ -5,15 +5,19 @@ and fixed test matrices, in the letters of the genfun layouts, the four lemma
 relations included: they are the layouts of one matrix.  One pipeline,
 `_word_traces`, draws for both entry points: a run is split into worker
 chunks whose random streams are counter-based (Philox keyed by (seed,
-worker)), so the estimate is bit-identical for a fixed (seed, samples,
-workers) on one numpy build.  A chunk is one (N, N, batch) array, batch axis
-last, so each matrix entry is a vector over the chunk and every kernel is
-whole-vector ufuncs: Haar unitaries are Gram-Schmidt orthonormalised Ginibre
-matrices (Mezzadri's QR with the phase fix built in); one product kernel
-multiplies a word's letters, sampled or fixed, left to right; tr X^m for
-m <= 4 comes from X and X^2.  Schur functions of sampled matrices come from
-these traces, never from eigendecompositions; exact predictions become
-complex floats only at the comparison boundary.
+worker)), and one drawing thread fills the next chunk's Ginibre batches, at
+most one chunk ahead, whatever `workers` is, while the calling thread
+evaluates the current chunk in slices of at most `_SLICE` samples.  A chunk
+is (N, N, batch) arrays, batch axis last, so each matrix entry is a vector
+over the chunk and every kernel is whole-vector ufuncs, elementwise along the
+batch: Haar unitaries are Gram-Schmidt orthonormalised Ginibre matrices
+(Mezzadri's QR with the phase fix built in); one product kernel multiplies a
+word's letters, sampled or fixed, left to right; tr X^m for m <= 4 comes from
+X and X^2.  So the estimate depends on neither the slice boundaries nor the
+threads' timing, and is bit-identical for a fixed (seed, samples, workers)
+on one numpy build.  Schur functions of sampled matrices come from these
+traces, never from eigendecompositions; exact predictions become complex
+floats only at the comparison boundary.
 
 `mc_schur_moment` keeps the per-draw trace tables of its latest call, so
 consecutive calls that differ only in the partitions draw once.  A kept table
@@ -21,6 +25,7 @@ holds the same arrays a fresh draw computes, so results do not depend on it.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -48,6 +53,14 @@ LEMMA_RELATIONS = tuple(_RELATIONS)
 
 # Every estimate is gated at this many standard errors.
 _GATE = 5.0
+
+# The most samples of a chunk evaluated at once.  The 11 calls of the
+# mc-gates workload in one process (2 cores, numpy 2.4.6, median of 4 passes,
+# two rounds) took 0.68-0.71 s at 2 500, 0.66-0.72 s at 3 125, 0.63-0.64 s at
+# 6 250, 0.67-0.74 s at 12 500 and 0.83-0.86 s on whole 25 000-sample chunks,
+# at a peak RSS of 60, 61, 63-66, 68-70 and 79 MB.  A 3 x 3 matrix batch of
+# 6 250 samples is 0.9 MB.
+_SLICE = 6_250
 
 # The trace tables of the latest mc_schur_moment call, at most one entry:
 # (relation, size, samples, seed, workers, A bytes, B bytes) -> (depth, per
@@ -91,15 +104,14 @@ def _ginibre_batch(rng: np.random.Generator, batch: int, size: int) -> np.ndarra
     return out
 
 
-def _haar_batch(rng: np.random.Generator, batch: int, size: int) -> np.ndarray:
-    """Haar unitaries as the Q of Ginibre matrices (Mezzadri 2007): Gram-Schmidt
-    over the columns, vectorised across the batch.  Each column is
-    orthogonalised twice ("twice is enough") and then normalised, so R's
+def _haar_batch(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries as the Q of the Ginibre matrices z (Mezzadri 2007):
+    Gram-Schmidt over the columns, vectorised across the batch.  Each column
+    is orthogonalised twice ("twice is enough") and then normalised, so R's
     diagonal is real and positive by construction; that is Mezzadri's phase
     fix, and Q is Haar distributed."""
-    z = _ginibre_batch(rng, batch, size)
     q, q_dag = np.empty_like(z), np.empty_like(z)
-    for j in range(size):
+    for j in range(z.shape[1]):
         v = z[:, j, None]
         for _ in range(2 if j else 0):
             v = v - _mul(q[:, :j], _mul(q_dag[:j], v))
@@ -213,15 +225,69 @@ def _word_product(word, mats: Sequence[np.ndarray], cs: Sequence[np.ndarray]) ->
     return out
 
 
+class _Draw(threading.Thread):
+    """Draws a chunk's n Ginibre batches from its stream on a thread of its own."""
+
+    def __init__(self, seed: int, worker: int, chunk: int, n: int, size: int):
+        super().__init__(name="hurwitzkit-mc-draw")
+        self.spec = (seed, worker, chunk, n, size)
+        self.drawn = None
+        self.start()
+
+    def run(self):
+        seed, worker, chunk, n, size = self.spec
+        try:
+            rng = _worker_rng(seed, worker)
+            self.drawn = [_ginibre_batch(rng, chunk, size) for _ in range(n)]
+        except BaseException as exc:  # re-raised by result() in the waiting thread
+            self.drawn = exc
+
+    def result(self) -> list[np.ndarray]:
+        self.join()
+        drawn, self.drawn = self.drawn, None
+        if isinstance(drawn, BaseException):
+            raise drawn
+        return drawn
+
+
+def _chunk_traces(kind: str, words: Sequence[tuple], cs: Sequence[np.ndarray],
+                  draws: Sequence[np.ndarray], depth: int) -> list[dict[int, np.ndarray]]:
+    """One chunk's trace tables, evaluated slice by slice: every kernel is
+    elementwise along the batch axis, so each sample's values are those of the
+    whole chunk at once.  The slices differ in size by at most one, so none is
+    a lone sample, on which einsum and the axis-0 sums add in another order."""
+    chunk = draws[0].shape[-1]
+    tables = [{m: np.empty(chunk, dtype=complex) for m in range(1, depth + 1)} for _ in words]
+    start = 0
+    for width in _chunks(chunk, -(-chunk // _SLICE)):
+        part = slice(start, start + width)
+        mats = [_haar_batch(z[..., part]) if kind == "unitary" else z[..., part] for z in draws]
+        for table, word in zip(tables, words):
+            for m, traces in _batched_traces(_word_product(word, mats, cs), depth).items():
+                table[m][part] = traces
+        start += width
+    return tables
+
+
 def _word_traces(kind: str, words: Sequence[tuple], cs: Sequence[np.ndarray], n: int,
                  size: int, samples: int, seed: int, workers: int, depth: int):
     """Per chunk, the trace tables {m: tr X^m for m <= depth} of the products
-    X the words spell, on n matrices of the kind drawn from the chunk's stream."""
-    sample = _haar_batch if kind == "unitary" else _ginibre_batch
-    for worker, chunk in enumerate(_chunks(samples, workers)):
-        rng = _worker_rng(seed, worker)
-        mats = [sample(rng, chunk, size) for _ in range(n)]
-        yield [_batched_traces(_word_product(word, mats, cs), depth) for word in words]
+    X the words spell, on n matrices of the kind drawn from the chunk's stream.
+    One thread draws the next chunk while this one evaluates the current one;
+    closing the generator early waits for that draw and starts no other."""
+    chunks = _chunks(samples, workers)
+    pending = _Draw(seed, 0, chunks[0], n, size)
+    try:
+        for worker in range(len(chunks)):
+            draws = pending.result()
+            pending = (_Draw(seed, worker + 1, chunks[worker + 1], n, size)
+                       if worker + 1 < len(chunks) else None)
+            tables = _chunk_traces(kind, words, cs, draws, depth)
+            del draws  # not held while the caller consumes this chunk
+            yield tables
+    finally:
+        if pending is not None:
+            pending.join()
 
 
 def mc_schur_moment(

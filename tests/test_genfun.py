@@ -473,24 +473,40 @@ def test_gluing_matches_the_wick_oracle_with_a_constant():
         _assert_glued_as_wick_says(layout)
 
 
+def _assert_within_surface_bounds(shape, sigma, layout):
+    """The paper's claim for one order of the daggers: E <= 2 and F <= n + 2;
+    F = n + 2 only for TL|TL at E = 2; TL reaches E = 2 exactly at plain
+    reversal; E is odd exactly when one factor is BKP."""
+    n = len(sigma)
+    euler, f = layout.euler, layout.branch_points
+    assert euler <= 2 and f <= n + 2, (shape, sigma)
+    assert f < n + 2 or (shape == "TL|TL" and euler == 2), (shape, sigma)
+    assert (euler % 2 == 1) == ("BKP" in shape), (shape, sigma)
+    if shape == "TL":
+        assert (euler == 2) == (sigma == tuple(range(n, 0, -1))), sigma
+
+
 def test_every_dagger_order_obeys_the_surface_bounds():
-    """The paper's claim over every order of the daggers, not only the named
-    layouts: E <= 2 and F <= n + 2; F = n + 2 only for TL|TL at E = 2; TL
-    reaches E = 2 only at plain reversal; E is odd exactly when one factor is BKP."""
+    """Every order of the daggers, not only the named layouts, at n <= 6."""
     for shape in ("TL", "TL|TL", "BKP", "BKP|TL"):
         for n in range(1, 7):
-            top = set()
             for sigma, layout in _every_dagger_order(shape, n):
-                euler, f = layout.euler, layout.branch_points
-                assert euler <= 2 and f <= n + 2, (shape, sigma)
-                assert f < n + 2 or (shape == "TL|TL" and euler == 2), (shape, sigma)
-                assert (euler % 2 == 1) == ("BKP" in shape), (shape, sigma)
-                if euler == 2:
-                    top.add(sigma)
-            if shape == "TL":
-                assert top == {tuple(range(n, 0, -1))}, n
+                _assert_within_surface_bounds(shape, sigma, layout)
     counts = Counter((lay.euler, lay.branch_points) for _, lay in _every_dagger_order("TL|TL", 7))
     assert counts == {(2, 9): 7, (0, 7): 490, (-2, 5): 3283, (-4, 3): 1260}
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.sampled_from(("TL", "TL|TL", "BKP", "BKP|TL")),
+       sigma=st.sampled_from((7, 8)).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_sampled_dagger_orders_at_n_7_and_8(shape, sigma):
+    """A sample of the 45 360 orders at n = 7 and 8 that the exhaustive test
+    does not reach, each glued as the Wick contraction says and within the
+    surface bounds."""
+    sigma = tuple(sigma)
+    layout = build_layout(shape, "complex", sigma)
+    _assert_glued_as_wick_says(layout)
+    _assert_within_surface_bounds(shape, sigma, layout)
 
 
 def test_layout_and_series_size_guards():

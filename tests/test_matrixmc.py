@@ -1,3 +1,6 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -12,11 +15,13 @@ from hurwitzkit.matrixmc import (
 )
 from hurwitzkit.matrixmc import (
     _RELATIONS,
+    _SLICE,
     _batched_traces,
     _chunks,
     _ginibre_batch,
     _haar_batch,
     _trace_slot,
+    _word_product,
     _word_traces,
     _worker_rng,
 )
@@ -69,7 +74,8 @@ def _lapack_haar(z):
 def test_haar_matches_lapack_qr_with_phase_fix(size):
     z = np.moveaxis(_ginibre_batch(_worker_rng(SEED, 10 + size), 2_000, size), -1, 0)
     # q orthonormalises z: both come from the same stream.
-    q = np.moveaxis(_haar_batch(_worker_rng(SEED, 10 + size), 2_000, size), -1, 0)
+    q = np.moveaxis(_haar_batch(_ginibre_batch(_worker_rng(SEED, 10 + size), 2_000, size)),
+                    -1, 0)
     assert np.abs(q - _lapack_haar(z)).max() < 1e-12
     # Orthogonalising twice keeps Q unitary to a few ulps; one pass loses ~1e-13.
     assert np.abs(q.conj().swapaxes(-2, -1) @ q - np.eye(size)).max() < 4e-15
@@ -120,8 +126,8 @@ def test_trace_tables_match_the_direct_products(relation):
     a, b = _random_matrices(np.random.default_rng(SEED), 2)
     cs = (b, a) if len(words) == 1 else (a, b)
     [tables] = _word_traces(layout.matrix_kind, words, cs, 1, 3, 500, SEED, 1, _MAX_WEIGHT)
-    sample = _haar_batch if layout.matrix_kind == "unitary" else _ginibre_batch
-    mats = np.moveaxis(sample(_worker_rng(SEED, 0), 500, 3), -1, 0)
+    sample = _haar_batch if layout.matrix_kind == "unitary" else np.asarray
+    mats = np.moveaxis(sample(_ginibre_batch(_worker_rng(SEED, 0), 500, 3)), -1, 0)
     dag = mats.conj().swapaxes(-2, -1)
     if len(words) == 1:
         [table] = tables
@@ -139,11 +145,11 @@ def test_layout_words_match_products_in_word_order(name, n, t):
     layout = proposition_layout(name, n, t)
     cs = _random_matrices(np.random.default_rng(SEED + n), n)
     words = [word for _, word in layout.factors]
-    sample = _haar_batch if layout.matrix_kind == "unitary" else _ginibre_batch
+    sample = _haar_batch if layout.matrix_kind == "unitary" else np.asarray
     chunks = _word_traces(layout.matrix_kind, words, cs, n, 3, 300, SEED, 2, _MAX_WEIGHT)
     for worker, tables in enumerate(chunks):
         rng = _worker_rng(SEED, worker)
-        draws = [np.moveaxis(sample(rng, 150, 3), -1, 0) for _ in range(n)]
+        draws = [np.moveaxis(sample(_ginibre_batch(rng, 150, 3)), -1, 0) for _ in range(n)]
         for word, table in zip(words, tables):
             letters = [cs[i - 1] if power == 0 else
                        draws[i - 1] if power > 0 else draws[i - 1].conj().swapaxes(-2, -1)
@@ -153,9 +159,88 @@ def test_layout_words_match_products_in_word_order(name, n, t):
             _assert_traces_close(table, _power_traces(products, _MAX_WEIGHT))
 
 
+@pytest.mark.parametrize("name,n,t", [("prop2_u", 2, None), ("int4", 3, 3)])
+def test_sliced_chunks_equal_the_whole_chunk(name, n, t):
+    """The pipeline evaluates a chunk in slices; its tables are bit for bit
+    those of the words evaluated on the whole chunk at once.  The chunks
+    here, 2 S + 2 and 2 S + 1 samples for slices of at most S, span three
+    slices each, split unevenly in the first."""
+    layout = proposition_layout(name, n, t)
+    cs = _random_matrices(np.random.default_rng(SEED + n), n)
+    words = [word for _, word in layout.factors]
+    chunks = _chunks(4 * _SLICE + 3, 2)
+    assert chunks == [2 * _SLICE + 2, 2 * _SLICE + 1]
+    got = _word_traces(layout.matrix_kind, words, cs, n, 3, sum(chunks), SEED, 2, _MAX_WEIGHT)
+    for worker, (chunk, tables) in enumerate(zip(chunks, got)):
+        rng = _worker_rng(SEED, worker)
+        draws = [_ginibre_batch(rng, chunk, 3) for _ in range(n)]
+        mats = [_haar_batch(z) for z in draws] if layout.matrix_kind == "unitary" else draws
+        for word, table in zip(words, tables):
+            want = _batched_traces(_word_product(word, mats, cs), _MAX_WEIGHT)
+            assert table.keys() == want.keys()
+            for m in want:
+                assert np.array_equal(table[m], want[m]), (name, worker, word, m)
+
+
+def _counting_draws(monkeypatch):
+    """Patch the Ginibre sampler to record the batch size of every draw."""
+    draws = []
+    ginibre = matrixmc._ginibre_batch
+    monkeypatch.setattr(matrixmc, "_ginibre_batch",
+                        lambda rng, batch, size: draws.append(batch) or ginibre(rng, batch, size))
+    return draws
+
+
+def test_no_drawing_thread_outlives_a_call():
+    start = threading.active_count()
+    _trace_slot.clear()
+    mc_schur_moment("sAUBU-1", (2,), 3, samples=10_000, seed=SEED)
+    assert threading.active_count() == start
+    mc_proposition_check("prop2_u", 1, 3, samples=10_000, seed=SEED)
+    assert threading.active_count() == start
+
+
+def test_closing_the_pipeline_early_starts_no_further_draw(monkeypatch):
+    """At most one chunk is drawn ahead of the one the caller holds; closing
+    the generator waits for that draw and starts none of the rest.  The draw
+    ahead is slowed down, so it is still running when the generator closes."""
+    draws = _counting_draws(monkeypatch)
+    counted = matrixmc._ginibre_batch
+
+    def slow_ahead(rng, batch, size):
+        out = counted(rng, batch, size)
+        time.sleep(0.2 if len(draws) > 1 else 0)
+        return out
+
+    monkeypatch.setattr(matrixmc, "_ginibre_batch", slow_ahead)
+    layout = _RELATIONS["sAUBU-1"]
+    words = [word for _, word in layout.factors]
+    cs = _random_matrices(np.random.default_rng(SEED), 2)
+    start = threading.active_count()
+    chunks = _word_traces("unitary", words, cs, 1, 3, 40_000, SEED, 4, 2)
+    next(chunks)
+    assert len(draws) <= 2
+    chunks.close()
+    assert threading.active_count() == start
+    assert draws == [10_000, 10_000]
+
+
+def test_a_failed_draw_is_raised_by_the_call(monkeypatch):
+    def fail(rng, batch, size):
+        raise MemoryError("no room for the draw")
+
+    monkeypatch.setattr(matrixmc, "_ginibre_batch", fail)
+    start = threading.active_count()
+    _trace_slot.clear()
+    with pytest.raises(MemoryError, match="no room"):
+        mc_schur_moment("sAZBZ+", (1,), 2, samples=10_000, seed=SEED)
+    assert threading.active_count() == start
+    assert not _trace_slot
+
+
 def test_haar_first_moments():
     rng = _worker_rng(SEED, 3)
-    batch = np.moveaxis(_haar_batch(rng, 30_000, 3), -1, 0)
+    batch = np.moveaxis(_haar_batch(_ginibre_batch(rng, 30_000, 3)), -1, 0)
     mean_entry = batch.mean(axis=0)
     assert np.abs(mean_entry).max() < 5 / np.sqrt(30_000 / 3)
     second = (np.abs(batch[:, 0, 0]) ** 2).mean()
@@ -366,10 +451,7 @@ def test_kept_table_gives_the_fresh_results(relation):
 
 
 def test_kept_table_is_reused_only_for_the_same_draws(monkeypatch):
-    draws = []
-    ginibre = matrixmc._ginibre_batch
-    monkeypatch.setattr(matrixmc, "_ginibre_batch",
-                        lambda rng, batch, size: draws.append(batch) or ginibre(rng, batch, size))
+    draws = _counting_draws(monkeypatch)
 
     def moment(lam=(2,), **kwargs):
         args = dict(relation="sAUU-1B", size=2, samples=10_000, seed=SEED, workers=2)
