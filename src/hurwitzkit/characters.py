@@ -101,10 +101,7 @@ def hook_length_dimension(lam) -> int:
     for i, row in enumerate(lam.parts, start=1):
         for j in range(1, row + 1):
             hooks *= row - j + conj[j - 1] - i + 1
-    dim, rem = divmod(factorial(d), hooks)
-    if rem:
-        raise ValidationError("hook product does not divide d!")
-    return dim
+    return factorial(d) // hooks
 
 
 def normalized_character(lam, delta) -> int:
@@ -133,11 +130,7 @@ def colength_sum(lam, k: int) -> Fraction:
     Zero when no class of that colength exists (k >= |lam|, except the empty
     diagram at k = 0); this extension keeps the weighted sums below total.
     """
-    return _colength_sum(as_partition(lam), k)
-
-
-@lru_cache(maxsize=None)
-def _colength_sum(lam: Partition, k: int) -> Fraction:
+    lam = as_partition(lam)
     d = lam.weight()
     if k < 0:
         raise ValidationError("colength must be >= 0")
@@ -229,8 +222,8 @@ def hook_character_poly_check(delta) -> bool:
 
 
 class CharacterTable:
-    """Full integer character table of S_d, built once and cached: one tuple of
-    chi_lam(delta) over the column labels per row label lam."""
+    """Full integer character table of S_d: one tuple of chi_lam(delta) over
+    the column labels per row label lam."""
 
     def __init__(self, d: int):
         if d < 0:
@@ -279,6 +272,5 @@ class CharacterTable:
         return out.getvalue()
 
 
-@lru_cache(maxsize=None)
 def character_table(d: int) -> CharacterTable:
     return CharacterTable(d)

@@ -16,7 +16,7 @@ from typing import Iterable
 
 from ._errors import GuardError, ValidationError, guard
 from .partitions import Partition, conjugate, partitions_of
-from .symfunc import PowerAlphabet, eval_schur, pochhammer_lambda, schur_poly
+from .symfunc import PowerAlphabet, eval_schur, fraction_text, pochhammer_lambda, schur_poly
 from .characters import character_table
 from .genfun import (
     ContentFunction,
@@ -35,11 +35,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
 EXIT_MC_GATE = 4
-
-
-def _frac(value: Fraction) -> str:
-    value = Fraction(value)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def _parse_partition(text: str) -> Partition:
@@ -90,7 +85,7 @@ def _cmd_hurwitz(args) -> int:
     res = hurwitz_number(args.euler, args.degree, profiles, cutoff=args.cutoff)
     _emit(
         {
-            "value": _frac(res.value),
+            "value": fraction_text(res.value),
             "true_hurwitz": res.is_true_hurwitz,
             "euler_cover": res.euler_cover,
         }
@@ -107,7 +102,7 @@ def _cmd_oracle(args) -> int:
             "surface": {"kind": pres.kind, "handles": pres.handles, "crosscaps": pres.crosscaps},
             "euler": pres.euler,
             "count": count,
-            "value": _frac(Fraction(count, factorial(args.degree))),
+            "value": fraction_text(Fraction(count, factorial(args.degree))),
         }
     )
     return EXIT_OK
@@ -136,8 +131,8 @@ def _cmd_schur(args) -> int:
         except ZeroDivisionError as exc:
             raise ValidationError(f"zero denominator in --at-constant {args.at_constant}") from exc
         alpha = PowerAlphabet.constant(a, max(1, lam.weight()))
-        payload["value_at_constant"] = _frac(eval_schur(lam, alpha))
-        payload["pochhammer"] = _frac(pochhammer_lambda(a, lam))
+        payload["value_at_constant"] = fraction_text(eval_schur(lam, alpha))
+        payload["pochhammer"] = fraction_text(pochhammer_lambda(a, lam))
     _emit(payload)
     return EXIT_OK
 
@@ -145,7 +140,7 @@ def _cmd_schur(args) -> int:
 def _cmd_genfun(args) -> int:
     if args.unbranched:
         coeffs = unbranched_cover_coefficients(args.dmax)
-        _emit({"coefficients": [_frac(c) for c in coeffs]})
+        _emit({"coefficients": [fraction_text(c) for c in coeffs]})
         return EXIT_OK
     if args.single_branch:
         _emit_series(single_branch_point_series(args.dmax).json_terms())
@@ -354,7 +349,3 @@ def main(argv=None) -> int:
     except (ValidationError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -18,7 +18,7 @@ from ._errors import ValidationError, guard
 from .characters import irrep_dimension, normalized_character
 from .partitions import Partition, as_partition, partitions_of, z_order
 from .symfunc import (PowerAlphabet, PowerSumPoly, content_product, eval_schur,
-                      exp_truncated, schur_poly)
+                      exp_truncated, fraction_text, schur_poly)
 
 
 @dataclass(frozen=True)
@@ -82,20 +82,16 @@ class ProfileSeries:
 
     def json_terms(self) -> Iterator[dict]:
         """The terms as JSON-ready dicts, sorted by degree, profiles and aux."""
-        def fmt(value):
-            if isinstance(value, Fraction):
-                return f"{value.numerator}/{value.denominator}"
-            return value
-
         for key in sorted(
             self.terms,
             key=lambda k: (k.degree, tuple(p.parts for p in k.profiles), k.aux),
         ):
+            coeff = self.terms[key]
             yield {
                 "degree": key.degree,
                 "profiles": [list(p.parts) for p in key.profiles],
                 "aux": dict(zip(self.aux_names, key.aux)),
-                "coeff": fmt(self.terms[key]),
+                "coeff": fraction_text(coeff) if isinstance(coeff, Fraction) else coeff,
             }
 
     def __eq__(self, other) -> bool:
@@ -169,9 +165,6 @@ class ContentFunction:
 
         return cls(fn, "tabulated")
 
-    def content_product(self, n, lam) -> object:
-        return content_product(self, n, lam)
-
 
 @dataclass(frozen=True)
 class PochhammerParam:
@@ -203,12 +196,11 @@ def _series_mul(a: list[Fraction], b: list[Fraction], trunc: int) -> list[Fracti
 
 
 def _series_pow(u: list[Fraction], n: int, trunc: int) -> list[Fraction]:
-    """u(x)^n truncated at x^trunc; u[0] must be nonzero; n may be negative.
-    characters.weighted_colength_sum raises by Miller's recurrence instead; the
-    series tests compare the two, so each is the other's independent check."""
+    """u(x)^n truncated at x^trunc; n may be negative, as u[0] = dim lam / d! > 0
+    on both routes of `_lambda_weight`.  characters.weighted_colength_sum raises
+    by Miller's recurrence instead; the series tests compare the two, so each
+    is the other's independent check."""
     u = list(u[: trunc + 1]) + [Fraction(0)] * max(0, trunc + 1 - len(u))
-    if not u[0]:
-        raise ValidationError("series power needs invertible constant term")
     if n < 0:
         inv = [Fraction(0)] * (trunc + 1)
         inv[0] = 1 / u[0]
@@ -370,7 +362,7 @@ def hyp_tau_series(kind: str, r: ContentFunction, n, d_max: int,
     series = ProfileSeries(2 if kind == "TL" else 1, d_max)
     series.add(SeriesKey(0, (Partition(),) * series.alphabet_count), Fraction(1))
     for d in range(1, d_max + 1):
-        weights = ((r.content_product(n, lam), lam) for lam in partitions_of(d)
+        weights = ((content_product(r, n, lam), lam) for lam in partitions_of(d)
                    if cutoff is None or lam.length() <= cutoff)
         _expand(series, d, ((w, schur_poly(lam).coeffs, ()) for w, lam in weights if w))
     return series
@@ -509,9 +501,9 @@ class PropositionLayout:
     def _params(self, N: int) -> tuple[PochhammerParam, ...]:
         return (PochhammerParam(self.poch_exponent, value=N),) if self.poch_exponent else ()
 
-    def series(self, N: int, d_max: int, route: str = "schur") -> ProfileSeries:
+    def series(self, N: int, d_max: int) -> ProfileSeries:
         return hypergeometric_series(
-            self.euler, len(self.slots), self._params(N), cutoff=N, d_max=d_max, route=route
+            self.euler, len(self.slots), self._params(N), cutoff=N, d_max=d_max
         )
 
     def value(self, N: int, d_max: int, alphabets: Sequence[PowerAlphabet]):

@@ -107,15 +107,8 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
     return tuple(sorted(lengths, reverse=True))
 
 
-@lru_cache(maxsize=None)
-def _types(d: int) -> dict[Perm, tuple[int, ...]]:
-    """The cycle type of every permutation of S_d, keyed in permutations order."""
-    return {p: cycle_type(p) for p in permutations(range(d))}
-
-
-@lru_cache(maxsize=None)
 def class_elements(d: int, delta: tuple[int, ...]) -> tuple[Perm, ...]:
-    return tuple(p for p, t in _types(d).items() if t == delta)
+    return tuple(p for p in permutations(range(d)) if cycle_type(p) == delta)
 
 
 @lru_cache(maxsize=None)
@@ -123,7 +116,7 @@ def _class_pairs(d: int) -> dict[tuple[int, ...], dict[tuple, int]]:
     """pairs[type h][(type x, type x^-1 h)] = number of x in S_d, for one
     representative h per class.  x^-1 runs over S_d as x does and has the
     type of x, so z = x^-1 is enumerated and x^-1 h = z h."""
-    types = _types(d)
+    types = {p: cycle_type(p) for p in permutations(range(d))}
     reps: dict[tuple[int, ...], Perm] = {}
     for p, t in types.items():
         reps.setdefault(t, p)
@@ -136,7 +129,7 @@ def _class_pairs(d: int) -> dict[tuple[int, ...], dict[tuple, int]]:
 @lru_cache(maxsize=None)
 def _square_counts(d: int) -> dict[tuple[int, ...], int]:
     """counts[type h] = number of R in S_d with R^2 = h."""
-    hits = Counter(cycle_type(compose(r, r)) for r in _types(d))
+    hits = Counter(cycle_type(compose(r, r)) for r in permutations(range(d)))
     return {t: n // cycle_class_size(t) for t, n in hits.items()}
 
 
@@ -194,12 +187,11 @@ def oracle_count_naive(pres: SurfacePresentation, degree: int, profiles=()) -> i
     for p in profs[:-1]:
         work *= cycle_class_size(p)
     guard("naive oracle work", work)
-    types = _types(degree)
     identity = tuple(range(degree))
     free_slots = 2 * pres.handles + pres.crosscaps
     class_lists = [class_elements(degree, p.parts) for p in profs]
     total = 0
-    for frees in product(types, repeat=free_slots):
+    for frees in product(permutations(identity), repeat=free_slots):
         prefix = identity
         if pres.kind == "orientable":
             for i in range(pres.handles):
@@ -217,7 +209,7 @@ def oracle_count_naive(pres: SurfacePresentation, degree: int, profiles=()) -> i
                 prod_all = compose(prod_all, x)
             # last X is forced: prod_all * X_F = identity
             needed = inverse(prod_all)
-            total += types[needed] == tuple(profs[-1].parts)
+            total += cycle_type(needed) == profs[-1].parts
     return total
 
 

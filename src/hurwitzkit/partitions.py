@@ -50,28 +50,17 @@ class Partition:
             mult[p] = mult.get(p, 0) + 1
         return mult
 
-    def cells(self) -> Iterator[tuple[int, int]]:
-        """Yield 1-based (row, column) cells of the Young diagram."""
+    def contents(self) -> Iterator[int]:
+        """Yield j - i over the diagram cells (i, j), 1-based, row by row."""
         for i, row in enumerate(self._parts, start=1):
             for j in range(1, row + 1):
-                yield (i, j)
-
-    def contents(self) -> Iterator[int]:
-        """Yield j - i over all diagram cells."""
-        for i, j in self.cells():
-            yield j - i
+                yield j - i
 
     def to_json(self) -> list[int]:
         return list(self._parts)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._parts)
-
-    def __len__(self) -> int:
-        return len(self._parts)
-
-    def __getitem__(self, i):
-        return self._parts[i]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Partition):

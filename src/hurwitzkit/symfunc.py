@@ -17,6 +17,12 @@ from .partitions import Partition, as_partition, conjugate
 Monomial = tuple[int, ...]  # a partition written as a weakly decreasing tuple
 
 
+def fraction_text(value) -> str:
+    """A rational as the "num/den" string that every JSON output writes."""
+    value = Fraction(value)
+    return f"{value.numerator}/{value.denominator}"
+
+
 def _merge(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(a + b, reverse=True))
 
@@ -46,10 +52,10 @@ class PowerSumPoly:
         return cls({(): Fraction(1)})
 
     @classmethod
-    def variable(cls, m: int, coeff=1) -> "PowerSumPoly":
+    def variable(cls, m: int) -> "PowerSumPoly":
         if m < 1:
             raise ValidationError("power-sum index must be >= 1")
-        return cls({(m,): Fraction(coeff)})
+        return cls({(m,): Fraction(1)})
 
     def coefficient(self, delta) -> Fraction:
         key = tuple(as_partition(delta).parts)
@@ -135,11 +141,8 @@ class PowerSumPoly:
         return total
 
     def to_json(self) -> dict[str, str]:
-        out = {}
-        for key in sorted(self.coeffs, key=lambda k: (sum(k), k)):
-            val = self.coeffs[key]
-            out[",".join(str(p) for p in key)] = f"{val.numerator}/{val.denominator}"
-        return out
+        return {",".join(str(p) for p in key): fraction_text(self.coeffs[key])
+                for key in sorted(self.coeffs, key=lambda k: (sum(k), k))}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PowerSumPoly):

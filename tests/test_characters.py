@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurwitzkit import GuardError, ValidationError, cache_stats, clear_caches
+from hurwitzkit import GuardError, ValidationError, cache_stats, characters, clear_caches
 from hurwitzkit.characters import (
     CharacterTable,
     character,
@@ -305,6 +305,21 @@ def test_full_cycle_profile_restricts_to_hooks():
 @pytest.mark.parametrize("d", range(1, 8))
 def test_hook_character_poly(d):
     for delta in partitions_of(d):
+        assert hook_character_poly_check(delta)
+
+
+def test_hook_character_poly_check_fails_on_a_wrong_hook_character(monkeypatch):
+    """One hook character moved by 1 fails the check on every class of its
+    degree, and on no class of another degree."""
+    true_character = characters.character
+
+    def perturbed(lam, delta):
+        return true_character(lam, delta) + (lam == Partition((2, 1, 1)))
+
+    monkeypatch.setattr(characters, "character", perturbed)
+    for delta in partitions_of(4):
+        assert not hook_character_poly_check(delta)
+    for delta in partitions_of(3):
         assert hook_character_poly_check(delta)
 
 

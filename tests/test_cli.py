@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from hurwitzkit import cli
 from hurwitzkit.cli import main
+from hurwitzkit.matrixmc import LEMMA_RELATIONS, MCComparison, MCEstimate
 
 
 def run_cli(capsys, *argv):
@@ -184,6 +186,23 @@ def test_selftest_quick(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--quick")
     assert code == 0
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def test_selftest_exits_1_when_an_exact_check_fails(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cauchy_littlewood_check", lambda d_max: False)
+    code, out, _ = run_cli(capsys, "selftest", "--quick")
+    assert code == 1
+    assert out.count("[PASS]") == 8 and "[FAIL] cauchy-littlewood degree 4\n" in out
+
+
+def test_selftest_exits_4_when_a_monte_carlo_gate_fails(capsys, monkeypatch):
+    failing = MCComparison(MCEstimate(1 + 0j, 0.01, 20_000, 42), 0j, 100.0, False)
+    monkeypatch.setattr(cli, "mc_schur_moment", lambda *args, **kwargs: failing)
+    code, out, _ = run_cli(capsys, "selftest")
+    lines = out.splitlines()
+    assert code == 4 and len(lines) == 13
+    assert all(line.startswith("[PASS] ") for line in lines[:9])
+    assert lines[9:] == [f"[FAIL] mc {rel} (sigmas=100.00)" for rel in LEMMA_RELATIONS]
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from hurwitzkit.genfun import (
 from hurwitzkit.hurwitz import hurwitz_value, hurwitz_weighted_sum
 from hurwitzkit.matrixmc import _RELATIONS
 from hurwitzkit.partitions import Partition, partitions_of
-from hurwitzkit.symfunc import PowerAlphabet, pochhammer_lambda, schur_poly
+from hurwitzkit.symfunc import PowerAlphabet, content_product, pochhammer_lambda, schur_poly
 
 
 def test_series_key_validation():
@@ -274,7 +274,7 @@ def test_content_function_forms():
     pole = ContentFunction.rational([], [Fraction(-2)])
     with pytest.raises(ValidationError):
         pole(2)
-    assert ContentFunction.one().content_product(5, Partition((3, 2))) == 1
+    assert content_product(ContentFunction.one(), 5, Partition((3, 2))) == 1
 
 
 def test_single_branch_point_series():
@@ -791,7 +791,7 @@ def test_tau_expansion_matches_per_term_fraction_sums(kind, shifts, poles, n, cu
     got = hyp_tau_series(kind, r, n, d_max, cutoff)
 
     def lam_terms(d):
-        out = ((r.content_product(n, lam), schur_poly(lam).coeffs, ()) for lam in partitions_of(d)
+        out = ((content_product(r, n, lam), schur_poly(lam).coeffs, ()) for lam in partitions_of(d)
                if cutoff is None or lam.length() <= cutoff)
         return [term for term in out if term[0]]
 
@@ -807,8 +807,15 @@ def test_series_sweep_matches_golden_fingerprint():
     a, b = PochhammerParam(-1, symbol="a"), PochhammerParam(2, symbol="b")
     layouts = [("prop1", 1, None), ("prop1", 3, None), ("prop2_odd", 2, None), ("int4", 3, 1),
                ("int4", 3, 3), ("odd3_u", 2, None)]
-    sweep = [proposition_layout(name, n, t).series(N, 3, route) for name, n, t in layouts
-             for N in (1, 2) for route in ("schur", "pochhammer")]
+
+    def both_routes(layout, N):
+        """layout.series(N, 3), then the same series by the "pochhammer" route."""
+        params = (PochhammerParam(layout.poch_exponent, value=N),) if layout.poch_exponent else ()
+        return [layout.series(N, 3), hypergeometric_series(
+            layout.euler, len(layout.slots), params, cutoff=N, d_max=3, route="pochhammer")]
+
+    sweep = [series for name, n, t in layouts for N in (1, 2)
+             for series in both_routes(proposition_layout(name, n, t), N)]
     sweep += [hypergeometric_series(e, k, params, cutoff=cutoff, d_max=3, series_trunc=2,
                                     route=route)
               for e in (2, -1) for k in (0, 2) for params in ((), (a,), (a, b),

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitzkit import GuardError, ValidationError
+from hurwitzkit import GuardError, ValidationError, genfun, hirota
 from hurwitzkit.genfun import ContentFunction
 from hurwitzkit.hirota import bkp_tau_poly, g_normalization, hirota_bilinear_check
+from hurwitzkit.symfunc import content_product
 
 
 def test_g_normalization_convention():
@@ -86,37 +87,40 @@ def test_bilinear_random_tabulated_weight():
     assert hirota_bilinear_check(r, 2, 3, n_values=(0, 1, -1))
 
 
-def test_bilinear_detects_wrong_tau():
+def test_second_equation_alone_fails_the_check(monkeypatch):
+    """At n = 0 and N = 2 the tau at (N, n + 1) is read by the second equation
+    only; doubled, it leaves the first equation true and must fail the check."""
+    true_tau = hirota.bkp_tau_poly
+
+    def doubled(r, n, cutoff, d_max):
+        tau = true_tau(r, n, cutoff, d_max)
+        return tau.scale(2) if (n, cutoff) == (1, 2) else tau
+
+    monkeypatch.setattr(hirota, "bkp_tau_poly", doubled)
+    assert not hirota_bilinear_check(ContentFunction.one(), 2, 4, n_values=(0,))
+
+
+def test_bilinear_detects_wrong_tau(monkeypatch):
     """A content weight that is not a genuine content product must fail."""
-
-    class Fake(ContentFunction):
-        def __init__(self):
-            super().__init__(lambda x: Fraction(1), "fake")
-
-        def content_product(self, n, lam):
-            # depends on the diagram shape, not on cell contents
-            return Fraction(1 + lam.length())
-
-    assert not hirota_bilinear_check(Fake(), 2, 3)
+    # depends on the diagram shape, not on cell contents
+    monkeypatch.setattr(genfun, "content_product", lambda r, n, lam: Fraction(1 + lam.length()))
+    assert not hirota_bilinear_check(ContentFunction.one(), 2, 3)
 
 
 @pytest.mark.parametrize("d_max", [2, 3, 4])
-def test_bilinear_check_reads_every_weight_up_to_d_max_plus_2(d_max):
+def test_bilinear_check_reads_every_weight_up_to_d_max_plus_2(d_max, monkeypatch):
     """A weight that is wrong only on the diagrams of one weight w must fail
     for every w <= d_max + 2: the second derivatives bring tau terms of weight
     d_max + 2 down into the checked window.  Weight d_max + 3 lies outside it."""
 
-    class Fake(ContentFunction):
-        def __init__(self, w):
-            super().__init__(lambda x: Fraction(1), f"fake at weight {w}")
-            self.w = w
-
-        def content_product(self, n, lam):
-            return Fraction(1 + lam.length() if lam.weight() == self.w else 1)
+    def fake_at(w):
+        return lambda r, n, lam: Fraction(1 + lam.length() if lam.weight() == w else 1)
 
     for w in range(1, d_max + 3):
-        assert not hirota_bilinear_check(Fake(w), 2, d_max), w
-    assert hirota_bilinear_check(Fake(d_max + 3), 2, d_max)
+        monkeypatch.setattr(genfun, "content_product", fake_at(w))
+        assert not hirota_bilinear_check(ContentFunction.one(), 2, d_max), w
+    monkeypatch.setattr(genfun, "content_product", fake_at(d_max + 3))
+    assert hirota_bilinear_check(ContentFunction.one(), 2, d_max)
 
 
 def test_guards():
@@ -129,24 +133,22 @@ def test_guards():
             hirota_bilinear_check(ContentFunction.one(), 2, d_max)
 
 
-def test_bilinear_check_at_a_four_digit_shift():
+def test_bilinear_check_at_a_four_digit_shift(monkeypatch):
     """At a = 9973/9967 and n = +-16 the common denominator of the seven taus
     runs to hundreds of digits; a weight moved by 9967^-3 on one diagram, which
     is no longer a content product, still fails."""
-    a = Fraction(9973, 9967)
-    assert hirota_bilinear_check(ContentFunction.rational([a]), 2, 4, n_values=(16, -16))
+    r = ContentFunction.rational([Fraction(9973, 9967)])
+    assert hirota_bilinear_check(r, 2, 4, n_values=(16, -16))
 
-    class Skewed(ContentFunction):
-        def __init__(self, shape):
-            super().__init__(lambda x: x + a, f"x+{a}, skewed at {shape}")
-            self.shape = shape
-
-        def content_product(self, n, lam):
-            value = super().content_product(n, lam)
-            return value * (1 + Fraction(1, 9967**3)) if lam.parts == self.shape else value
+    def skewed_at(shape):
+        def weight(r, n, lam):
+            value = content_product(r, n, lam)
+            return value * (1 + Fraction(1, 9967**3)) if lam.parts == shape else value
+        return weight
 
     for shape in ((1,), (2, 1), (3, 1, 1)):
-        assert not hirota_bilinear_check(Skewed(shape), 2, 4, n_values=(16, -16))
+        monkeypatch.setattr(genfun, "content_product", skewed_at(shape))
+        assert not hirota_bilinear_check(r, 2, 4, n_values=(16, -16))
 
 
 def test_non_rational_content_values_are_rejected():

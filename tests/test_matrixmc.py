@@ -495,12 +495,10 @@ def test_cache_stats_and_clear_caches():
     stats = hurwitzkit.cache_stats()
     # The whole inventory, so a new memo cache is a visible edit here.
     assert sorted(stats) == [
-        "characters._beta_char", "characters._colength_sum", "characters._dimension_table",
-        "characters.character_table", "characters.class_column", "matrixmc.trace_slot",
-        "oracle._class_pairs", "oracle._commutator_counts", "oracle._square_counts",
-        "oracle._types", "oracle.class_elements", "partitions._class_size",
-        "partitions._partition_tuples", "partitions.partitions_of",
-        "symfunc.complete_homogeneous", "symfunc.schur_poly",
+        "characters._beta_char", "characters._dimension_table", "characters.class_column",
+        "matrixmc.trace_slot", "oracle._class_pairs", "oracle._commutator_counts",
+        "oracle._square_counts", "partitions._class_size", "partitions._partition_tuples",
+        "partitions.partitions_of", "symfunc.complete_homogeneous", "symfunc.schur_poly",
     ]
     assert stats["matrixmc.trace_slot"] == 1
     assert stats["characters._beta_char"] > 0 and stats["partitions.partitions_of"] > 0
