@@ -2,6 +2,7 @@
 hard guards that every exponential-cost path checks its input against."""
 from __future__ import annotations
 
+from math import factorial
 from typing import NamedTuple
 
 
@@ -25,11 +26,12 @@ class Limit(NamedTuple):
 
 LIMITS = {
     "character formula": Limit("degree", 32),
-    # Each of the p(d) <= 8 349 integer terms is at most (d!)^(|E| + F), so
-    # every admitted value prints under Python's 4 300-digit limit.
+    # One rule for both exact engines (guard_output_size): each of the p(d) <= 8 349 character-sum
+    # terms is at most (d!)^(|E| + F), an oracle count at most (d!)^(2 - E + F) (4 010 digits at
+    # d <= 8), so every value prints under Python's 4 300-digit limit. Slowest admitted oracle call
+    # found: `oracle --surface crosscaps:802 --degree 8`, 3.5 s, 1.5-2.4 s of it the pair table (2 cores).
     "output size": Limit("(|E| + F) * digits(d!)", 4000),
     "identity check": Limit("degree", 7),
-    "hook check": Limit("|delta|", 9),
     "character table": Limit("d", 8),
     "schur expansion": Limit("weight", 10),
     "series degree": Limit("d_max", 8),
@@ -46,7 +48,6 @@ LIMITS = {
     # the limit, 0.20 s at 99991/99989 and 0.27 s at 987654321/123456787 (2 cores).
     "content shift": Limit("digits of numerator and denominator", 4),
     "oracle degree": Limit("degree", 8),
-    "oracle complexity": Limit("crosscaps + 2*handles + branch points", 4),
     "naive oracle work": Limit("enumerated tuples", 2_000_000),
     # Also the depth of a deep MC trace table: matrixmc._batched_traces splits
     # X^m into halves from {X, X^2}, so m <= 4, and a larger value fails there.
@@ -64,3 +65,9 @@ def guard(name: str, value: int) -> None:
     limit = LIMITS[name]
     if value > limit.most or (limit.least is not None and value < limit.least):
         raise GuardError(f"{name} guard: {limit} (got {value})")
+
+
+def guard_output_size(euler: int, degree: int, branch_points: int) -> None:
+    """The "output size" row for an exact count of degree-d covers of a base of Euler
+    characteristic euler with this many branch points."""
+    guard("output size", (abs(euler) + branch_points) * len(str(factorial(degree))))

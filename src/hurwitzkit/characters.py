@@ -191,7 +191,7 @@ def hook_character_poly_check(delta) -> bool:
     to the character of the hook (d-r, 1^r) on delta, for 0 <= r <= d-1."""
     delta = as_partition(delta)
     d = delta.weight()
-    guard("hook check", d)
+    guard("character formula", d)
     if d == 0:
         return True
     # numerator poly coefficients of prod (1 - q^{d_i})

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Callable
 
-from ._errors import ValidationError, guard
+from ._errors import ValidationError, guard, guard_output_size
 from .characters import (
     _dimension_table,
     character_class_sum,
@@ -45,8 +45,7 @@ class HurwitzQuery:
         object.__setattr__(self, "profiles", profs)
         if self.cutoff is not None and self.cutoff < 1:
             raise ValidationError("cutoff must be >= 1 or None")
-        digits = len(str(factorial(self.degree)))
-        guard("output size", (abs(self.euler) + len(profs)) * digits)
+        guard_output_size(self.euler, self.degree, len(profs))
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ group: the identity, the commutator counts, the square counts and the class
 indicators.  All of them are class functions, and so are their convolutions,
 so each is kept as a dictionary keyed by cycle type and evaluated at one
 representative per conjugacy class.  One table per degree, built by plain
-enumeration in O(p(d) d!) compositions, counts the pairs (type x, type x^-1 h)
-over x in S_d for each representative h; the guard admits d <= 8.  This is
+enumeration in O(p(d) d!) compositions (d <= 8), counts the types of h y^-1
+for each representative h and class of y, so a convolution walks only its
+factor's classes: p(d)^2 steps per branch point.  This is
 the Frobenius-Mednykh count computed inside the centre of the group algebra:
 no character theory is used anywhere in this module.
 """
@@ -24,7 +25,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
 
-from ._errors import ValidationError, guard
+from ._errors import ValidationError, guard, guard_output_size
 from .partitions import checked_profiles, cycle_class_size, z_order
 
 Perm = tuple[int, ...]
@@ -112,17 +113,17 @@ def class_elements(d: int, delta: tuple[int, ...]) -> tuple[Perm, ...]:
 
 
 @lru_cache(maxsize=None)
-def _class_pairs(d: int) -> dict[tuple[int, ...], dict[tuple, int]]:
-    """pairs[type h][(type x, type x^-1 h)] = number of x in S_d, for one
-    representative h per class.  x^-1 runs over S_d as x does and has the
-    type of x, so z = x^-1 is enumerated and x^-1 h = z h."""
+def _class_pairs(d: int) -> dict[tuple[int, ...], dict[tuple[int, ...], Counter]]:
+    """pairs[type h][type y] = Counter(type h y^-1) over y in S_d, for one
+    representative h per class.  y^-1 runs over S_d as y does and has the
+    type of y, so w = y^-1 is enumerated and h y^-1 = h w."""
     types = {p: cycle_type(p) for p in permutations(range(d))}
-    reps: dict[tuple[int, ...], Perm] = {}
-    for p, t in types.items():
-        reps.setdefault(t, p)
+    reps = {t: p for p, t in types.items()}
     pairs = {}
     for t, h in reps.items():
-        pairs[t] = Counter((tz, types[compose(z, h)]) for z, tz in types.items())
+        pairs[t] = by_y = {b: Counter() for b in reps}
+        for w, tw in types.items():
+            by_y[tw][types[compose(h, w)]] += 1
     return pairs
 
 
@@ -138,30 +139,23 @@ def _commutator_counts(d: int) -> dict[tuple[int, ...], int]:
     """counts[type h] = number of pairs (A, B) with A B A^-1 B^-1 = h.
 
     B A^-1 B^-1 = A^-1 h has |Z(A)| = z(type A) solutions B when A^-1 h
-    has the type of A, and none otherwise."""
-    counts = {}
-    for t, pairs in _class_pairs(d).items():
-        total = sum(n * z_order(a) for (a, b), n in pairs.items() if a == b)
-        if total:
-            counts[t] = total
-    return counts
+    has the type of A, and none otherwise; A = h y^-1 gives A^-1 h = y."""
+    counts = {t: sum(by_y[a][a] * z_order(a) for a in by_y) for t, by_y in _class_pairs(d).items()}
+    return {t: n for t, n in counts.items() if n}
 
 
 def _convolve(f: dict, g: dict, d: int) -> dict:
-    """(f * g)[h] = sum_x f[x] g[x^-1 h] for class functions keyed by cycle type."""
-    out = {}
-    for t, pairs in _class_pairs(d).items():
-        total = sum(n * f.get(a, 0) * g.get(b, 0) for (a, b), n in pairs.items())
-        if total:
-            out[t] = total
-    return out
+    """(f * g)[h] = sum_y f[h y^-1] g[y] for class functions keyed by cycle
+    type, walking only the keys of g: no factor keeps a zero value."""
+    return {t: sum(gb * sum(n * f.get(a, 0) for a, n in by_y[b].items()) for b, gb in g.items())
+            for t, by_y in _class_pairs(d).items()}
 
 
 def oracle_count(pres: SurfacePresentation, degree: int, profiles=()) -> int:
     """Number of surface-relation solutions with X_i in the prescribed classes."""
     profs = checked_profiles(degree, profiles)
     guard("oracle degree", degree)
-    guard("oracle complexity", pres.crosscaps + 2 * pres.handles + len(profs))
+    guard_output_size(pres.euler, degree, len(profs))
     identity = (1,) * degree
     dist = {identity: 1}
     for _ in range(pres.handles):

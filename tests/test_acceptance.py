@@ -86,6 +86,19 @@ def test_criterion_2_oracle_equivalence():
                 for f_count in range(f_max + 1):
                     for combo in combinations_with_replacement(pool, f_count):
                         assert presentation_independence_check(euler, d, combo)
+    # Past crosscaps + 2 * handles + F = 4: one fixed profile list per query.
+    for d in range(2, 8):
+        pool = partitions_of(d)
+        for euler in range(-1, -7, -1):
+            for f_count in (5, 10):
+                combo = [pool[(i - euler) % len(pool)] for i in range(f_count)]
+                if sum(d - p.length() for p in combo) % 2:  # an odd product counts no cover
+                    odd = (d - combo[-1].length()) % 2
+                    combo[-1] = Partition((1,) * d if odd else (2,) + (1,) * (d - 2))
+                for pres in _presentations(euler):
+                    assert oracle_hurwitz(pres, d, combo) == hurwitz_value(euler, d, combo), (
+                        euler, d, combo, pres)
+                    compared += 1
     elapsed = time.monotonic() - start
     assert elapsed < 600.0
     print(f"\n[PASS] criterion 2: oracle equals character formula on "

@@ -308,6 +308,14 @@ def test_hook_character_poly(d):
         assert hook_character_poly_check(delta)
 
 
+def test_hook_character_poly_check_answers_up_to_the_character_formula_degree():
+    for delta in [(32,), (17, 15), (2,) * 16, (3, 2) + (1,) * 27]:
+        assert hook_character_poly_check(delta)
+    for delta in [(33,), (2,) * 16 + (1,)]:
+        with pytest.raises(GuardError, match="character formula guard: degree <= 32"):
+            hook_character_poly_check(delta)
+
+
 def test_hook_character_poly_check_fails_on_a_wrong_hook_character(monkeypatch):
     """One hook character moved by 1 fails the check on every class of its
     degree, and on no class of another degree."""

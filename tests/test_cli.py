@@ -42,12 +42,13 @@ def test_oracle_command(capsys):
 
 
 def test_oracle_guard_exit_code(capsys):
+    # (|E| + F) * digits(7!) = (999 + 2) * 4 = 4 004
     code, _, err = run_cli(
-        capsys, "oracle", "--surface", "rp2", "--degree", "7",
-        "--profile", "7", "--profile", "7", "--profile", "7", "--profile", "7",
+        capsys, "oracle", "--surface", "crosscaps:1001", "--degree", "7",
+        "--profile", "7", "--profile", "7",
     )
     assert code == 3
-    assert "guard" in err
+    assert "output size guard" in err
 
 
 def test_validation_exit_code(capsys):

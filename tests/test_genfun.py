@@ -1,7 +1,7 @@
 import hashlib
 from fractions import Fraction
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 import pytest
@@ -26,6 +26,7 @@ from hurwitzkit.genfun import (
 )
 from hurwitzkit.hurwitz import hurwitz_value, hurwitz_weighted_sum
 from hurwitzkit.matrixmc import _RELATIONS
+from hurwitzkit.oracle import SurfacePresentation, oracle_hurwitz
 from hurwitzkit.partitions import Partition, partitions_of
 from hurwitzkit.symfunc import PowerAlphabet, content_product, pochhammer_lambda, schur_poly
 
@@ -507,6 +508,33 @@ def test_sampled_dagger_orders_at_n_7_and_8(shape, sigma):
     layout = build_layout(shape, "complex", sigma)
     _assert_glued_as_wick_says(layout)
     _assert_within_surface_bounds(shape, sigma, layout)
+
+
+def test_layout_coefficients_are_oracle_counts():
+    """Claim (b) with no character on the checking side: every coefficient, to
+    degree 3 at N = 3, of every complex layout with no empty vertex (so no
+    Pochhammer factor) at n <= 3 is the oracle's H^{E,F} of its profiles, on
+    handles for even E and on crosscaps for odd E."""
+    oracle = {}
+    seen = Counter()
+    for shape in ("TL", "TL|TL", "BKP", "BKP|TL", "BKP|BKP"):
+        for n, constant in product((1, 2, 3), (None, "C0")):
+            for sigma, layout in _every_dagger_order(shape, n, constant):
+                if layout.poch_exponent:
+                    continue
+                euler, f = layout.euler, layout.branch_points
+                pres = (SurfacePresentation.orientable((2 - euler) // 2) if euler % 2 == 0
+                        else SurfacePresentation.nonorientable(2 - euler))
+                series = layout.series(N=3, d_max=3)
+                for d in (1, 2, 3):
+                    for profiles in product(partitions_of(d), repeat=f):
+                        if (euler, profiles) not in oracle:
+                            oracle[euler, profiles] = oracle_hurwitz(pres, d, profiles)
+                        assert series.coefficient(d, profiles) == oracle[euler, profiles], (
+                            shape, sigma, constant, profiles)
+                seen[euler, f] += 1
+    assert sum(seen.values()) == 82 and max(f for _, f in seen) == 5
+    assert {euler for euler, _ in seen} == {2, 1, 0, -1, -2}
 
 
 def test_layout_and_series_size_guards():

@@ -1,6 +1,8 @@
-"""The guard table: its README listing, the output-size guard, a CLI fuzz
-check that every argv ends in a documented exit code without a traceback, and
-a table of library inputs that each end in their own ValidationError."""
+"""The guard table: its README listing, the rows the code names, the
+output-size guard that both exact engines share, a CLI fuzz check that every
+argv ends in a documented exit code without a traceback, and a table of
+library inputs that each end in their own ValidationError."""
+import ast
 import contextlib
 import time
 import io
@@ -44,6 +46,47 @@ def test_readme_lists_every_limit_with_its_value():
         assert any(row.startswith(f"- `{name}`: {limit} ") for row in rows), name
 
 
+def _limit_rows(source: str) -> tuple[set, set]:
+    """The LIMITS rows a module names, as the first argument of `guard` and as
+    the limit of `_check_sizes` (passed or its default), and the source text
+    of any other expression passed there."""
+    rows, passed = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == "_check_sizes":
+            names = [a.arg for a in node.args.args][-len(node.args.defaults):]
+            args = [dict(zip(names, node.args.defaults))["limit"]]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "guard":
+                args = node.args[:1]
+            elif node.func.id == "_check_sizes":
+                args = node.args[2:] + [k.value for k in node.keywords if k.arg == "limit"]
+            else:
+                continue
+        else:
+            continue
+        for arg in args:
+            if isinstance(arg, ast.Constant):
+                rows.add(arg.value)
+            else:
+                passed.add(ast.unparse(arg))
+    return rows, passed
+
+
+def test_every_guarded_row_is_a_limit_and_every_limit_is_guarded():
+    """A row name that is not a LIMITS key would end in a KeyError traceback,
+    which the CLI does not catch; a key that no call names bounds nothing."""
+    assert _limit_rows("def _check_sizes(d, cutoff=None, limit='a'):\n    guard(limit, d)\n"
+                       "guard('b', 1)\n_check_sizes(1, None, 'c')\n_check_sizes(1, limit='d')\n"
+                       "_check_sizes(1)\nother('e', 1)\n") == ({"a", "b", "c", "d"}, {"limit"})
+    rows, passed = set(), set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "hurwitzkit").glob("*.py")):
+        module_rows, module_passed = _limit_rows(path.read_text())
+        rows |= module_rows
+        passed |= module_passed
+    assert rows == set(LIMITS)
+    assert passed == {"limit"}  # the row _check_sizes is given
+
+
 @pytest.mark.parametrize(
     "argv,code",
     [
@@ -51,6 +94,13 @@ def test_readme_lists_every_limit_with_its_value():
         (["hurwitz", "--euler", "-444", "--degree", "12"], 0),
         (["hurwitz", "--euler", "445", "--degree", "12"], 3),
         (["hurwitz", "--euler", "2", "--degree", "32"] + ["--profile", "32"] * 130, 3),
+        # The oracle obeys the same rule: (|E| + F) * digits(4!) <= 4000.
+        (["hurwitz", "--euler", "-2000", "--degree", "4"], 0),
+        (["hurwitz", "--euler", "-2001", "--degree", "4"], 3),
+        (["oracle", "--surface", "genus:1001", "--degree", "4"], 0),
+        (["oracle", "--surface", "genus:1002", "--degree", "4"], 3),
+        (["oracle", "--surface", "crosscaps:2002", "--degree", "4"], 0),
+        (["oracle", "--surface", "crosscaps:2003", "--degree", "4"], 3),
     ],
 )
 def test_output_size_guard_admits_only_printable_values(argv, code):

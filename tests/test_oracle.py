@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurwitzkit import GuardError, ValidationError
+from hurwitzkit import LIMITS, GuardError, ValidationError, oracle
 from hurwitzkit.hurwitz import hurwitz_value
 from hurwitzkit.oracle import (
     SurfacePresentation,
@@ -53,8 +54,9 @@ def test_known_counts():
 def test_guards():
     with pytest.raises(GuardError):
         oracle_count(SurfacePresentation.rp2(), 9, [])
-    with pytest.raises(GuardError):
-        oracle_count(SurfacePresentation.rp2(), 4, [(4,)] * 4)
+    # (|E| + F) * digits(4!) = (1 + 2000) * 2 = 4 002
+    with pytest.raises(GuardError, match="output size"):
+        oracle_count(SurfacePresentation.rp2(), 4, [(4,)] * 2000)
     with pytest.raises(ValidationError):
         oracle_count(SurfacePresentation.rp2(), 3, [(2,)])
     for degree in (0, -3):
@@ -65,6 +67,47 @@ def test_guards():
     # 11! full cycles to enumerate: the guard fires on the class size alone.
     with pytest.raises(GuardError, match="naive oracle work"):
         oracle_count_naive(SurfacePresentation.sphere(), 12, [(12,), (12,)])
+
+
+class _Admitted(Exception):
+    """Raised in place of the oracle's first table: the query got past every guard."""
+
+
+def _presentations(euler):
+    return ([SurfacePresentation.orientable((2 - euler) // 2)] if euler % 2 == 0 else []) + (
+        [SurfacePresentation.nonorientable(2 - euler)] if euler <= 1 else [])
+
+
+def test_oracle_guards_exactly_what_the_character_formula_guards(monkeypatch):
+    """For 1 <= d <= 8 the oracle raises GuardError on the same (E, d, F) as
+    hurwitz_value, on a grid across the output-size boundary in E and in F.
+    Nothing is counted: the first table the oracle reads stands for an answer."""
+
+    def admitted(*args):
+        raise _Admitted
+
+    monkeypatch.setattr(oracle, "_class_pairs", admitted)
+    monkeypatch.setattr(oracle, "_square_counts", admitted)
+    grid = Counter()
+    for d in range(1, 9):
+        most = LIMITS["output size"].most // len(str(factorial(d)))  # the largest |E| + F
+        cases = [(euler, f) for euler in (2, 1, 0, -1, -2) for f in (0, 1, 2)]
+        cases += [(euler, most - euler + extra) for euler in (2, 1, 0) for extra in (0, 1)]
+        cases += [(f - most - extra, f) for f in (0, 1, 2) for extra in (0, 1)]
+        for euler, f in cases:
+            profiles = [(d,)] * f
+            try:
+                hurwitz_value(euler, d, profiles)
+                want = _Admitted
+            except GuardError:
+                want = GuardError
+            for pres in _presentations(euler):
+                with pytest.raises((GuardError, _Admitted)) as raised:
+                    oracle_count(pres, d, profiles)
+                    raise _Admitted  # the sphere with no profiles reads no table
+                assert raised.type is want, (pres, d, f)
+                grid[want] += 1
+    assert grid == {_Admitted: 238, GuardError: 66}
 
 
 def test_convolution_oracle_matches_naive_enumeration():
