@@ -28,8 +28,9 @@ LIMITS = {
     "character formula": Limit("degree", 32),
     # One rule for both exact engines (guard_output_size): each of the p(d) <= 8 349 character-sum
     # terms is at most (d!)^(|E| + F), an oracle count at most (d!)^(2 - E + F) (4 010 digits at
-    # d <= 8), so every value prints under Python's 4 300-digit limit. Slowest admitted oracle call
-    # found: `oracle --surface crosscaps:802 --degree 8`, 3.5 s, 1.5-2.4 s of it the pair table (2 cores).
+    # d <= 8), so every value prints under Python's 4 300-digit limit. Slowest admitted oracle calls
+    # found: `oracle --surface crosscaps:802 --degree 8`, 1.6-2.4 s, and `genus:401 --degree 8`,
+    # 1.5-1.9 s, nearly all of it the pair table; their convolutions take 0.01-0.02 s (2 cores).
     "output size": Limit("(|E| + F) * digits(d!)", 4000),
     "identity check": Limit("degree", 7),
     "character table": Limit("d", 8),

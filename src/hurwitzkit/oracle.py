@@ -5,23 +5,28 @@ points corresponds to a tuple (A_1, B_1, ..., A_g, B_g | R_1, ..., R_q,
 X_1, ..., X_F) with prod [A_i, B_i] * prod R_j^2 * prod X_i = identity and
 X_i of the prescribed cycle types; the count divided by d! is the cover count.
 
-The tuple count is a convolution of per-factor count distributions over the
-group: the identity, the commutator counts, the square counts and the class
-indicators.  All of them are class functions, and so are their convolutions,
-so each is kept as a dictionary keyed by cycle type and evaluated at one
-representative per conjugacy class.  One table per degree, built by plain
-enumeration in O(p(d) d!) compositions (d <= 8), counts the types of h y^-1
-for each representative h and class of y, so a convolution walks only its
-factor's classes: p(d)^2 steps per branch point.  This is
-the Frobenius-Mednykh count computed inside the centre of the group algebra:
-no character theory is used anywhere in this module.
+The tuple count is the value at the identity of a convolution of per-factor
+count distributions over the group: the commutator counts, the square counts
+and the class indicators.  All of them are class functions, and so are their
+convolutions, so each is kept as a dictionary keyed by cycle type and
+evaluated at one representative per conjugacy class.  One table per degree,
+built by plain enumeration in O(p(d) d!) compositions (d <= 8), counts the
+types of h y^-1 for each representative h and class of y, so a convolution
+walks only its factor's classes.  Class functions commute, so the densest
+factor is the starting distribution and the next densest is read off at the
+identity: the first and last factors are free, and each middle class factor
+costs p(d)^2 steps.  The commutator and square counts are raised to the k
+handles or crosscaps by repeated squaring, O(log k) dense convolutions of at
+most p(d)^3 steps.  This is the Frobenius-Mednykh count computed inside the
+centre of the group algebra: no character theory is used anywhere in this
+module.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations, product
 from math import factorial
 
@@ -123,7 +128,7 @@ def _class_pairs(d: int) -> dict[tuple[int, ...], dict[tuple[int, ...], Counter]
     for t, h in reps.items():
         pairs[t] = by_y = {b: Counter() for b in reps}
         for w, tw in types.items():
-            by_y[tw][types[compose(h, w)]] += 1
+            by_y[tw][types[tuple(map(h.__getitem__, w))]] += 1
     return pairs
 
 
@@ -146,9 +151,20 @@ def _commutator_counts(d: int) -> dict[tuple[int, ...], int]:
 
 def _convolve(f: dict, g: dict, d: int) -> dict:
     """(f * g)[h] = sum_y f[h y^-1] g[y] for class functions keyed by cycle
-    type, walking only the keys of g: no factor keeps a zero value."""
-    return {t: sum(gb * sum(n * f.get(a, 0) for a, n in by_y[b].items()) for b, gb in g.items())
-            for t, by_y in _class_pairs(d).items()}
+    type, walking only the keys of g; zero values are dropped."""
+    return {t: v for t, by_y in _class_pairs(d).items()
+            if (v := sum(gb * sum(n * f.get(a, 0) for a, n in by_y[b].items())
+                         for b, gb in g.items()))}
+
+
+def _halves(f: dict, k: int, d: int) -> list[dict]:
+    """Factors whose convolution is f^k (k >= 1): two copies of f^(k // 2),
+    which can go at the two free ends of a product, then f if k is odd.  Each
+    half is raised the same way, so f^k costs about log2 k convolutions."""
+    if k == 1:
+        return [f]
+    half = reduce(lambda a, b: _convolve(a, b, d), _halves(f, k // 2, d))
+    return [half, half] + [f] * (k % 2)
 
 
 def oracle_count(pres: SurfacePresentation, degree: int, profiles=()) -> int:
@@ -156,15 +172,20 @@ def oracle_count(pres: SurfacePresentation, degree: int, profiles=()) -> int:
     profs = checked_profiles(degree, profiles)
     guard("oracle degree", degree)
     guard_output_size(pres.euler, degree, len(profs))
-    identity = (1,) * degree
-    dist = {identity: 1}
-    for _ in range(pres.handles):
-        dist = _convolve(dist, _commutator_counts(degree), degree)
-    for _ in range(pres.crosscaps):
-        dist = _convolve(dist, _square_counts(degree), degree)
-    for prof in profs:
-        dist = _convolve(dist, {tuple(prof.parts): 1}, degree)
-    return dist.get(identity, 0)
+    factors = [{prof.parts: 1} for prof in profs]
+    if pres.handles:
+        factors += _halves(_commutator_counts(degree), pres.handles, degree)
+    if pres.crosscaps:
+        factors += _halves(_square_counts(degree), pres.crosscaps, degree)
+    # Class functions commute: start from the densest factor, read the next
+    # densest off at the identity, where (f * g)[id] = sum_b f[b] g[b] |C_b|,
+    # and convolve the rest in between.  The identity pads to two factors.
+    factors.sort(key=len)
+    factors[:0] = [{(1,) * degree: 1}] * (2 - len(factors))
+    dist, last = factors.pop(), factors.pop()
+    for g in factors:
+        dist = _convolve(dist, g, degree)
+    return sum(gb * dist.get(b, 0) * cycle_class_size(b) for b, gb in last.items())
 
 
 def oracle_hurwitz(pres: SurfacePresentation, degree: int, profiles=()) -> Fraction:

@@ -74,19 +74,17 @@ def test_criterion_2_oracle_equivalence():
         pool = partitions_of(d)
         for euler in (2, 1, 0, -1, -2):
             for pres in _presentations(euler):
-                f_max = min(3, 4 - pres.crosscaps - 2 * pres.handles)
-                for f_count in range(f_max + 1):
+                for f_count in range(4):
                     for combo in combinations_with_replacement(pool, f_count):
                         assert oracle_hurwitz(pres, d, combo) == hurwitz_value(
                             euler, d, combo
                         ), (euler, d, combo, pres)
                         compared += 1
             if euler in (0, -2):
-                f_max = min(3, 4 - (2 - euler))
-                for f_count in range(f_max + 1):
+                for f_count in range(4):
                     for combo in combinations_with_replacement(pool, f_count):
                         assert presentation_independence_check(euler, d, combo)
-    # Past crosscaps + 2 * handles + F = 4: one fixed profile list per query.
+    # Past E = -2 and F = 3: one fixed profile list per query.
     for d in range(2, 8):
         pool = partitions_of(d)
         for euler in range(-1, -7, -1):
