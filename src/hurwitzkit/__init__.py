@@ -9,8 +9,6 @@ from ._errors import LIMITS, GuardError, ValidationError
 from .partitions import (
     FrobeniusCoords,
     Partition,
-    aut_order,
-    colength,
     conjugate,
     cycle_class_size,
     euler_char_cover,

@@ -17,30 +17,30 @@ from ._errors import ValidationError, guard
 from .partitions import (
     Partition,
     as_partition,
+    conjugate,
     cycle_class_size,
     frobenius,
     partitions_of,
-    _partition_tuples,
 )
 
 
 @lru_cache(maxsize=None)
-def _dimension_table(d: int) -> dict[tuple[int, ...], int]:
-    """{parts: dim lam} over the partitions of d, in partitions_of order, by the
+def _dimension_table(d: int) -> dict[Partition, int]:
+    """{lam: dim lam} over the partitions of d, in partitions_of order, by the
     branching rule: dim lam is the sum of dim(lam - corner) over removable corners."""
     if d < 0:
         raise ValidationError("d must be >= 0")
     guard("character formula", d)
     if d == 0:
-        return {(): 1}
+        return {Partition(): 1}
     below = _dimension_table(d - 1)
     return {
-        parts: sum(
-            below[parts[:i] + (row - 1,) + parts[i + 1:] if row > 1 else parts[:i]]
-            for i, row in enumerate(parts)
-            if i + 1 == len(parts) or parts[i + 1] < row
+        lam: sum(
+            below[lam[:i] + (row - 1,) + lam[i + 1:] if row > 1 else lam[:i]]
+            for i, row in enumerate(lam)
+            if i + 1 == len(lam) or lam[i + 1] < row
         )
-        for parts in _partition_tuples(d, d)
+        for lam in partitions_of(d)
     }
 
 
@@ -80,14 +80,14 @@ def character(lam, delta) -> int:
             f"weight mismatch: |lam|={lam.weight()} vs |delta|={delta.weight()}"
         )
     n = lam.length()
-    beta = tuple(lam.parts[i] + (n - 1 - i) for i in range(n))
-    return _beta_char(beta, delta.parts)
+    beta = tuple(lam[i] + (n - 1 - i) for i in range(n))
+    return _beta_char(beta, delta)
 
 
 def irrep_dimension(lam) -> int:
     """dim lam = character at the identity class, read from the table of |lam|."""
     lam = as_partition(lam)
-    return _dimension_table(lam.weight())[lam.parts]
+    return _dimension_table(lam.weight())[lam]
 
 
 def hook_length_dimension(lam) -> int:
@@ -96,9 +96,9 @@ def hook_length_dimension(lam) -> int:
     d = lam.weight()
     if d == 0:
         return 1
-    conj = [sum(1 for p in lam.parts if p >= j) for j in range(1, lam.parts[0] + 1)]
+    conj = conjugate(lam)
     hooks = 1
-    for i, row in enumerate(lam.parts, start=1):
+    for i, row in enumerate(lam, start=1):
         for j in range(1, row + 1):
             hooks *= row - j + conj[j - 1] - i + 1
     return factorial(d) // hooks
@@ -197,7 +197,7 @@ def hook_character_poly_check(delta) -> bool:
     # numerator poly coefficients of prod (1 - q^{d_i})
     poly = [0] * (d + 1)
     poly[0] = 1
-    for part in delta.parts:
+    for part in delta:
         new = [0] * (d + 1)
         for i, coeff in enumerate(poly):
             if not coeff:
@@ -265,7 +265,7 @@ class CharacterTable:
 
         out = io.StringIO()
         writer = csv.writer(out)
-        label = lambda part: ",".join(str(p) for p in part.parts) or "-"
+        label = lambda part: ",".join(map(str, part)) or "-"
         writer.writerow(["lam\\delta"] + [label(delta) for delta in self.column_labels])
         for lam, row in zip(self.row_labels, self.rows):
             writer.writerow([label(lam), *row])

@@ -114,7 +114,7 @@ def _cmd_characters(args) -> int:
     if args.format == "csv":
         sys.stdout.write(table.to_csv())
     else:
-        label = lambda part: ",".join(str(p) for p in part.parts) or "-"
+        label = lambda part: ",".join(map(str, part)) or "-"
         columns = [label(delta) for delta in table.column_labels]
         _emit({label(lam): dict(zip(columns, row)) for lam, row in zip(table.row_labels, table.rows)})
     return EXIT_OK

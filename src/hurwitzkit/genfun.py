@@ -64,7 +64,7 @@ class ProfileSeries:
         for key, coeff in self.terms.items():
             term = coeff
             for prof, alpha in zip(key.profiles, alphabets):
-                for m in prof.parts:
+                for m in prof:
                     if m > alpha.m_max:
                         raise ValidationError(f"alphabet truncated below p_{m}")
                     term = term * alpha.values[m]
@@ -84,12 +84,12 @@ class ProfileSeries:
         """The terms as JSON-ready dicts, sorted by degree, profiles and aux."""
         for key in sorted(
             self.terms,
-            key=lambda k: (k.degree, tuple(p.parts for p in k.profiles), k.aux),
+            key=lambda k: (k.degree, k.profiles, k.aux),
         ):
             coeff = self.terms[key]
             yield {
                 "degree": key.degree,
-                "profiles": [list(p.parts) for p in key.profiles],
+                "profiles": [list(p) for p in key.profiles],
                 "aux": dict(zip(self.aux_names, key.aux)),
                 "coeff": fraction_text(coeff) if isinstance(coeff, Fraction) else coeff,
             }
@@ -228,7 +228,7 @@ def _lambda_weight(lam: Partition, euler: int, alphabet_count: int,
     """The term of lam in the hypergeometric sum, in three parts: the base
     power (s_lam at the delta alphabet)^(euler - sum of exponents -
     alphabet_count) times the numeric Pochhammer factors; the nonzero profile
-    coefficients {Delta.parts: c} of s_lam = sum c p_Delta; and per symbolic
+    coefficients {Delta: c} of s_lam = sum c p_Delta; and per symbolic
     parameter a its factor {exponent of a: coefficient}, truncated after trunc
     powers of 1/a.  The "schur" route, from Jacobi-Trudi polynomials alone, is
     the independent oracle on purpose: it shares no code with the character
@@ -239,10 +239,10 @@ def _lambda_weight(lam: Partition, euler: int, alphabet_count: int,
     if route == "schur":
         coeffs = schur_poly(lam).coeffs
         s_inf = coeffs.get((1,) * d, Fraction(0))
-        prof_coeff = {delta.parts: coeffs[delta.parts] for delta in classes if delta.parts in coeffs}
+        prof_coeff = {delta: coeffs[delta] for delta in classes if delta in coeffs}
     else:
         s_inf = Fraction(irrep_dimension(lam), factorial(d))
-        prof_coeff = {delta.parts: c for delta in classes
+        prof_coeff = {delta: c for delta in classes
                       if (c := s_inf * normalized_character(lam, delta))}
     weight = s_inf ** (euler - sum(p.exponent for p in params) - alphabet_count)
 
@@ -271,19 +271,20 @@ def _lambda_weight(lam: Partition, euler: int, alphabet_count: int,
 
 
 def _expand(series: ProfileSeries, d: int, terms: Iterable[tuple]) -> None:
-    """Add to series, for each lam of degree d given as (weight, {Delta.parts: c_Delta},
+    """Add to series, for each lam of degree d given as (weight, {Delta: c_Delta},
     symbolic factors) with weight != 0, weight * prod_slots (sum c_Delta p_Delta) * the
-    symbolic factors, one key per profiles (outer) and exponents (inner).  A key sums the
-    integers its exact terms are times W * prod z_Delta > 0 (c_Delta * z_Delta is integral,
-    W the lcm of the weight-times-symbolic denominators): zero tests and key order hold."""
-    classes = {delta.parts: (delta, z_order(delta)) for delta in partitions_of(d)}
+    symbolic factors, one key per profiles (outer) and exponents (inner); Delta may be
+    given as a Partition or as its tuple.  A key sums the integers its exact terms are
+    times W * prod z_Delta > 0 (c_Delta * z_Delta is integral, W the lcm of the
+    weight-times-symbolic denominators): zero tests and key order hold."""
+    z = {delta: z_order(delta) for delta in partitions_of(d)}
     folded = []
     for weight, prof_coeff, sym_series in (term for term in terms if term[0]):
         by_aux = {(): weight}
         for factor in sym_series:
             by_aux = {aux + (e,): w * c for aux, w in by_aux.items() for e, c in factor.items()}
-        cz = {parts: c.numerator * classes[parts][1] // c.denominator
-              for parts, c in prof_coeff.items()}
+        cz = {as_partition(delta): c.numerator * z[delta] // c.denominator
+              for delta, c in prof_coeff.items()}
         folded.append((by_aux, cz))
     common = lcm(*(w.denominator for by_aux, _ in folded for w in by_aux.values()))
     sums: dict[tuple, int] = {}
@@ -291,8 +292,8 @@ def _expand(series: ProfileSeries, d: int, terms: Iterable[tuple]) -> None:
         scaled = [(aux, w.numerator * (common // w.denominator)) for aux, w in by_aux.items()]
         choices = [((), 1)]
         for _ in range(series.alphabet_count):
-            choices = [(profs + (parts,), acc * c) for profs, acc in choices
-                       for parts, c in cz.items()]
+            choices = [(profs + (delta,), acc * c) for profs, acc in choices
+                       for delta, c in cz.items()]
         for profs, acc in choices:
             for aux, w in scaled:
                 key = (profs, aux)
@@ -302,9 +303,7 @@ def _expand(series: ProfileSeries, d: int, terms: Iterable[tuple]) -> None:
                 else:
                     del sums[key]
     for (profs, aux), total in sums.items():
-        slots = [classes[parts] for parts in profs]
-        key = SeriesKey(d, tuple(delta for delta, _ in slots), aux)
-        series.terms[key] = Fraction(total, common * prod(z for _, z in slots))
+        series.terms[SeriesKey(d, profs, aux)] = Fraction(total, common * prod(map(z.get, profs)))
 
 
 def hypergeometric_series(
@@ -377,7 +376,7 @@ def cauchy_littlewood_check(d_max: int) -> bool:
     exact."""
     right = hyp_tau_series("TL", ContentFunction.one(), 0, d_max)
     diagonal = exp_truncated(PowerSumPoly({(m,): Fraction(1, m) for m in range(1, d_max + 1)}), d_max)
-    return right.terms == {SeriesKey(sum(delta), (Partition(delta),) * 2): c
+    return right.terms == {SeriesKey(sum(delta), (delta,) * 2): c
                            for delta, c in diagonal.coeffs.items()}
 
 

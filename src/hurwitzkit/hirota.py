@@ -48,7 +48,7 @@ def bkp_tau_poly(r: ContentFunction, n: int, cutoff: int | None, d_max: int) -> 
     if cutoff == 0:
         return PowerSumPoly.one().scale(g)
     series = hyp_tau_series("BKP", r, n, d_max, cutoff)
-    return PowerSumPoly({key.profiles[0].parts: g * c for key, c in series.items()})
+    return PowerSumPoly({key.profiles[0]: g * c for key, c in series.items()})
 
 
 def hirota_bilinear_check(r: ContentFunction, cutoff: int, d_max: int,

@@ -172,7 +172,7 @@ def oracle_count(pres: SurfacePresentation, degree: int, profiles=()) -> int:
     profs = checked_profiles(degree, profiles)
     guard("oracle degree", degree)
     guard_output_size(pres.euler, degree, len(profs))
-    factors = [{prof.parts: 1} for prof in profs]
+    factors = [{prof: 1} for prof in profs]
     if pres.handles:
         factors += _halves(_commutator_counts(degree), pres.handles, degree)
     if pres.crosscaps:
@@ -204,7 +204,7 @@ def oracle_count_naive(pres: SurfacePresentation, degree: int, profiles=()) -> i
     guard("naive oracle work", work)
     identity = tuple(range(degree))
     free_slots = 2 * pres.handles + pres.crosscaps
-    class_lists = [class_elements(degree, p.parts) for p in profs]
+    class_lists = [class_elements(degree, p) for p in profs]
     total = 0
     for frees in product(permutations(identity), repeat=free_slots):
         prefix = identity
@@ -224,7 +224,7 @@ def oracle_count_naive(pres: SurfacePresentation, degree: int, profiles=()) -> i
                 prod_all = compose(prod_all, x)
             # last X is forced: prod_all * X_F = identity
             needed = inverse(prod_all)
-            total += cycle_type(needed) == profs[-1].parts
+            total += cycle_type(needed) == profs[-1]
     return total
 
 

@@ -4,41 +4,46 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from operator import ge
+from operator import ge, index
 from typing import Iterable, Iterator
 
 from ._errors import ValidationError
 
 
-class Partition:
+class Partition(tuple):
     """Weakly decreasing tuple of positive integers; the empty partition is valid.
 
-    Immutable value object with structural equality and hashing, so it can key
-    character tables and series coefficients.
+    A validated tuple: a Partition equals, hashes and orders like the tuple of
+    its parts, so the two key the same dict and cache entries.  Like any
+    tuple, the empty Partition is false.  Parts must be integers; numpy
+    integers pass, floats and strings do not.
     """
 
-    __slots__ = ("_parts",)
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int] = ()):
-        pts = tuple(map(int, parts))
+    def __new__(cls, parts: Iterable[int] = ()):
+        try:
+            if isinstance(parts, (str, bytes)):
+                raise TypeError("a string is not a sequence of parts")
+            pts = tuple(map(index, parts))
+        except TypeError as exc:
+            raise ValidationError(f"a partition is an iterable of integers, got {parts!r}") from exc
         if pts and min(pts) < 1:
             raise ValidationError(f"partition parts must be >= 1: {pts}")
         if not all(map(ge, pts, pts[1:])):
             raise ValidationError(f"partition parts must be weakly decreasing: {pts}")
-        object.__setattr__(self, "_parts", pts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
+        return tuple.__new__(cls, pts)
 
     @property
     def parts(self) -> tuple[int, ...]:
-        return self._parts
+        """The parts as a plain tuple."""
+        return tuple(self)
 
     def weight(self) -> int:
-        return sum(self._parts)
+        return sum(self)
 
     def length(self) -> int:
-        return len(self._parts)
+        return len(self)
 
     def colength(self) -> int:
         return self.weight() - self.length()
@@ -46,34 +51,21 @@ class Partition:
     def multiplicities(self) -> dict[int, int]:
         """Map part value -> number of occurrences."""
         mult: dict[int, int] = {}
-        for p in self._parts:
+        for p in self:
             mult[p] = mult.get(p, 0) + 1
         return mult
 
     def contents(self) -> Iterator[int]:
         """Yield j - i over the diagram cells (i, j), 1-based, row by row."""
-        for i, row in enumerate(self._parts, start=1):
+        for i, row in enumerate(self, start=1):
             for j in range(1, row + 1):
                 yield j - i
 
     def to_json(self) -> list[int]:
-        return list(self._parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._parts)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Partition):
-            return self._parts == other._parts
-        if isinstance(other, tuple):
-            return self._parts == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._parts)
+        return list(self)
 
     def __repr__(self) -> str:
-        return f"Partition{self._parts}"
+        return f"Partition{tuple(self)}"
 
 
 def as_partition(value) -> Partition:
@@ -103,48 +95,35 @@ class FrobeniusCoords:
 
 
 @lru_cache(maxsize=None)
-def _partition_tuples(d: int, max_part: int) -> tuple[tuple[int, ...], ...]:
-    if d == 0:
-        return ((),)
-    out = []
-    for first in range(min(d, max_part), 0, -1):
-        for rest in _partition_tuples(d - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def partitions_of(d: int) -> tuple[Partition, ...]:
     """All partitions of d, in reverse-lexicographic order: (d) first, (1^d) last."""
     if d < 0:
         raise ValidationError("d must be >= 0")
-    return tuple(Partition(t) for t in _partition_tuples(d, d))
+    if d == 0:
+        return (Partition(),)
+    # (first, *rest) over the partitions rest of d - first whose parts are at
+    # most first: valid by construction, so built without the checks.
+    return tuple(tuple.__new__(Partition, (first, *rest))
+                 for first in range(d, 0, -1)
+                 for rest in partitions_of(d - first) if not rest or rest[0] <= first)
 
 
 def conjugate(lam) -> Partition:
     """Transpose of the Young diagram."""
     lam = as_partition(lam)
-    if not lam.parts:
+    if not lam:
         return lam
-    out = []
-    for j in range(1, lam.parts[0] + 1):
-        out.append(sum(1 for p in lam.parts if p >= j))
-    return Partition(out)
+    return Partition(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
 
 
 def frobenius(lam) -> FrobeniusCoords:
     """Frobenius coordinates: a_i = lam_i - i, b_i = lam'_i - i for i up to the diagonal."""
     lam = as_partition(lam)
     conj = conjugate(lam)
-    kappa = sum(1 for i, p in enumerate(lam.parts, start=1) if p >= i)
-    arms = tuple(lam.parts[i - 1] - i for i in range(1, kappa + 1))
-    legs = tuple(conj.parts[i - 1] - i for i in range(1, kappa + 1))
+    kappa = sum(1 for i, p in enumerate(lam, start=1) if p >= i)
+    arms = tuple(lam[i - 1] - i for i in range(1, kappa + 1))
+    legs = tuple(conj[i - 1] - i for i in range(1, kappa + 1))
     return FrobeniusCoords(arms, legs)
-
-
-def colength(delta) -> int:
-    """Weight minus length."""
-    return as_partition(delta).colength()
 
 
 def z_order(delta) -> int:
@@ -158,21 +137,15 @@ def z_order(delta) -> int:
 
 def cycle_class_size(delta) -> int:
     """Number of permutations in S_d with the given cycle type: d! / z."""
-    return _class_size(as_partition(delta))
+    return _class_size(delta if isinstance(delta, tuple) else as_partition(delta))
 
 
 @lru_cache(maxsize=None)
-def _class_size(delta: Partition) -> int:
+def _class_size(delta: tuple[int, ...]) -> int:
+    """Keyed on the tuple the caller passes, an entry that a tuple and its
+    Partition share; only a miss checks it."""
+    delta = as_partition(delta)
     return factorial(delta.weight()) // z_order(delta)
-
-
-def aut_order(mu) -> int:
-    """Order of the automorphism group of the partition: product of multiplicity factorials."""
-    mu = as_partition(mu)
-    out = 1
-    for mult in mu.multiplicities().values():
-        out *= factorial(mult)
-    return out
 
 
 def checked_profiles(degree: int, profiles: Iterable) -> tuple[Partition, ...]:

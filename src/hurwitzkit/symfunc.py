@@ -58,8 +58,7 @@ class PowerSumPoly:
         return cls({(m,): Fraction(1)})
 
     def coefficient(self, delta) -> Fraction:
-        key = tuple(as_partition(delta).parts)
-        return self.coeffs.get(key, Fraction(0))
+        return self.coeffs.get(as_partition(delta), Fraction(0))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -198,7 +197,7 @@ def schur_poly(lam: Partition) -> PowerSumPoly:
     "schur" route of genfun.hypergeometric_series, genfun.hyp_tau_series (so
     genfun.cauchy_littlewood_check) and the MC harness are built on it, and
     the character-side "pochhammer" route is checked against it."""
-    parts = as_partition(lam).parts
+    parts = as_partition(lam)
     size = len(parts)
 
     @lru_cache(maxsize=None)

@@ -264,6 +264,11 @@ _REJECTIONS = {
     "tau kind KP": (lambda: hyp_tau_series("KP", ContentFunction.one(), 0, 2),
                     "kind must be TL or BKP"),
     "partitions of -1": (lambda: partitions_of(-1), "d must be >= 0"),
+    "float parts": (lambda: hurwitz_value(2, 3, [(2.5, 1.5)]),
+                    r"a partition is an iterable of integers, got \(2.5, 1.5\)"),
+    "partition from a string": (lambda: Partition("21"),
+                                "a partition is an iterable of integers, got '21'"),
+    "partition from an int": (lambda: Partition(5), "a partition is an iterable of integers, got 5"),
     "arms without legs": (lambda: FrobeniusCoords((1,), ()), "arm and leg counts differ"),
     "cover degree mismatch": (lambda: euler_char_cover(2, [(2, 1)], degree=4),
                               "degree 4 does not match profile weight 3"),

@@ -1,6 +1,7 @@
 """Every module uses every name it imports (the package __init__ is left out:
-its imports are its re-exports), and every private module-level name of the
-package is read somewhere in the package, not only by the tests."""
+its imports are its re-exports), every private module-level name of the
+package is read somewhere in the package, not only by the tests, and no
+package module but partitions.py unwraps a Partition through `.parts`."""
 import ast
 from pathlib import Path
 
@@ -62,3 +63,18 @@ def test_every_private_name_is_read_by_the_package():
                                   "b": "import a\nprint(a._C)\n"}) == ["_f (a:3)", "_y (a:2)"]
     sources = {path.name: path.read_text() for path in PACKAGE}
     assert _unread_private_names(sources) == []
+
+
+def _reads_attribute(source: str, attr: str) -> bool:
+    """Whether the module reads `.attr` off any object."""
+    return any(isinstance(node, ast.Attribute) and node.attr == attr
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_no_module_but_partitions_reads_parts():
+    """A Partition is the tuple of its parts, so the package uses it as one."""
+    assert _reads_attribute("n = len(lam.parts)\n", "parts")
+    assert not _reads_attribute("parts = lam\nprint(parts)\n", "parts")
+    readers = [path.name for path in PACKAGE
+               if path.name != "partitions.py" and _reads_attribute(path.read_text(), "parts")]
+    assert readers == []

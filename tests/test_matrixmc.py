@@ -497,7 +497,7 @@ def test_cache_stats_and_clear_caches():
     assert sorted(stats) == [
         "characters._beta_char", "characters._dimension_table", "characters.class_column",
         "matrixmc.trace_slot", "oracle._class_pairs", "oracle._commutator_counts",
-        "oracle._square_counts", "partitions._class_size", "partitions._partition_tuples",
+        "oracle._square_counts", "partitions._class_size",
         "partitions.partitions_of", "symfunc.complete_homogeneous", "symfunc.schur_poly",
     ]
     assert stats["matrixmc.trace_slot"] == 1

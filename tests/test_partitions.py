@@ -1,12 +1,13 @@
+import json
 from math import factorial
 
+import numpy as np
 import pytest
 
 from hurwitzkit import ValidationError
 from hurwitzkit.partitions import (
     Partition,
-    aut_order,
-    colength,
+    _class_size,
     conjugate,
     cycle_class_size,
     euler_char_cover,
@@ -14,6 +15,7 @@ from hurwitzkit.partitions import (
     partitions_of,
     z_order,
 )
+from hurwitzkit.symfunc import schur_poly
 
 PARTITION_COUNTS = {0: 1, 1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 7: 15, 8: 22, 9: 30}
 
@@ -34,7 +36,7 @@ def test_partition_validation():
         ((2, -1), ValidationError, "partition parts must be >= 1: (2, -1)"),
         ((1, 2), ValidationError, "partition parts must be weakly decreasing: (1, 2)"),
         ((3, 1, 2), ValidationError, "partition parts must be weakly decreasing: (3, 1, 2)"),
-        (("a",), ValueError, "invalid literal for int() with base 10: 'a'"),
+        (("a",), ValidationError, "a partition is an iterable of integers, got ('a',)"),
     ],
 )
 def test_partition_validation_errors(parts, error, message):
@@ -51,6 +53,38 @@ def test_partition_value_semantics():
     assert {a: 1}[b] == 1
     with pytest.raises(AttributeError):
         a.parts = (1,)
+
+
+def test_partition_is_a_validated_tuple():
+    """A Partition equals, hashes and keys dicts and caches like its tuple;
+    .parts is a plain tuple, JSON writes a list, no attribute can be set, and
+    the empty Partition is false."""
+    lam = Partition((3, 1))
+    assert isinstance(lam, tuple) and lam == (3, 1) and hash(lam) == hash((3, 1))
+    assert {(3, 1): "x"}[lam] == "x" and {lam: "y"}[(3, 1)] == "y"
+    first = schur_poly(Partition((4, 2, 1)))
+    entries = schur_poly.cache_info().currsize
+    assert schur_poly((4, 2, 1)) is first and schur_poly.cache_info().currsize == entries
+    assert type(lam.parts) is tuple and lam.parts == (3, 1)
+    assert json.dumps(Partition((3, 1))) == "[3, 1]"
+    for name in ("parts", "weight", "other"):
+        with pytest.raises(AttributeError):
+            setattr(lam, name, (1,))
+    assert not Partition() and Partition((1,))
+    assert Partition(np.array([2, 1], dtype=np.int64)) == (2, 1)
+    assert repr(Partition((2, 1))) == "Partition(2, 1)" and repr(Partition()) == "Partition()"
+
+
+def test_cycle_class_size_is_cached_on_the_value_passed():
+    _class_size.cache_clear()
+    assert cycle_class_size((2, 1)) == cycle_class_size(Partition((2, 1))) == 3
+    assert _class_size.cache_info().currsize == 1
+    assert cycle_class_size([2, 1]) == 3 and _class_size.cache_info().currsize == 1
+    with pytest.raises(ValidationError):
+        cycle_class_size((1, 2))
+    with pytest.raises(ValidationError):
+        cycle_class_size((2.5, 1.5))
+    assert _class_size.cache_info().currsize == 1
 
 
 def test_partitions_of_small():
@@ -99,12 +133,6 @@ def test_frobenius_coords():
             assert fr.diagonal == sum(1 for i, p in enumerate(lam.parts, 1) if p >= i)
 
 
-def test_colength():
-    assert colength((1, 1, 1)) == 0
-    assert colength((2, 1)) == 1
-    assert colength((5,)) == 4
-
-
 def test_cycle_class_size():
     assert cycle_class_size((1, 1, 1)) == 1
     assert cycle_class_size((2, 1)) == 3
@@ -113,12 +141,6 @@ def test_cycle_class_size():
         assert sum(cycle_class_size(p) for p in partitions_of(d)) == factorial(d)
         for p in partitions_of(d):
             assert cycle_class_size(p) * z_order(p) == factorial(d)
-
-
-def test_aut_order():
-    assert aut_order((1, 1, 1)) == 6
-    assert aut_order((2, 1)) == 1
-    assert aut_order((2, 2, 1)) == 2
 
 
 def test_euler_char_cover():
