@@ -42,11 +42,14 @@ LIMITS = {
     "unbranched generator": Limit("d_max", 12),
     "layout matrices": Limit("n", 8),
     "bilinear check": Limit("d_max", 6),
-    # g(n) is a product of O(n^2) content values: n = +-16 at d_max 6 takes 0.1-0.2 s (2 cores).
+    # g(n) is a product of O(n^2) content values: n = +-16 at d_max 6, cutoff 3 and r = 1
+    # takes 0.05-0.10 s, cold (2 cores).
     "bilinear offset": Limit("|n|", 16),
     # Content values x + a get longer with the digits of a: the check at cutoff 3,
-    # d_max 6 and n = 16, -16 takes 0.12 s at a = 1/2, 0.18 s at 9973/9967 and, past
-    # the limit, 0.20 s at 99991/99989 and 0.27 s at 987654321/123456787 (2 cores).
+    # d_max 6 and n = 16, -16 takes 0.08-0.11 s at a = 1/2, 0.09-0.15 s at 9973/9967
+    # and, past the limit, 0.11-0.19 s at 99991/99989 and 0.24-0.30 s at
+    # 987654321/123456787; the slowest admitted call, `hirota --r=9973/9967 --N 8
+    # --dmax 6 --n=16,-16`, takes 0.13-0.22 s of check, cold (2 cores).
     "content shift": Limit("digits of numerator and denominator", 4),
     "oracle degree": Limit("degree", 8),
     "naive oracle work": Limit("enumerated tuples", 2_000_000),

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._errors import ValidationError, guard
 from .characters import irrep_dimension, normalized_character
-from .partitions import Partition, as_partition, partitions_of, z_order
+from .partitions import Partition, as_partition, cycle_class_size, partitions_of
 from .symfunc import (PowerAlphabet, PowerSumPoly, content_product, eval_schur,
                       exp_truncated, fraction_text, schur_poly)
 
@@ -277,13 +277,15 @@ def _expand(series: ProfileSeries, d: int, terms: Iterable[tuple]) -> None:
     given as a Partition or as its tuple.  A key sums the integers its exact terms are
     times W * prod z_Delta > 0 (c_Delta * z_Delta is integral, W the lcm of the
     weight-times-symbolic denominators): zero tests and key order hold."""
-    z = {delta: z_order(delta) for delta in partitions_of(d)}
+    classes = partitions_of(d)
+    canonical = dict(zip(classes, classes))  # a plain-tuple Delta to its Partition
+    z = {delta: factorial(d) // cycle_class_size(delta) for delta in classes}
     folded = []
     for weight, prof_coeff, sym_series in (term for term in terms if term[0]):
         by_aux = {(): weight}
         for factor in sym_series:
             by_aux = {aux + (e,): w * c for aux, w in by_aux.items() for e, c in factor.items()}
-        cz = {as_partition(delta): c.numerator * z[delta] // c.denominator
+        cz = {canonical[delta]: c.numerator * z[delta] // c.denominator
               for delta, c in prof_coeff.items()}
         folded.append((by_aux, cz))
     common = lcm(*(w.denominator for by_aux, _ in folded for w in by_aux.values()))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from typing import Callable
 
 from ._errors import ValidationError, guard
 from .genfun import ContentFunction, _check_sizes, hyp_tau_series
@@ -51,20 +52,51 @@ def bkp_tau_poly(r: ContentFunction, n: int, cutoff: int | None, d_max: int) -> 
     return PowerSumPoly({key.profiles[0]: g * c for key, c in series.items()})
 
 
+def _content_table(r: ContentFunction) -> Callable[[int], Fraction]:
+    """r with each value kept in a dict on first use: one check evaluates r(x)
+    once per distinct x, and r raises its own pole, tabulation or type error at
+    the first x it fails on, as it would uncached."""
+    values = {}
+
+    def lookup(x):
+        if x not in values:
+            values[x] = r(x)
+        return values[x]
+
+    return lookup
+
+
+def _scaled(tau: PowerSumPoly, scale: int) -> PowerSumPoly:
+    """scale * tau with integer coefficients, as a copy: a tau shared between
+    offsets is scaled by each offset's own lcm."""
+    out = PowerSumPoly()
+    out.coeffs = {k: c.numerator * (scale // c.denominator) for k, c in tau.coeffs.items()}
+    return out
+
+
 def hirota_bilinear_check(r: ContentFunction, cutoff: int, d_max: int,
                           n_values=(0, 1)) -> bool:
     """Both elementary bilinear equations hold identically in p to total degree d_max.
     Scaled by 2 and by the lcm of the denominators of an offset's seven taus,
-    they are checked in integers: a nonzero scale does not change a zero test."""
+    they are checked in integers: a nonzero scale does not change a zero test.
+    Each tau (N, n) is built once, from one table of the content values of r:
+    offsets n and n + 1 share three of their seven taus."""
     _check_sizes(d_max, cutoff, "bilinear check")  # the shifted sums need N - 1 >= 0
-    guard("bilinear offset", max((abs(n) for n in n_values), default=0))
+    n_values = tuple(n_values)
+    if not n_values:
+        raise ValidationError("n_values must name at least one offset")
+    guard("bilinear offset", max(abs(n) for n in n_values))
     work = d_max + 2  # second derivatives drop the weight by two
+    table = _content_table(r)
+    built: dict[tuple[int, int], PowerSumPoly] = {}  # (N, n) -> tau, over every offset
     for n in n_values:
-        taus = {(dN, dn): bkp_tau_poly(r, n + dn, cutoff + dN, work)
+        keys = {(dN, dn): (cutoff + dN, n + dn)
                 for dN, dn in ((0, 0), (1, 1), (2, 2), (-1, -1), (0, 1), (-1, 0), (1, 2))}
-        scale = lcm(*(c.denominator for t in taus.values() for c in t.coeffs.values()))
-        for t in taus.values():
-            t.coeffs = {k: c.numerator * (scale // c.denominator) for k, c in t.coeffs.items()}
+        for N, m in keys.values():
+            if (N, m) not in built:
+                built[N, m] = bkp_tau_poly(table, m, N, work)
+        scale = lcm(*(c.denominator for key in keys.values() for c in built[key].coeffs.values()))
+        taus = {shift: _scaled(built[key], scale) for shift, key in keys.items()}
 
         def d1(p):
             return p.derivative(1)

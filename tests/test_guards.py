@@ -18,6 +18,7 @@ from hurwitzkit.characters import colength_sum, full_cycle_normalized_character,
 from hurwitzkit.cli import main
 from hurwitzkit.genfun import (ContentFunction, PochhammerParam, ProfileSeries, SeriesKey,
                                fold_alphabet, hyp_tau_series, hypergeometric_series)
+from hurwitzkit.hirota import hirota_bilinear_check
 from hurwitzkit.hurwitz import full_cycle_identity_holds, hurwitz_value, hurwitz_weighted_sum
 from hurwitzkit.matrixmc import MCEstimate, mc_proposition_check, mc_schur_moment
 from hurwitzkit.oracle import SurfacePresentation
@@ -263,6 +264,9 @@ _REJECTIONS = {
                       "alphabet index out of range"),
     "tau kind KP": (lambda: hyp_tau_series("KP", ContentFunction.one(), 0, 2),
                     "kind must be TL or BKP"),
+    "bilinear check at no offset": (
+        lambda: hirota_bilinear_check(ContentFunction.one(), 2, 3, n_values=()),
+        "n_values must name at least one offset"),
     "partitions of -1": (lambda: partitions_of(-1), "d must be >= 0"),
     "float parts": (lambda: hurwitz_value(2, 3, [(2.5, 1.5)]),
                     r"a partition is an iterable of integers, got \(2.5, 1.5\)"),

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -79,12 +81,45 @@ def test_bilinear_shifted_weight(cutoff):
 
 
 def test_bilinear_random_tabulated_weight():
-    import random
-
+    """Offsets 0, 1 and -1 share taus but scale them by different lcms, so a
+    shared tau scaled in place would break the later offsets."""
     random.seed(4)
     table = {i: Fraction(random.randint(1, 30), random.randint(1, 11)) for i in range(-9, 12)}
     r = ContentFunction.tabulated(table)
     assert hirota_bilinear_check(r, 2, 3, n_values=(0, 1, -1))
+
+
+def test_each_tau_is_built_once_per_check(monkeypatch):
+    """Offsets 0 and 1 read 14 taus (N, n), three of them shared: the check
+    builds the 11 distinct ones, each once."""
+    true_tau = hirota.bkp_tau_poly
+    built = []
+
+    def counted(r, n, cutoff, d_max):
+        built.append((cutoff, n))
+        return true_tau(r, n, cutoff, d_max)
+
+    monkeypatch.setattr(hirota, "bkp_tau_poly", counted)
+    assert hirota_bilinear_check(ContentFunction.rational([Fraction(1, 2)]), 2, 3)
+    assert len(built) == len(set(built)) == 11
+
+
+def test_each_content_value_is_evaluated_once_per_check():
+    """The taus and the normalizations g(n) of one check read one table of
+    content values, filled on first use."""
+    random.seed(11)
+    tabulated = ContentFunction.tabulated(
+        {x: Fraction(random.randint(1, 30), random.randint(1, 11)) for x in range(-10, 16)})
+    calls = Counter()
+
+    def counted(x):
+        calls[x] += 1
+        return tabulated(x)
+
+    r = ContentFunction(counted, "counted")
+    assert hirota_bilinear_check(r, 3, 4, n_values=(0, 1, -1, 5))
+    assert set(range(1, 5)) <= set(calls)  # g(5) reads r(1) ... r(4)
+    assert max(calls.values()) == 1
 
 
 def test_second_equation_alone_fails_the_check(monkeypatch):
