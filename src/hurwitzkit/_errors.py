@@ -59,6 +59,8 @@ LIMITS = {
     "mc moment size": Limit("N", 6),
     "mc proposition size": Limit("N", 5),
     "mc proposition degree": Limit("degree", 3),
+    # The slowest admitted MC call, `mc --proposition prop3_u --n 8 --N 5 --degree 3 --samples
+    # 1000000`, takes 19.6-20.5 s at a peak RSS of 1.7 GB (2 cores).
     "mc samples": Limit("samples", 10**6, least=10**4),
     "mc workers": Limit("workers", 64),
 }

@@ -4,20 +4,20 @@ Every integrand is built from words in the sampled matrices, their daggers
 and fixed test matrices, in the letters of the genfun layouts, the four lemma
 relations included: they are the layouts of one matrix.  One pipeline,
 `_word_traces`, draws for both entry points: a run is split into worker
-chunks whose random streams are counter-based (Philox keyed by (seed,
-worker)), and one drawing thread fills the next chunk's Ginibre batches, at
-most one chunk ahead, whatever `workers` is, while the calling thread
-evaluates the current chunk in slices of at most `_SLICE` samples.  A chunk
-is (N, N, batch) arrays, batch axis last, so each matrix entry is a vector
-over the chunk and every kernel is whole-vector ufuncs, elementwise along the
-batch: Haar unitaries are Gram-Schmidt orthonormalised Ginibre matrices
-(Mezzadri's QR with the phase fix built in); one product kernel multiplies a
-word's letters, sampled or fixed, left to right; tr X^m for m <= 4 comes from
-X and X^2.  So the estimate depends on neither the slice boundaries nor the
-threads' timing, and is bit-identical for a fixed (seed, samples, workers)
-on one numpy build.  Schur functions of sampled matrices come from these
-traces, never from eigendecompositions; exact predictions become complex
-floats only at the comparison boundary.
+chunks, each with its own random stream (SFC64 seeded through SeedSequence
+from (seed, worker)), and one drawing thread fills the next chunk's Ginibre
+batches in place, at most one chunk ahead, whatever `workers` is, while the
+calling thread evaluates the current chunk in slices of at most `_SLICE`
+samples.  A chunk is (N, N, batch) arrays, batch axis last, so each matrix
+entry is a vector over the chunk and every kernel is whole-vector ufuncs,
+elementwise along the batch: Haar unitaries are Gram-Schmidt orthonormalised
+Ginibre matrices (Mezzadri's QR with the phase fix built in); one product
+kernel multiplies a word's letters, sampled or fixed, left to right; tr X^m
+for m <= 4 comes from X and X^2.  So the estimate depends on neither the
+slice boundaries nor the threads' timing, and is bit-identical for a fixed
+(seed, samples, workers) on one numpy build.  Schur functions of sampled
+matrices come from these traces, never from eigendecompositions; exact
+predictions become complex floats only at the comparison boundary.
 
 `mc_schur_moment` keeps the per-draw trace tables of its latest call, so
 consecutive calls that differ only in the partitions draw once.  A kept table
@@ -92,15 +92,19 @@ class MCComparison:
 
 
 def _worker_rng(seed: int, worker: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, worker], dtype=np.uint64)))
+    """The stream of one (seed, worker) chunk: SFC64 seeded through SeedSequence.
+    Nothing jumps or advances a stream, so it needs no counter-based generator."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, worker])))
 
 
 def _ginibre_batch(rng: np.random.Generator, batch: int, size: int) -> np.ndarray:
-    """(re + 1j*im)/sqrt(2) of two (batch, size, size) normal draws, batch-last."""
+    """A (size, size, batch) batch of (re + 1j*im)/sqrt(2): the stream's normals
+    fill the array's float64 view in place, in C order, so each entry's real and
+    imaginary parts are consecutive draws, and are then scaled in place."""
     out = np.empty((size, size, batch), dtype=complex)
-    for part in (out.real, out.imag):
-        np.multiply(rng.standard_normal((batch, size, size)).transpose(1, 2, 0),
-                    1.0 / np.sqrt(2.0), out=part)
+    parts = out.view(np.float64)
+    rng.standard_normal(out=parts)
+    parts *= 1.0 / np.sqrt(2.0)
     return out
 
 

@@ -42,17 +42,37 @@ def test_ginibre_moments():
     assert abs(second - 1.0) < 5 / np.sqrt(40_000 * 9)
 
 
-def test_ginibre_batch_is_the_scaled_philox_stream_batch_last():
-    """The draws are bit for bit (re + 1j*im)/sqrt(2) of the stream's two
-    (batch, N, N) normal arrays, with the batch axis moved last."""
+def test_ginibre_entries_are_circular():
+    """E z^2 = 0, E[re im] = 0 and Var re = Var im = 1/2, each at 5 sigma: a
+    fill that copied the real parts into the imaginary ones would still pass
+    test_ginibre_moments."""
+    z = _ginibre_batch(_worker_rng(SEED, 0), 40_000, 3).ravel()
+
+    def assert_mean(vals, want):
+        stderr = vals.std(ddof=1) / np.sqrt(len(vals))
+        assert abs(vals.mean() - want) < 5 * stderr
+
+    assert_mean(z ** 2, 0.0)
+    assert_mean(z.real * z.imag, 0.0)
+    for part in (z.real, z.imag):
+        assert_mean((part - part.mean()) ** 2, 0.5)
+
+
+def test_ginibre_batch_fills_the_sfc64_stream_in_place():
+    """The draws are bit for bit the normals of SFC64 seeded by
+    SeedSequence([seed, worker]), times 1/sqrt(2), in C order over
+    (N, N, batch, re/im): batch axis last, and each entry's real and imaginary
+    parts consecutive draws."""
+    scale = 1.0 / np.sqrt(2.0)
     for size in (1, 2, 3, 6):
-        rng = _worker_rng(SEED, 20 + size)
-        re = rng.standard_normal((500, size, size))
-        im = rng.standard_normal((500, size, size))
-        want = np.moveaxis((re + 1j * im) / np.sqrt(2.0), 0, -1)
+        stream = np.random.Generator(np.random.SFC64(np.random.SeedSequence([SEED, 20 + size])))
+        normals = stream.standard_normal((size, size, 500, 2))
+        want = np.empty((size, size, 500), dtype=complex)
+        want.real = normals[..., 0] * scale
+        want.imag = normals[..., 1] * scale
         got = _ginibre_batch(_worker_rng(SEED, 20 + size), 500, size)
         assert got.shape == (size, size, 500)
-        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert got.tobytes() == want.tobytes()
 
 
 def test_ginibre_trace_moment():
@@ -300,6 +320,20 @@ def test_guards():
             mc_proposition_check("prop1", 1, 2, samples=samples)
 
 
+def test_seeds_cover_the_unsigned_64_bit_range():
+    """SeedSequence takes any non-negative integer, so _check_stream alone
+    bounds the seed, on both entry points."""
+    for seed in (0, 2**64 - 1):
+        assert mc_schur_moment("sAZBZ+", (1,), 2, samples=10_000, seed=seed).estimate.seed == seed
+        assert mc_proposition_check("prop2", 1, 2, degree=1, samples=10_000,
+                                    seed=seed).estimate.seed == seed
+    for seed in (-1, 2**64):
+        with pytest.raises(ValidationError, match=r"seed must satisfy 0 <= seed < 2\^64"):
+            mc_schur_moment("sAZBZ+", (1,), 2, samples=10_000, seed=seed)
+        with pytest.raises(ValidationError, match=r"seed must satisfy 0 <= seed < 2\^64"):
+            mc_proposition_check("prop2", 1, 2, degree=1, samples=10_000, seed=seed)
+
+
 @pytest.mark.parametrize("relation", ["sAUBU-1", "sAZBZ+"])
 def test_paired_relations_reject_a_different_mu(relation):
     for mu in ((1, 1), (1,)):
@@ -376,15 +410,15 @@ def test_every_layout_passes_a_small_gate():
         assert cmp.passed, (name, cmp.sigmas)
 
 
-# Means recorded with the (batch, N, N) kernels that preceded the batch-last
-# layout.  A kernel that reassigns draws moves a mean by O(stderr), far
-# beyond 1e-12; rounding-level kernel changes stay below it.
+# Means recorded on the SFC64 streams, each batch filled in place.  A kernel
+# that reassigns draws moves a mean by O(stderr), far beyond 1e-12;
+# rounding-level kernel changes stay below it.
 PINNED_MEANS = {
-    "sAUBU-1": ("0x1.04b90002298b1p+6", "0x1.45fda2503c1e5p+5"),
-    "sAUU-1B": ("0x1.0b2865c0f174cp+3", "0x1.56fb634d8a050p+2"),
-    "sAZBZ+": ("0x1.88e72501164f2p+10", "0x1.eb3cadaffeb4ap+9"),
-    "sAZZ+B": ("0x1.8b3e6a7541497p+7", "0x1.fabad3c9f603dp+6"),
-    "int4": ("0x1.f4f58efeb29e0p+4", "0x1.aa2af088ce8b9p+4"),
+    "sAUBU-1": ("0x1.04b3e53eb157ep+6", "0x1.45e74878a10f0p+5"),
+    "sAUU-1B": ("0x1.f51c307e83d9dp+2", "0x1.422adc3b8ffbap+2"),
+    "sAZBZ+": ("0x1.85912cea605a3p+10", "0x1.e7fd32b5511b7p+9"),
+    "sAZZ+B": ("0x1.785acaa7a0b02p+7", "0x1.e5c129dbc4756p+6"),
+    "int4": ("0x1.f282d93cd631cp+4", "0x1.9fe473d302d87p+3"),
 }
 
 
