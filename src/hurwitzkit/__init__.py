@@ -7,12 +7,10 @@ Monte Carlo validation of the matrix-integral identities.
 """
 from ._errors import LIMITS, GuardError, ValidationError
 from .partitions import (
-    FrobeniusCoords,
     Partition,
     conjugate,
     cycle_class_size,
     euler_char_cover,
-    frobenius,
     partitions_of,
     z_order,
 )
@@ -20,7 +18,6 @@ from .symfunc import (
     PowerAlphabet,
     PowerSumPoly,
     complete_homogeneous,
-    conjugation_identity_check,
     content_product,
     eval_schur,
     pochhammer_lambda,
@@ -45,7 +42,6 @@ from .hurwitz import (
     HurwitzResult,
     full_cycle_identity_holds,
     gluing_identity_holds,
-    hurwitz_colength_sum,
     hurwitz_down_identity_holds,
     hurwitz_number,
     hurwitz_value,

@@ -2,7 +2,7 @@
 hard guards that every exponential-cost path checks its input against."""
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, log10
 from typing import NamedTuple
 
 
@@ -35,6 +35,9 @@ LIMITS = {
     "identity check": Limit("degree", 7),
     "character table": Limit("d", 8),
     "schur expansion": Limit("weight", 10),
+    # `schur --at-constant a` prints products of at most 10 factors a + c (|c| <= 9) over
+    # hook lengths (<= 10!), so at most 4 010 digits each at this bound.
+    "schur constant": Limit("digits of numerator and denominator", 400),
     "series degree": Limit("d_max", 8),
     # A k-alphabet series has sum_{d <= d_max} p(d)^k profile keys; the 80 441 of `genfun
     # --layout prop1 --n 5 --dmax 4` take 5.7-7.0 s (0.8 s series, the rest JSON), 73 MB (2 cores).
@@ -73,7 +76,13 @@ def guard(name: str, value: int) -> None:
         raise GuardError(f"{name} guard: {limit} (got {value})")
 
 
+def digits(n: int) -> int:
+    """Decimal digits of |n|, counted without str(), which refuses past 4 300 digits."""
+    count = int(log10(abs(n) or 1)) + 1  # float rounding: off by at most one
+    return count - (0 < abs(n) < 10 ** (count - 1)) + (abs(n) >= 10**count)
+
+
 def guard_output_size(euler: int, degree: int, branch_points: int) -> None:
     """The "output size" row for an exact count of degree-d covers of a base of Euler
     characteristic euler with this many branch points."""
-    guard("output size", (abs(euler) + branch_points) * len(str(factorial(degree))))
+    guard("output size", (abs(euler) + branch_points) * digits(factorial(degree)))

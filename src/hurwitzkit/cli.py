@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 an exact check failed (`hirota` when an equation
 fails, `selftest` when an exact check fails), 2 validation error / bad flags,
-3 guard violation, 4 Monte Carlo gate failure.  Rationals are always printed as "num/den"
-strings so golden files stay diff-stable.
+3 guard violation or out of memory, 4 Monte Carlo gate failure.  Rationals are
+always printed as "num/den" strings so golden files stay diff-stable.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable
 
-from ._errors import GuardError, ValidationError, guard
+from ._errors import GuardError, ValidationError, digits, guard
 from .partitions import Partition, conjugate, partitions_of
 from .symfunc import PowerAlphabet, eval_schur, fraction_text, pochhammer_lambda, schur_poly
 from .characters import character_table
@@ -45,6 +45,22 @@ def _parse_partition(text: str) -> Partition:
         return Partition(int(p) for p in text.split(","))
     except ValueError as exc:
         raise ValidationError(f"bad partition {text!r}: {exc}") from exc
+
+
+def _parse_rational(flag: str, text: str, limit: str) -> Fraction:
+    """The rational literal of flag, its numerator and denominator digits guarded by limit
+    before the Fraction is built: past +-4 len(text), an exponent only appends zeros."""
+    mantissa, _, exp = text.lower().partition("e")
+    try:
+        shift = int(exp or 0)
+        cut = max(-4 * len(text), min(shift, 4 * len(text)))
+        value = Fraction(f"{mantissa}e{cut}" if exp else text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"{flag} must be a rational number") from exc
+    zeros = abs(shift - cut) if value else 0
+    guard(limit, max(digits(value.numerator) + zeros * (shift > 0),
+                   digits(value.denominator) + zeros * (shift < 0)))
+    return value * Fraction(10) ** (zeros if shift > 0 else -zeros)
 
 
 def _parse_surface(text: str) -> SurfacePresentation:
@@ -126,10 +142,7 @@ def _cmd_schur(args) -> int:
     poly = schur_poly(lam)
     payload = {"partition": lam.to_json(), "power_sum_expansion": poly.to_json()}
     if args.at_constant is not None:
-        try:
-            a = Fraction(args.at_constant)
-        except ZeroDivisionError as exc:
-            raise ValidationError(f"zero denominator in --at-constant {args.at_constant}") from exc
+        a = _parse_rational("--at-constant", args.at_constant, "schur constant")
         alpha = PowerAlphabet.constant(a, max(1, lam.weight()))
         payload["value_at_constant"] = fraction_text(eval_schur(lam, alpha))
         payload["pochhammer"] = fraction_text(pochhammer_lambda(a, lam))
@@ -167,11 +180,7 @@ def _cmd_hirota(args) -> int:
     if args.r == "one":
         r = ContentFunction.one()
     else:
-        try:
-            shift = Fraction(args.r)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError("--r must be 'one' or a rational shift a for r(x)=x+a") from exc
-        r = ContentFunction.rational([shift])
+        r = ContentFunction.rational([_parse_rational("--r", args.r, "content shift")])
     n_values = tuple(int(x) for x in args.n.split(",")) if args.n else (0, 1)
     ok = hirota_bilinear_check(r, args.N, args.dmax, n_values=n_values)
     _emit({"r": r.description, "N": args.N, "dmax": args.dmax, "holds": ok})
@@ -349,3 +358,6 @@ def main(argv=None) -> int:
     except (ValidationError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"out of memory: {exc}" if str(exc) else "out of memory", file=sys.stderr)
+        return EXIT_GUARD

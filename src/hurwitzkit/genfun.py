@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial, lcm, prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from ._errors import ValidationError, guard
+from ._errors import ValidationError, digits, guard
 from .characters import irrep_dimension, normalized_character
 from .partitions import Partition, as_partition, cycle_class_size, partitions_of
 from .symfunc import (PowerAlphabet, PowerSumPoly, content_product, eval_schur,
@@ -111,7 +111,7 @@ class ProfileSeries:
 
 
 class ContentFunction:
-    """A function evaluated on diagram contents; closed under product and power."""
+    """A rational-valued function evaluated on diagram contents."""
 
     def __init__(self, fn: Callable, description: str):
         self._fn = fn
@@ -131,7 +131,7 @@ class ContentFunction:
         """r(x) = prod (a_i + x) / prod (b_i + x)."""
         num = tuple(Fraction(a) for a in numer_shifts)
         den = tuple(Fraction(b) for b in denom_shifts)
-        guard("content shift", max((len(str(abs(part))) for q in num + den
+        guard("content shift", max((digits(part) for q in num + den
                                     for part in (q.numerator, q.denominator)), default=0))
 
         def fn(x):
@@ -149,10 +149,6 @@ class ContentFunction:
         if den:
             desc += "/" + "*".join(f"(x+{b})" for b in den)
         return cls(fn, desc)
-
-    @classmethod
-    def power(cls, base: "ContentFunction", exponent: int) -> "ContentFunction":
-        return cls(lambda x: base(x) ** exponent, f"({base.description})^{exponent}")
 
     @classmethod
     def tabulated(cls, values: Mapping[int, object]) -> "ContentFunction":

@@ -19,7 +19,6 @@ from .characters import (
     _dimension_table,
     character_class_sum,
     class_column,
-    colength_sum,
     weighted_colength_sum,
 )
 from .partitions import (
@@ -92,20 +91,10 @@ def hurwitz_value(euler: int, degree: int, profiles=(), cutoff: int | None = Non
     return _character_sum(HurwitzQuery(euler, degree, tuple(profiles), cutoff))
 
 
-def hurwitz_colength_sum(euler: int, degree: int, profiles, colengths, cutoff: int | None = None) -> Fraction:
-    """Sum of Hurwitz numbers over extra branch points with fixed colengths:
-    each colength l adds a factor colength_sum(lam, l) under the character sum."""
-    query = HurwitzQuery(euler, degree, tuple(profiles), cutoff)
-    for l in colengths:
-        if not 0 <= l <= degree - 1:
-            raise ValidationError(f"colength {l} out of range 0..{degree - 1}")
-    return _character_sum(query, lambda lam: prod(colength_sum(lam, l) for l in colengths))
-
-
 def hurwitz_weighted_sum(euler: int, degree: int, profiles, weight_pairs, cutoff: int | None = None):
     """Weighted Hurwitz sum: each pair (k, c) adds a factor
-    weighted_colength_sum(lam, k, c).  At all c = 1 this reduces to
-    hurwitz_colength_sum with the same k's."""
+    weighted_colength_sum(lam, k, c).  At c = 1 the factor is the colength
+    class sum, so the pair (k, 1) sums over every profile of colength k."""
     query = HurwitzQuery(euler, degree, tuple(profiles), cutoff)
     for k, _ in weight_pairs:
         if k < 1:

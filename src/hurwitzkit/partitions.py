@@ -1,7 +1,6 @@
 """Integer partitions, Young-diagram statistics and conjugacy-class data for S_d."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from operator import ge, index
@@ -75,25 +74,6 @@ def as_partition(value) -> Partition:
     return Partition(value)
 
 
-@dataclass(frozen=True)
-class FrobeniusCoords:
-    """Arm/leg lengths (a_1 > ... > a_k >= 0, b_1 > ... > b_k >= 0) along the main diagonal."""
-
-    arms: tuple[int, ...]
-    legs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.arms) != len(self.legs):
-            raise ValidationError("arm and leg counts differ")
-
-    @property
-    def diagonal(self) -> int:
-        return len(self.arms)
-
-    def weight(self) -> int:
-        return sum(a + b + 1 for a, b in zip(self.arms, self.legs))
-
-
 @lru_cache(maxsize=None)
 def partitions_of(d: int) -> tuple[Partition, ...]:
     """All partitions of d, in reverse-lexicographic order: (d) first, (1^d) last."""
@@ -114,16 +94,6 @@ def conjugate(lam) -> Partition:
     if not lam:
         return lam
     return Partition(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
-
-
-def frobenius(lam) -> FrobeniusCoords:
-    """Frobenius coordinates: a_i = lam_i - i, b_i = lam'_i - i for i up to the diagonal."""
-    lam = as_partition(lam)
-    conj = conjugate(lam)
-    kappa = sum(1 for i, p in enumerate(lam, start=1) if p >= i)
-    arms = tuple(lam[i - 1] - i for i in range(1, kappa + 1))
-    legs = tuple(conj[i - 1] - i for i in range(1, kappa + 1))
-    return FrobeniusCoords(arms, legs)
 
 
 def z_order(delta) -> int:

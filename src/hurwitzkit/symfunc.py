@@ -12,7 +12,7 @@ from math import factorial
 from typing import Callable, Mapping
 
 from ._errors import ValidationError
-from .partitions import Partition, as_partition, conjugate
+from .partitions import Partition, as_partition
 
 Monomial = tuple[int, ...]  # a partition written as a weakly decreasing tuple
 
@@ -283,9 +283,6 @@ class PowerAlphabet:
                 ]
         return cls(vals, m_max, matrix_size=size)
 
-    def negated(self) -> "PowerAlphabet":
-        return PowerAlphabet({m: -v for m, v in self.values.items()}, self.m_max)
-
     def __repr__(self) -> str:
         return f"PowerAlphabet(m_max={self.m_max}, matrix_size={self.matrix_size})"
 
@@ -328,11 +325,3 @@ def qt_pochhammer_lambda(q, t, lam):
         raise ValidationError("t^{j-i} undefined at t = 0 below the diagonal")
     return content_product(lambda c: 1 - q * t**c, 0, lam)
 
-
-def conjugation_identity_check(lam, alphabet: PowerAlphabet) -> bool:
-    """s_lam(p) == (-1)^{|lam|} s_{lam'}(-p) on the given alphabet."""
-    lam = as_partition(lam)
-    sign = -1 if lam.weight() % 2 else 1
-    left = eval_schur(lam, alphabet)
-    right = eval_schur(conjugate(lam), alphabet.negated())
-    return left == sign * right

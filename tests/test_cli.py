@@ -284,3 +284,62 @@ def test_genfun_streams_the_json_of_the_whole_listing(capsys, argv):
     code, out, _ = run_cli(capsys, "genfun", *argv)
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+_PAST_INT_LIMIT = "9" * 4301  # one digit past Python's limit for integer strings
+
+# subcommand and the arguments that make it read each of its numeric flags ->
+# {flag: exit code at -1}.  A negative Euler characteristic, constant or
+# offset is an answer; --r=-1 gives r(x) = x - 1, which vanishes at x = 1.
+_NUMERIC_FLAGS = [
+    (["hurwitz", "--euler", "1", "--degree", "3"],
+     {"--euler": 0, "--degree": 2, "--cutoff": 2, "--profile": 2}),
+    (["oracle", "--surface", "rp2", "--degree", "3"], {"--degree": 2, "--profile": 2}),
+    (["characters"], {"--d": 2}),
+    (["schur", "--partition", "2,1"], {"--partition": 2, "--at-constant": 0}),
+    (["genfun", "--layout", "int4", "--n", "3", "--t", "3"], {"--n": 2, "--t": 2, "--N": 2, "--dmax": 2}),
+    (["hirota"], {"--r": 2, "--N": 2, "--dmax": 2, "--n": 0}),
+    (["mc", "--relation", "sAUBU-1", "--N", "2", "--samples", "10000"],
+     {"--lambda": 2, "--mu": 2, "--N": 2, "--samples": 3, "--seed": 2}),
+    (["mc", "--proposition", "int4", "--n", "3", "--t", "3", "--N", "2", "--samples", "10000"],
+     {"--n": 2, "--t": 2, "--N": 2, "--degree": 2, "--samples": 3, "--seed": 2}),
+    (["selftest"], {"--seed": 2}),
+]
+_RATIONAL_FLAGS = {"--at-constant", "--r"}
+
+
+def _numeric_cases():
+    for base, flags in _NUMERIC_FLAGS:
+        for flag, negative in flags.items():
+            values = [(_PAST_INT_LIMIT, (2, 3)), ("-1", (negative,))]
+            if flag in _RATIONAL_FLAGS:
+                values.insert(1, ("1e5000", (3,)))
+            for value, codes in values:
+                yield pytest.param(base, f"{flag}={value}", codes,
+                                   id=f"{' '.join(base[:3])} {flag}={value[:8]}")
+
+
+@pytest.mark.parametrize("base,arg,codes", list(_numeric_cases()))
+def test_every_numeric_flag_ends_in_its_exit_code(capsys, base, arg, codes):
+    """Every numeric flag at one digit past the integer-string limit, at 1e5000
+    where it takes a rational, and at -1: no exception escapes main."""
+    try:
+        code = main([*base, arg])
+    except SystemExit as exc:  # argparse rejects the value
+        code = exc.code
+    assert code in codes
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc,line", [
+    (MemoryError("Unable to allocate 763. MiB for an array"),
+     "out of memory: Unable to allocate 763. MiB for an array\n"),
+    (MemoryError(), "out of memory\n"),
+])
+def test_out_of_memory_exits_3_with_one_line(capsys, monkeypatch, exc, line):
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "hurwitz_number", exhausted)
+    code, out, err = run_cli(capsys, "hurwitz", "--euler", "1", "--degree", "3")
+    assert (code, out, err) == (3, "", line)

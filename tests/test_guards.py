@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from hurwitzkit import LIMITS, GuardError, ValidationError
 from hurwitzkit.characters import colength_sum, full_cycle_normalized_character, weighted_colength_sum
+from hurwitzkit._errors import digits
 from hurwitzkit.cli import main
 from hurwitzkit.genfun import (ContentFunction, PochhammerParam, ProfileSeries, SeriesKey,
                                fold_alphabet, hyp_tau_series, hypergeometric_series)
@@ -22,7 +23,7 @@ from hurwitzkit.hirota import hirota_bilinear_check
 from hurwitzkit.hurwitz import full_cycle_identity_holds, hurwitz_value, hurwitz_weighted_sum
 from hurwitzkit.matrixmc import MCEstimate, mc_proposition_check, mc_schur_moment
 from hurwitzkit.oracle import SurfacePresentation
-from hurwitzkit.partitions import FrobeniusCoords, Partition, euler_char_cover, partitions_of
+from hurwitzkit.partitions import Partition, euler_char_cover, partitions_of
 from hurwitzkit.symfunc import PowerAlphabet, PowerSumPoly, qt_pochhammer_lambda
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -48,9 +49,10 @@ def test_readme_lists_every_limit_with_its_value():
 
 
 def _limit_rows(source: str) -> tuple[set, set]:
-    """The LIMITS rows a module names, as the first argument of `guard` and as
-    the limit of `_check_sizes` (passed or its default), and the source text
-    of any other expression passed there."""
+    """The LIMITS rows a module names, as the first argument of `guard`, as
+    the limit of `_check_sizes` (passed or its default) and as the third
+    argument of the CLI's `_parse_rational`, and the source text of any other
+    expression passed there."""
     rows, passed = set(), set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.FunctionDef) and node.name == "_check_sizes":
@@ -59,7 +61,7 @@ def _limit_rows(source: str) -> tuple[set, set]:
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             if node.func.id == "guard":
                 args = node.args[:1]
-            elif node.func.id == "_check_sizes":
+            elif node.func.id in ("_check_sizes", "_parse_rational"):
                 args = node.args[2:] + [k.value for k in node.keywords if k.arg == "limit"]
             else:
                 continue
@@ -78,14 +80,15 @@ def test_every_guarded_row_is_a_limit_and_every_limit_is_guarded():
     which the CLI does not catch; a key that no call names bounds nothing."""
     assert _limit_rows("def _check_sizes(d, cutoff=None, limit='a'):\n    guard(limit, d)\n"
                        "guard('b', 1)\n_check_sizes(1, None, 'c')\n_check_sizes(1, limit='d')\n"
-                       "_check_sizes(1)\nother('e', 1)\n") == ({"a", "b", "c", "d"}, {"limit"})
+                       "_check_sizes(1)\nother('e', 1)\n_parse_rational('--x', '1', 'f')\n"
+                       ) == ({"a", "b", "c", "d", "f"}, {"limit"})
     rows, passed = set(), set()
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "hurwitzkit").glob("*.py")):
         module_rows, module_passed = _limit_rows(path.read_text())
         rows |= module_rows
         passed |= module_passed
     assert rows == set(LIMITS)
-    assert passed == {"limit"}  # the row _check_sizes is given
+    assert passed == {"limit"}  # the row _check_sizes or _parse_rational is given
 
 
 @pytest.mark.parametrize(
@@ -188,7 +191,8 @@ def test_cli_fuzz_ends_in_a_documented_exit_code(argv):
 @pytest.mark.parametrize(
     "shift,code",
     [("-9973/9967", 0), ("1/2", 0), ("10000/3", 3), ("1/10000", 3),
-     (str(10**400 + 1) + "/3", 3), ("1e400", 3), ("1/0", 2)],
+     (str(10**400 + 1) + "/3", 3), ("1e400", 3), ("1e5000", 3), ("1e-5000", 3),
+     ("1e10000000", 3), ("1/0", 2)],
 )
 def test_content_shift_guard_fires_before_any_product(shift, code):
     start = time.monotonic()
@@ -198,6 +202,34 @@ def test_content_shift_guard_fires_before_any_product(shift, code):
     if code == 3:
         assert "content shift guard: digits of numerator and denominator <= 4" in err
         assert not out and time.monotonic() - start < 1.0
+
+
+def test_digits_counts_past_the_integer_string_limit():
+    assert [digits(n) for n in (0, 7, -10, 99, 100, -(10**5000), 10**5000 - 1)] == [
+        1, 1, 2, 2, 3, 5001, 5000]
+    with pytest.raises(GuardError, match=r"content shift guard: .* \(got 5001\)"):
+        ContentFunction.rational([Fraction(10**5000)])
+
+
+# The largest admitted constants have 400 digits above or below the line; both
+# printed values then stay under Python's 4 300-digit limit for integer strings.
+@pytest.mark.parametrize(
+    "constant,code",
+    [("9" * 400, 0), ("-" + "9" * 400 + "/" + "9" * 399 + "7", 0), ("1/" + "9" * 400, 0),
+     ("1e399", 0), ("0e10000000", 0), ("1e400", 3), ("1" * 401, 3), ("1e500", 3), ("1e-500", 3),
+     ("1e10000000", 3), ("1/0", 2), ("1e9" + "9" * 4300, 2)],
+    ids=lambda value: value if isinstance(value, int) or len(value) < 20 else f"{len(value)} chars",
+)
+def test_schur_constant_guard_fires_before_the_fraction_is_built(constant, code):
+    start = time.monotonic()
+    got, out, err = _run(["schur", "--partition", "10", f"--at-constant={constant}"])
+    assert got == code
+    assert "Traceback" not in err
+    if code == 3:
+        assert "schur constant guard: digits of numerator and denominator <= 400" in err
+        assert not out and time.monotonic() - start < 1.0
+    elif code == 0:
+        assert "/" in out
 
 
 @pytest.mark.parametrize(
@@ -273,7 +305,6 @@ _REJECTIONS = {
     "partition from a string": (lambda: Partition("21"),
                                 "a partition is an iterable of integers, got '21'"),
     "partition from an int": (lambda: Partition(5), "a partition is an iterable of integers, got 5"),
-    "arms without legs": (lambda: FrobeniusCoords((1,), ()), "arm and leg counts differ"),
     "cover degree mismatch": (lambda: euler_char_cover(2, [(2, 1)], degree=4),
                               "degree 4 does not match profile weight 3"),
     "cover degree 0": (lambda: euler_char_cover(2, [], degree=0), "degree must be >= 1"),

@@ -13,7 +13,6 @@ from hurwitzkit.hurwitz import (
     HurwitzQuery,
     full_cycle_identity_holds,
     gluing_identity_holds,
-    hurwitz_colength_sum,
     hurwitz_down_identity_holds,
     hurwitz_number,
     hurwitz_value,
@@ -81,38 +80,33 @@ def test_denominators_divide_factorial_power():
             assert (factorial(d) ** 2) % value.denominator == 0
 
 
+# The colength sums are the weighted sums at c = 1: the pair (k, 1) adds the
+# class sum of every colength-k class as one more branch point.
 def test_colength_sum_reduces_to_plain():
     for d in (2, 3, 4):
         for euler in (2, 1):
-            assert hurwitz_colength_sum(euler, d, [], []) == hurwitz_value(euler, d)
+            assert hurwitz_weighted_sum(euler, d, [], []) == hurwitz_value(euler, d)
 
 
 def test_colength_sum_equals_sum_over_profiles():
     for d in (3, 4, 5):
-        for l_star in range(d):
+        for k in range(1, d):
             total = sum(
                 hurwitz_value(2, d, [delta])
                 for delta in partitions_of(d)
-                if delta.colength() == l_star
+                if delta.colength() == k
             )
-            assert hurwitz_colength_sum(2, d, [], [l_star]) == total
+            assert hurwitz_weighted_sum(2, d, [], [(k, 1)]) == total
 
 
 def test_colength_sum_examples():
-    assert hurwitz_colength_sum(2, 2, [(2,)], [1]) == Fraction(1, 2)
-    assert hurwitz_colength_sum(1, 3, [], [2]) == Fraction(1, 3)
-    with pytest.raises(ValidationError):
-        hurwitz_colength_sum(2, 3, [], [3])
+    assert hurwitz_weighted_sum(2, 2, [(2,)], [(1, 1)]) == Fraction(1, 2)
+    assert hurwitz_weighted_sum(1, 3, [], [(2, 1)]) == Fraction(1, 3)
+    assert hurwitz_weighted_sum(2, 3, [], [(3, 1)]) == 0  # no class of S_3 has colength 3
 
 
 def test_weighted_sum_examples():
     assert hurwitz_weighted_sum(2, 2, [], [(1, 2)]) == 0
-    for d in (2, 3, 4):
-        for k in range(1, d):
-            assert hurwitz_weighted_sum(2, d, [], [(k, 1)]) == hurwitz_colength_sum(
-                2, d, [], [k]
-            )
-    assert hurwitz_weighted_sum(2, 3, [], []) == hurwitz_value(2, 3)
 
 
 def test_gluing_identity():

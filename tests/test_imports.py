@@ -1,7 +1,9 @@
 """Every module uses every name it imports (the package __init__ is left out:
 its imports are its re-exports), every private module-level name of the
-package is read somewhere in the package, not only by the tests, and no
-package module but partitions.py unwraps a Partition through `.parts`."""
+package is read somewhere in the package, not only by the tests, every
+re-export is read by the package, perfbench or an acceptance criterion unless
+it is listed with its reason, and no package module but partitions.py
+unwraps a Partition through `.parts`."""
 import ast
 from pathlib import Path
 
@@ -78,3 +80,42 @@ def test_no_module_but_partitions_reads_parts():
     readers = [path.name for path in PACKAGE
                if path.name != "partitions.py" and _reads_attribute(path.read_text(), "parts")]
     assert readers == []
+
+
+def _unread_exports(init: str, readers: list[str]) -> list[str]:
+    """The names the package __init__ re-exports from its modules that no reader
+    module reads, by name or as an attribute."""
+    exported = {alias.asname or alias.name for node in ast.parse(init).body
+                if isinstance(node, ast.ImportFrom) and node.level and node.module
+                for alias in node.names}
+    read = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(exported - read)
+
+
+# Exports that no engine, command, benchmark or acceptance criterion reads, kept on purpose.
+UNREAD_ON_PURPOSE = {
+    "hook_length_dimension": "the hook-length formula, the labelled independent oracle "
+                             "for the dimension table of irrep_dimension",
+    "oracle_count_naive": "the literal nested-loop enumerator, the labelled independent "
+                          "oracle for oracle_count",
+    "fold_alphabet": "alphabet folding, kept for the exact tau-function check of "
+                     "claim (a) (ROADMAP item 5)",
+}
+
+
+def test_every_export_is_read_by_the_package_the_benchmark_or_a_criterion():
+    """A public name stays only while the engines, the CLI, perfbench or an
+    acceptance criterion reaches it; the tests of the name alone do not count."""
+    assert _unread_exports("from .a import x, y as z\nfrom . import a\nfrom os import sep\n",
+                           ["print(x)\n", "import m\nm.q = 1\n", "q = 2\n"]) == ["z"]
+    readers = [path.read_text() for path in PACKAGE if path.name != "__init__.py"]
+    readers += [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    readers.append((ROOT / "tests" / "test_acceptance.py").read_text())
+    init = (ROOT / "src" / "hurwitzkit" / "__init__.py").read_text()
+    assert _unread_exports(init, readers) == sorted(UNREAD_ON_PURPOSE)

@@ -11,7 +11,6 @@ from hurwitzkit.partitions import (
     conjugate,
     cycle_class_size,
     euler_char_cover,
-    frobenius,
     partitions_of,
     z_order,
 )
@@ -117,20 +116,6 @@ def test_conjugate():
             assert conjugate(conjugate(lam)) == lam
             if lam.parts:
                 assert lam.parts[0] == conjugate(lam).length()
-
-
-def test_frobenius_coords():
-    fr = frobenius((3,))
-    assert fr.arms == (2,) and fr.legs == (0,) and fr.diagonal == 1
-    fr = frobenius((2, 1))
-    assert fr.arms == (1,) and fr.legs == (1,)
-    fr = frobenius((2, 2))
-    assert fr.arms == (1, 0) and fr.legs == (1, 0) and fr.diagonal == 2
-    for d in range(10):
-        for lam in partitions_of(d):
-            fr = frobenius(lam)
-            assert fr.weight() == d
-            assert fr.diagonal == sum(1 for i, p in enumerate(lam.parts, 1) if p >= i)
 
 
 def test_cycle_class_size():

@@ -17,7 +17,6 @@ from hurwitzkit.symfunc import (
     PowerAlphabet,
     PowerSumPoly,
     complete_homogeneous,
-    conjugation_identity_check,
     content_product,
     eval_schur,
     exp_truncated,
@@ -168,14 +167,6 @@ def test_content_product_multiplicative():
     assert content_product(lambda x: f(x) * g(x), n, lam) == content_product(
         f, n, lam
     ) * content_product(g, n, lam)
-
-
-def test_conjugation_identity():
-    for d in range(7):
-        for lam in partitions_of(d):
-            values = {m: rand_frac() for m in range(1, d + 1)}
-            alpha = PowerAlphabet.explicit(values) if d else PowerAlphabet.explicit({1: Fraction(0)})
-            assert conjugation_identity_check(lam, alpha)
 
 
 def test_cauchy_littlewood():
