@@ -63,7 +63,7 @@ LIMITS = {
     "mc proposition size": Limit("N", 5),
     "mc proposition degree": Limit("degree", 3),
     # The slowest admitted MC call, `mc --proposition prop3_u --n 8 --N 5 --degree 3 --samples
-    # 1000000`, takes 19.6-20.5 s at a peak RSS of 1.7 GB (2 cores).
+    # 1000000`, takes 21.0-23.2 s at a peak RSS of 1.7 GB (2 cores).
     "mc samples": Limit("samples", 10**6, least=10**4),
     "mc workers": Limit("workers", 64),
 }

@@ -29,7 +29,7 @@ from .genfun import (
 from .hirota import hirota_bilinear_check
 from .hurwitz import hurwitz_number, hurwitz_value
 from .oracle import SurfacePresentation, oracle_count, oracle_hurwitz
-from .matrixmc import LEMMA_RELATIONS, mc_proposition_check, mc_schur_moment
+from .matrixmc import LEMMA_RELATIONS, check_seed, mc_proposition_check, mc_schur_moment
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -43,8 +43,10 @@ def _parse_partition(text: str) -> Partition:
         return Partition()
     try:
         return Partition(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise ValidationError(f"bad partition {text!r}: {exc}") from exc
+    except ValueError as exc:  # named by its start and length: one short line
+        shown = repr(text) if len(text) <= 24 else f"{text[:24]!r}... ({len(text)} characters)"
+        raise ValidationError(f"bad partition {shown}: parts must be weakly decreasing"
+                              " integers >= 1 of at most 4300 digits") from exc
 
 
 def _parse_rational(flag: str, text: str, limit: str) -> Fraction:
@@ -188,20 +190,26 @@ def _cmd_hirota(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    if bool(args.relation) == bool(args.proposition):
+        raise ValidationError("choose one of --relation and --proposition")
+    # A flag of the other mode would be ignored, and a bad value of it pass.
+    mode, unread = (("--proposition", {"--lambda": args.lam, "--mu": args.mu}) if args.proposition
+                    else ("--relation", {"--degree": args.degree, "--n": args.n, "--t": args.t}))
+    given = [flag for flag, value in unread.items() if value is not None]
+    if given:
+        raise ValidationError(f"mc {mode} takes no {', '.join(given)}")
     if args.proposition:
         cmp = mc_proposition_check(
             args.proposition,
-            args.n,
+            1 if args.n is None else args.n,
             args.N,
-            degree=args.degree,
+            degree=2 if args.degree is None else args.degree,
             samples=args.samples,
             seed=args.seed,
             t=args.t,
         )
     else:
-        if not args.relation:
-            raise ValidationError("choose --relation or --proposition")
-        lam = _parse_partition(args.lam)
+        lam = _parse_partition("1" if args.lam is None else args.lam)
         mu = _parse_partition(args.mu) if args.mu else None
         cmp = mc_schur_moment(
             args.relation,
@@ -230,6 +238,7 @@ def _cmd_selftest(args) -> int:
     from .oracle import presentation_independence_check
 
     seed = args.seed
+    check_seed(seed)  # before any check runs, with or without --quick
     checks: list[tuple[str, bool]] = []
 
     def run(name, fn):
@@ -328,13 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc", help="Monte Carlo vs exact comparisons")
     p.add_argument("--relation", choices=LEMMA_RELATIONS, default=None)
-    p.add_argument("--lambda", dest="lam", default="1")
+    p.add_argument("--lambda", dest="lam", default=None, help="default 1")
     p.add_argument("--mu", default=None)
     p.add_argument("--proposition", choices=LAYOUT_NAMES, default=None)
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=int, default=None, help="default 1")
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--degree", type=int, default=2)
+    p.add_argument("--degree", type=int, default=None, help="default 2")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(fn=_cmd_mc)

@@ -12,16 +12,20 @@ samples.  A chunk is (N, N, batch) arrays, batch axis last, so each matrix
 entry is a vector over the chunk and every kernel is whole-vector ufuncs,
 elementwise along the batch: Haar unitaries are Gram-Schmidt orthonormalised
 Ginibre matrices (Mezzadri's QR with the phase fix built in); one product
-kernel multiplies a word's letters, sampled or fixed, left to right; tr X^m
-for m <= 4 comes from X and X^2.  So the estimate depends on neither the
-slice boundaries nor the threads' timing, and is bit-identical for a fixed
-(seed, samples, workers) on one numpy build.  Schur functions of sampled
-matrices come from these traces, never from eigendecompositions; exact
-predictions become complex floats only at the comparison boundary.
+kernel multiplies a word's letters left to right, reading a fixed letter by
+its nonzero entries only; one kernel sums tr(Y Z) = sum_ij Y_ij Z_ji, so tr X
+comes from the word's head and last letter, X itself is formed only for a
+deeper power, and tr X^m for m <= 4 comes from X and X^2.  So the estimate
+depends on neither the slice boundaries nor the threads' timing, and is
+bit-identical for a fixed (seed, samples, workers) on one numpy build.
+Schur functions of sampled matrices come from these traces, never from
+eigendecompositions; exact predictions become complex floats only at the
+comparison boundary.
 
 `mc_schur_moment` keeps the per-draw trace tables of its latest call, so
 consecutive calls that differ only in the partitions draw once.  A kept table
-holds the same arrays a fresh draw computes, so results do not depend on it.
+holds the same arrays a fresh draw computes, and tr X is formed the same way
+at every depth, so results do not depend on it.
 """
 from __future__ import annotations
 
@@ -126,25 +130,55 @@ def _haar_batch(z: np.ndarray) -> np.ndarray:
 
 def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x @ y for batch-last stacks, out[i, j] = sum_k x[i, k] y[k, j] by vector
-    multiply-adds over the chunk; a 2-d y is a fixed matrix for every draw."""
-    y = y if y.ndim == 3 else y[:, :, None]
-    out = np.empty(np.broadcast_shapes(x[:, :1].shape, y[:1].shape), dtype=complex)
-    for i, j in np.ndindex(out.shape[:2]):
-        acc = np.multiply(x[i, 0], y[0, j], out=out[i, j])
-        for k in range(1, x.shape[1]):
-            acc += x[i, k] * y[k, j]
+    multiply-adds over the chunk, k increasing.  A 2-d y is a fixed matrix for
+    every draw, read by its nonzero entries only: column j sums over the k with
+    y[k, j] != 0, for every i at once, so a diagonal y costs one vector multiply
+    per column, and a column with no such k is 0."""
+    out = np.empty((x.shape[0], y.shape[1], x.shape[-1]), dtype=complex)
+    if y.ndim == 3:
+        for i in range(x.shape[0]):
+            for j in range(y.shape[1]):
+                acc = np.multiply(x[i, 0], y[0, j], out=out[i, j])
+                for k in range(1, x.shape[1]):
+                    acc += x[i, k] * y[k, j]
+        return out
+    for j in range(y.shape[1]):
+        ks = np.flatnonzero(y[:, j])
+        if not len(ks):
+            out[:, j] = 0
+            continue
+        acc = np.multiply(x[:, ks[0]], y[ks[0], j], out=out[:, j])
+        for k in ks[1:]:
+            acc += x[:, k] * y[k, j]
     return out
 
 
-def _batched_traces(mats: np.ndarray, m_max: int) -> dict[int, np.ndarray]:
+def _trace_of_product(y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """tr(y z) = sum_ij y[i, j] z[j, i] for a batch y, by vector multiply-adds into
+    one buffer, i then j increasing.  A 2-d z is fixed and read by its nonzero
+    entries only; with none, the trace is 0."""
+    pairs = (np.argwhere(z.T) if z.ndim == 2
+             else [(i, j) for i in range(y.shape[0]) for j in range(y.shape[1])])
+    if not len(pairs):
+        return np.zeros(y.shape[-1], dtype=complex)
+    (i, j), *rest = pairs
+    out = y[i, j] * z[j, i]
+    for i, j in rest:
+        out += y[i, j] * z[j, i]
+    return out
+
+
+def _batched_traces(mats: np.ndarray, m_max: int, first: np.ndarray | None = None
+                    ) -> dict[int, np.ndarray]:
     """tr X^m for m <= m_max from X and X^2 alone: X^m = Y Z with halves Y, Z
-    in {X, X^2} and tr(Y Z) = sum_ij Y_ij Z_ji, so at most one product is formed."""
+    in {X, X^2}, each trace one `_trace_of_product`, so at most one product is
+    formed.  first is tr X if the caller has it (`_word_traces_table`)."""
     if m_max > 4:
         raise ValueError(f"traces from X and X^2 reach m <= 4, not m = {m_max}")
     square = _mul(mats, mats) if m_max >= 3 else None
     halves = {2: (mats, mats), 3: (square, mats), 4: (square, square)}
-    traces = {m: np.einsum("ijb,jib->b", *halves[m]) for m in range(2, m_max + 1)}
-    return {1: np.trace(mats), **traces}
+    traces = {m: _trace_of_product(*halves[m]) for m in range(2, m_max + 1)}
+    return {1: np.trace(mats) if first is None else first, **traces}
 
 
 def _accumulate(values_by_worker: Sequence[np.ndarray], samples: int, seed: int) -> MCEstimate:
@@ -187,11 +221,16 @@ def default_test_matrix(size: int, which: int = 0) -> np.ndarray:
     return np.diag(diag).astype(complex)
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a seed outside [0, 2^64), the range of the streams' seeds."""
+    if not 0 <= seed < 2**64:
+        raise ValidationError("seed must satisfy 0 <= seed < 2^64")
+
+
 def _check_stream(seed: int, workers: int) -> None:
     if workers < 1:
         raise ValidationError("workers must be >= 1")
-    if not 0 <= seed < 2**64:
-        raise ValidationError("seed must satisfy 0 <= seed < 2^64")
+    check_seed(seed)
     guard("mc workers", workers)
 
 
@@ -217,16 +256,35 @@ def _vertex_alphabets(vertices, cs: Sequence[np.ndarray], depth: int) -> list[Po
             for vertex in vertices]
 
 
+def _letter(letter, mats: Sequence[np.ndarray], cs: Sequence[np.ndarray]) -> np.ndarray:
+    """The matrix a layout letter (i, power) stands for: the batch Z_i, its
+    dagger, or for power 0 the fixed C_i."""
+    i, power = letter
+    if power == 0:
+        return cs[i - 1]
+    return mats[i - 1] if power > 0 else mats[i - 1].conj().swapaxes(0, 1)
+
+
 def _word_product(word, mats: Sequence[np.ndarray], cs: Sequence[np.ndarray]) -> np.ndarray:
     """The batch of products a layout word spells, evaluated left to right."""
-    out = None
-    for i, power in word:
-        if power == 0:
-            out = _mul(out, cs[i - 1])
-        else:
-            z = mats[i - 1] if power > 0 else mats[i - 1].conj().swapaxes(0, 1)
-            out = z if out is None else _mul(out, z)
-    return out
+    return reduce(_mul, (_letter(letter, mats, cs) for letter in word))
+
+
+def _word_traces_table(word, mats: Sequence[np.ndarray], cs: Sequence[np.ndarray],
+                       depth: int) -> dict[int, np.ndarray]:
+    """{m: tr X^m for m <= depth} of the product X a word spells.  tr X is
+    tr(H L) of the word's halves, H every letter but the last and L the last,
+    so at depth 1 X is never formed, and the row is the same at every depth."""
+    if len(word) == 1:
+        return _batched_traces(_letter(word[0], mats, cs), depth)
+    head = _word_product(word[:-1], mats, cs)
+    last = _letter(word[-1], mats, cs)
+    first = _trace_of_product(head, last)
+    if depth == 1:
+        return {1: first}
+    product = _mul(head, last)
+    del head, last  # not held while the powers are formed
+    return _batched_traces(product, depth, first)
 
 
 class _Draw(threading.Thread):
@@ -259,7 +317,7 @@ def _chunk_traces(kind: str, words: Sequence[tuple], cs: Sequence[np.ndarray],
     """One chunk's trace tables, evaluated slice by slice: every kernel is
     elementwise along the batch axis, so each sample's values are those of the
     whole chunk at once.  The slices differ in size by at most one, so none is
-    a lone sample, on which einsum and the axis-0 sums add in another order."""
+    a lone sample, on which numpy's axis reductions may add in another order."""
     chunk = draws[0].shape[-1]
     tables = [{m: np.empty(chunk, dtype=complex) for m in range(1, depth + 1)} for _ in words]
     start = 0
@@ -267,7 +325,7 @@ def _chunk_traces(kind: str, words: Sequence[tuple], cs: Sequence[np.ndarray],
         part = slice(start, start + width)
         mats = [_haar_batch(z[..., part]) if kind == "unitary" else z[..., part] for z in draws]
         for table, word in zip(tables, words):
-            for m, traces in _batched_traces(_word_product(word, mats, cs), depth).items():
+            for m, traces in _word_traces_table(word, mats, cs, depth).items():
                 table[m][part] = traces
         start += width
     return tables

@@ -250,6 +250,50 @@ def test_bad_input_names_what_is_wrong(capsys, argv, message):
     assert f"invalid input: {message}\n" == capsys.readouterr().err
 
 
+_RELATION = ["mc", "--relation", "sAUBU-1", "--N", "2", "--samples", "10000"]
+_PROPOSITION = ["mc", "--proposition", "prop1", "--N", "2", "--samples", "10000"]
+
+
+@pytest.mark.parametrize("argv,line", [
+    (_RELATION + ["--degree=-1"], "mc --relation takes no --degree"),
+    (_RELATION + ["--degree", "2"], "mc --relation takes no --degree"),
+    (_RELATION + ["--n=-1"], "mc --relation takes no --n"),
+    (_RELATION + ["--t=-1", "--n", "1"], "mc --relation takes no --n, --t"),
+    (_PROPOSITION + ["--lambda", "1"], "mc --proposition takes no --lambda"),
+    (_PROPOSITION + ["--mu=-1", "--lambda", "2"], "mc --proposition takes no --lambda, --mu"),
+    (_PROPOSITION + ["--relation", "sAUBU-1"], "choose one of --relation and --proposition"),
+    (["selftest", "--quick", "--seed=-1"], "seed must satisfy 0 <= seed < 2^64"),
+    (["selftest", "--seed", str(2**64)], "seed must satisfy 0 <= seed < 2^64"),
+])
+def test_a_flag_the_command_does_not_read_exits_2(capsys, argv, line):
+    """A flag of the mode that does not run, or a seed out of range without
+    the checks that draw, is refused before anything runs."""
+    assert run_cli(capsys, *argv) == (2, "", f"invalid input: {line}\n")
+
+
+def test_mc_flags_default_in_their_own_mode(capsys, monkeypatch):
+    """Without --lambda a relation moment takes (1); without --n and --degree a
+    proposition check takes n = 1 at degree 2."""
+    calls = []
+    done = MCComparison(MCEstimate(1j, 0.0, 10_000, 1), 1j, 0.0, True)
+    monkeypatch.setattr(cli, "mc_schur_moment", lambda *a, **k: calls.append((a, k)) or done)
+    monkeypatch.setattr(cli, "mc_proposition_check", lambda *a, **k: calls.append((a, k)) or done)
+    assert run_cli(capsys, *_RELATION)[0] == 0
+    assert run_cli(capsys, *_PROPOSITION)[0] == 0
+    (relation, _), (proposition, kwargs) = calls
+    assert relation == ("sAUBU-1", (1,), 2)
+    assert proposition == ("prop1", 1, 2) and kwargs["degree"] == 2
+
+
+@pytest.mark.parametrize("profile", ["9" * 4301, "1," * 3000 + "x", "1," * 3000 + "2"])
+def test_a_rejected_partition_is_named_in_one_short_line(capsys, profile):
+    code, out, err = run_cli(capsys, "hurwitz", "--euler", "1", "--degree", "3",
+                             "--profile", profile)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and len(err) < 200
+    assert f"({len(profile)} characters)" in err
+
+
 def test_mc_proposition_too_few_samples_exits_3(capsys):
     code = main(["mc", "--proposition", "prop1", "--N", "2", "--samples", "1"])
     assert code == 3

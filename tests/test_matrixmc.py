@@ -20,10 +20,14 @@ from hurwitzkit.matrixmc import (
     _chunks,
     _ginibre_batch,
     _haar_batch,
+    _mul,
+    _trace_of_product,
     _trace_slot,
     _word_product,
     _word_traces,
+    _word_traces_table,
     _worker_rng,
+    default_test_matrix,
 )
 from hurwitzkit.genfun import proposition_layout
 from hurwitzkit.partitions import partitions_of
@@ -131,6 +135,95 @@ def test_batched_traces_stop_at_the_weight_guard():
         _batched_traces(x, 5)
 
 
+def _dense_mul(x, y):
+    """x @ y by a multiply-add for every k, zeros included: the reference the
+    product kernel must match bit for bit."""
+    y = y if y.ndim == 3 else y[:, :, None]
+    out = np.empty((x.shape[0], y.shape[1], x.shape[-1]), dtype=complex)
+    for i in range(x.shape[0]):
+        for j in range(y.shape[1]):
+            acc = x[i, 0] * y[0, j]
+            for k in range(1, x.shape[1]):
+                acc = acc + x[i, k] * y[k, j]
+            out[i, j] = acc
+    return out
+
+
+def _fixed_factors(rng, size):
+    """Diagonal, sparse off-diagonal (a column with two entries when size > 1),
+    zero-column and all-zero test matrices, and a dense one."""
+    sparse = np.zeros((size, size), dtype=complex)
+    sparse[size - 1, 0] = 1.5 - 0.5j
+    sparse[0, size - 1] += 0.25 + 2j
+    sparse[size // 2, size - 1] += -0.75j
+    dense = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    zero_column = dense.copy()
+    zero_column[:, size // 2] = 0
+    return {"diagonal": default_test_matrix(size, 1), "sparse": sparse,
+            "zero column": zero_column, "zero": np.zeros((size, size), dtype=complex),
+            "dense": dense}
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_mul_reads_a_fixed_factor_by_its_nonzero_entries(size):
+    """Skipping the zero entries of a fixed factor changes no bit of the
+    product: every entry equals the dense multiply-add's (signed zeros are
+    compared as zeros, hence the + 0.0).  Products of two batches, which
+    skip nothing, match it too."""
+    rng = np.random.default_rng(SEED + size)
+    x = _ginibre_batch(_worker_rng(SEED, 30 + size), 257, size)
+    y = _ginibre_batch(_worker_rng(SEED, 40 + size), 257, size)
+    for name, c in {**_fixed_factors(rng, size), "batch": y}.items():
+        got, want = _mul(x, c), _dense_mul(x, c)
+        assert got.shape == want.shape == (size, size, 257), name
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes(), name
+    assert not _mul(x, np.zeros((size, size))).any()
+
+
+def _assert_traces_within(got, want, rel=1e-15):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_trace_of_product_matches_the_matrix_product(size):
+    """tr(Y Z) = sum_ij Y_ij Z_ji against np.trace(Y @ Z), for a sampled Z and
+    for fixed ones, which the kernel reads by their nonzero entries."""
+    rng = np.random.default_rng(SEED + size)
+    y = _ginibre_batch(_worker_rng(SEED, 50 + size), 400, size)
+    z = _ginibre_batch(_worker_rng(SEED, 60 + size), 400, size)
+    batch_y = np.moveaxis(y, -1, 0)
+    _assert_traces_within(_trace_of_product(y, z),
+                          np.trace(batch_y @ np.moveaxis(z, -1, 0), axis1=1, axis2=2))
+    for name, c in _fixed_factors(rng, size).items():
+        want = np.trace(batch_y @ c, axis1=1, axis2=2)
+        got = _trace_of_product(y, c)
+        if not c.any():
+            assert got.shape == (400,) and not got.any(), name
+        else:
+            _assert_traces_within(got, want)
+
+
+@pytest.mark.parametrize("name,n,t", [("prop2_u", 2, None), ("prop1", 1, None),
+                                      ("odd3", 2, 2)])
+def test_depth_one_table_is_the_first_row_of_a_deep_one(name, n, t):
+    """At depth 1 a word's product is never formed: tr X = tr(head x last
+    letter).  The deep table forms tr X the same way, so its first row is the
+    depth-1 table bit for bit, which keeps a kept table's p_1 the same as a
+    fresh one's; both are within 1e-15 of the trace of the whole product."""
+    layout = proposition_layout(name, n, t)
+    cs = [default_test_matrix(3, i) for i in range(n)]
+    rng = _worker_rng(SEED, 70)
+    mats = [_haar_batch(_ginibre_batch(rng, 500, 3)) if layout.matrix_kind == "unitary"
+            else _ginibre_batch(rng, 500, 3) for _ in range(n)]
+    for _, word in layout.factors:
+        shallow = _word_traces_table(word, mats, cs, 1)
+        deep = _word_traces_table(word, mats, cs, _MAX_WEIGHT)
+        assert list(shallow) == [1] and sorted(deep) == list(range(1, _MAX_WEIGHT + 1))
+        assert shallow[1].tobytes() == deep[1].tobytes(), word
+        _assert_traces_within(shallow[1], np.trace(_word_product(word, mats, cs)))
+
+
 def _random_matrices(rng, count, size=3):
     return [rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
             for _ in range(count)]
@@ -196,7 +289,7 @@ def test_sliced_chunks_equal_the_whole_chunk(name, n, t):
         draws = [_ginibre_batch(rng, chunk, 3) for _ in range(n)]
         mats = [_haar_batch(z) for z in draws] if layout.matrix_kind == "unitary" else draws
         for word, table in zip(words, tables):
-            want = _batched_traces(_word_product(word, mats, cs), _MAX_WEIGHT)
+            want = _word_traces_table(word, mats, cs, _MAX_WEIGHT)
             assert table.keys() == want.keys()
             for m in want:
                 assert np.array_equal(table[m], want[m]), (name, worker, word, m)
