@@ -1,10 +1,12 @@
 """Irreducible characters of S_d, their normalizations, and aggregate class sums.
 
-Characters are evaluated by the recursive border-strip rule, implemented on
-beta-sets: removing a border strip of size t from the diagram is replacing a
-first-column hook length b by b - t, with sign (-1)^{#entries jumped over}.
-The recursion stops at the identity class, where the character is the
-dimension, read from one table per degree built by the branching rule.
+Characters are computed per class column: one memo per cycle type delta holds
+chi_lam(delta) for every lam of weight |delta|.  The column of delta is one
+border-strip step from the column of delta minus its largest part t (the
+Murnaghan-Nakayama rule): each lam sums, over the border strips of size t it
+has, the remainder's value with sign (-1)^{rows the strip jumps}.  The
+recursion stops at the identity class, whose column is the dimension table
+of its degree, built by the branching rule.
 """
 from __future__ import annotations
 
@@ -44,43 +46,46 @@ def _dimension_table(d: int) -> dict[Partition, int]:
 
 
 @lru_cache(maxsize=None)
-def _beta_char(beta: tuple[int, ...], delta: tuple[int, ...]) -> int:
-    """Character value for the partition encoded by the (strictly decreasing)
-    beta-set, on the weakly decreasing cycle type delta.
+def _column(delta: tuple[int, ...]) -> dict[Partition, int]:
+    """{lam: chi_lam(delta)} over partitions_of(|delta|), in that order.
 
-    Strips are removed largest first, so once the first remaining part is 1
-    the rest is the identity class of S_m, m = len(delta), and the value is
-    the dimension of the partition that beta encodes, read from its table.
+    A strip of size t = delta[0] whose top row is i ends in the first row
+    j >= i where part = lam_i - t + (j - i) reaches lam_{j+1}; it exists
+    unless part is negative there or, for j > i, equals lam_j.  Its remainder
+    keeps rows i+1..j one box shorter, moved up one row, with part in row j;
+    a row of one box, and then part = 0, leaves the diagram.
     """
+    d = sum(delta)
+    guard("character formula", d)
     if not delta or delta[0] == 1:
-        n = len(beta)
-        parts = tuple(b + i + 1 - n for i, b in enumerate(beta) if b + i >= n)
-        return _dimension_table(len(delta))[parts]
-    t, rest = delta[0], delta[1:]
-    members = set(beta)
-    total = 0
-    for b in beta:
-        target = b - t
-        if target < 0 or target in members:
-            continue
-        crossings = sum(1 for c in beta if target < c < b)
-        new_beta = tuple(sorted(members - {b} | {target}, reverse=True))
-        term = _beta_char(new_beta, rest)
-        total += -term if crossings % 2 else term
-    return total
+        return _dimension_table(d)
+    t, below = delta[0], _column(delta[1:])
+    column = {}
+    for lam in partitions_of(d):
+        last, value = len(lam) - 1, 0
+        for i, row in enumerate(lam):
+            part, j = row - t, i
+            while j < last and part < lam[j + 1]:
+                part, j = part + 1, j + 1
+            if part < 0 or (j > i and part == lam[j]):
+                continue
+            rest = below[lam[:i] + tuple(x - 1 for x in lam[i + 1:j + 1] if x > 1)
+                         + ((part,) if part else ()) + lam[j + 1:]]
+            value += -rest if (j - i) % 2 else rest
+        column[lam] = value
+    return column
 
 
 def character(lam, delta) -> int:
-    """Integer character value chi_lam(delta); weights must agree."""
+    """Integer character value chi_lam(delta), read from the column of delta;
+    weights must agree."""
     lam = as_partition(lam)
     delta = as_partition(delta)
     if lam.weight() != delta.weight():
         raise ValidationError(
             f"weight mismatch: |lam|={lam.weight()} vs |delta|={delta.weight()}"
         )
-    n = lam.length()
-    beta = tuple(lam[i] + (n - 1 - i) for i in range(n))
-    return _beta_char(beta, delta)
+    return _column(delta)[lam]
 
 
 def irrep_dimension(lam) -> int:
@@ -118,9 +123,8 @@ def dimensions(d: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def class_column(delta) -> tuple[int, ...]:
     """normalized_character(lam, delta) of every lam in partitions_of(|delta|) order."""
-    d, size = sum(delta), cycle_class_size(delta)
-    lams = partitions_of(d)
-    return tuple(size * character(lam, delta) // dim for lam, dim in zip(lams, dimensions(d)))
+    size = cycle_class_size(delta)
+    return tuple(size * chi // dim for chi, dim in zip(_column(delta).values(), dimensions(sum(delta))))
 
 
 def colength_sum(lam, k: int) -> Fraction:
@@ -168,8 +172,7 @@ def character_class_sum(delta) -> int:
 
     Counts square roots in S_d of any permutation with cycle type delta.
     """
-    delta = as_partition(delta)
-    return sum(character(lam, delta) for lam in partitions_of(delta.weight()))
+    return sum(_column(as_partition(delta)).values())
 
 
 def full_cycle_normalized_character(lam) -> Fraction:
@@ -230,9 +233,7 @@ class CharacterTable:
         self.d = d
         self.row_labels = self.column_labels = partitions_of(d)
         self.class_sizes = tuple(map(cycle_class_size, self.column_labels))
-        self.rows = tuple(
-            tuple(character(lam, delta) for delta in self.column_labels) for lam in self.row_labels
-        )
+        self.rows = tuple(zip(*(_column(delta).values() for delta in self.column_labels)))
 
     def chi(self, lam, delta) -> int:
         lam, delta = as_partition(lam), as_partition(delta)

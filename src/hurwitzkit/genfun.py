@@ -527,15 +527,20 @@ def _dagger_order(name: str, rule: str, two_polygons: bool, n: int,
     """The depth t a layout's t rule fixes, and its dagger order sigma:
     Zn^dag ... Z(t+1)^dag followed by Z1^dag ... Zt^dag on one polygon, or by
     Z2^dag ... Zt^dag Z1^dag on a second one; t <= 1 is plain reversal.  n is
-    checked first, so a guarded n builds no order."""
+    checked first, so a guarded n builds no order.  A t that the rule fixes
+    otherwise is refused, not ignored."""
     if n < 1:
         raise ValidationError("need at least one matrix")
     guard("layout matrices", n)
     if rule == "none":
+        if t is not None:
+            raise ValidationError(f"layout {name} takes no t")
         t = 0
     elif rule.startswith("n"):
         if rule != "n" and (n % 2 == 0) != (rule == "n even"):
             raise ValidationError(f"{name} needs {rule.split()[1]} n")
+        if t is not None and t != n:
+            raise ValidationError(f"layout {name} fixes t = n = {n}")
         t = n
     elif t is None:
         raise ValidationError(f"layout {name} needs the t parameter")

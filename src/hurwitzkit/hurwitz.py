@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import factorial, prod
+from operator import mul
 from typing import Callable
 
 from ._errors import ValidationError, guard, guard_output_size
@@ -57,23 +59,21 @@ class HurwitzResult:
 
 def _character_sum(query: HurwitzQuery, factor: Callable[[Partition], object] | None = None):
     """The character sum of the module docstring, each term times factor(lam)
-    when given; a term is dropped as soon as it vanishes."""
+    when given: the weights (dim lam)^E, or (d!/dim lam)^-E, times each
+    profile's class column, with factor called on the nonzero terms only."""
     d, euler = query.degree, query.euler
     fact = factorial(d)
-    total = 0
-    columns = map(class_column, query.profiles)
-    for lam, dim, *values in zip(partitions_of(d), _dimension_table(d).values(), *columns):
-        if query.cutoff is not None and lam.length() > query.cutoff:
-            continue
-        term = dim**euler if euler >= 0 else (fact // dim) ** -euler
-        for value in values:
-            term *= value
-            if not term:
-                break
-        if term and factor is not None:
-            term *= factor(lam)
-        total += term
-    return total / Fraction(fact ** max(euler, 0))
+    dims = _dimension_table(d).values()
+    terms = [dim**euler for dim in dims] if euler >= 0 else [(fact // dim) ** -euler for dim in dims]
+    for column in map(class_column, query.profiles):
+        terms = map(mul, terms, column)
+    lams = partitions_of(d)
+    if query.cutoff is not None:
+        kept = [lam.length() <= query.cutoff for lam in lams]
+        lams, terms = compress(lams, kept), compress(terms, kept)
+    if factor is not None:
+        terms = (term * factor(lam) for lam, term in zip(lams, terms) if term)
+    return sum(terms) / Fraction(fact ** max(euler, 0))
 
 
 def hurwitz_number(euler: int, degree: int, profiles=(), cutoff: int | None = None) -> HurwitzResult:

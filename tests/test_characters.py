@@ -75,7 +75,7 @@ def test_dimensions_leave_the_character_cache_empty():
     for n in range(1, 25):
         hurwitz_value(1, n)
     stats = cache_stats()
-    assert stats["characters._beta_char"] == 0
+    assert stats["characters._column"] == 0
     assert stats["characters._dimension_table"] <= 25
 
 
@@ -94,10 +94,11 @@ def test_normalized_characters_are_integers():
 
 
 def test_identity_tail_keeps_the_character_cache_small():
-    """Trailing fixed points close in one step instead of one entry per 1-strip."""
+    """Trailing fixed points close in one step: the call touches two classes,
+    (2, 1^22) and the identity (1^22), and holds one column for each."""
     clear_caches()
     hurwitz_value(0, 24, [(2,) + (1,) * 22] * 2)
-    assert cache_stats()["characters._beta_char"] < 10_000
+    assert cache_stats()["characters._column"] <= 2
 
 
 def test_class_column_lists_normalized_characters_in_partition_order():
@@ -313,6 +314,16 @@ def test_hook_character_poly_check_answers_up_to_the_character_formula_degree():
     for delta in [(33,), (2,) * 16 + (1,)]:
         with pytest.raises(GuardError, match="character formula guard: degree <= 32"):
             hook_character_poly_check(delta)
+
+
+def test_every_character_path_stops_at_the_character_formula_degree():
+    """A class column costs p(d) entries, so a character of weight above 32 is
+    refused on every class, the full cycle as well as the identity."""
+    for call in [lambda: character((40,), (40,)), lambda: character((33,), (1,) * 33),
+                 lambda: class_column((33,)), lambda: character_class_sum((2,) * 17)]:
+        with pytest.raises(GuardError, match="character formula guard: degree <= 32"):
+            call()
+    assert character((32,), (32,)) == 1
 
 
 def test_hook_character_poly_check_fails_on_a_wrong_hook_character(monkeypatch):

@@ -264,10 +264,15 @@ _PROPOSITION = ["mc", "--proposition", "prop1", "--N", "2", "--samples", "10000"
     (_PROPOSITION + ["--relation", "sAUBU-1"], "choose one of --relation and --proposition"),
     (["selftest", "--quick", "--seed=-1"], "seed must satisfy 0 <= seed < 2^64"),
     (["selftest", "--seed", str(2**64)], "seed must satisfy 0 <= seed < 2^64"),
+    (_PROPOSITION + ["--t=-1"], "layout prop1 takes no t"),
+    (["genfun", "--layout", "prop1", "--t=-1", "--dmax", "1"], "layout prop1 takes no t"),
+    (["mc", "--proposition", "prop3_u", "--n", "2", "--t", "1", "--N", "2", "--samples", "10000"],
+     "layout prop3_u fixes t = n = 2"),
 ])
 def test_a_flag_the_command_does_not_read_exits_2(capsys, argv, line):
-    """A flag of the mode that does not run, or a seed out of range without
-    the checks that draw, is refused before anything runs."""
+    """A flag of the mode that does not run, a t that the layout fixes, or a
+    seed out of range without the checks that draw, is refused before anything
+    runs."""
     assert run_cli(capsys, *argv) == (2, "", f"invalid input: {line}\n")
 
 

@@ -162,6 +162,53 @@ def _reference_character_sum(euler, degree, profiles, cutoff):
     return total
 
 
+def test_character_sum_matches_a_term_by_term_reference(monkeypatch):
+    """The column products of the character sum against the sum written term
+    by term from character and irrep_dimension, with cutoffs, E < 0 and
+    weighted pairs; the weight factor is never evaluated on a vanishing term."""
+    from hurwitzkit import hurwitz
+    from hurwitzkit.characters import irrep_dimension, weighted_colength_sum
+
+    calls = []
+
+    def counted(lam, k, c):
+        calls.append(lam)
+        return weighted_colength_sum(lam, k, c)
+
+    monkeypatch.setattr(hurwitz, "weighted_colength_sum", counted)
+    cases = [
+        (2, 6, [(3, 3)], None, ()),
+        (-2, 6, [(2, 2, 1, 1), (3, 2, 1)], 3, ((1, 1),)),
+        (0, 7, [(5, 2)], 2, ((2, 3), (1, -1))),
+        (-1, 5, [(2, 1, 1, 1)] * 2, None, ((3, -2),)),
+        (1, 8, [(4, 4), (2, 2, 2, 2)], 4, ((2, 1),)),
+        (-3, 4, [], 1, ((1, 2),)),
+    ]
+    vanished = 0
+    for euler, d, profiles, cutoff, pairs in cases:
+        want, nonzero = Fraction(0), []
+        for lam in partitions_of(d):
+            if cutoff is not None and lam.length() > cutoff:
+                continue
+            dim = irrep_dimension(lam)
+            term = Fraction(dim, factorial(d)) ** euler
+            for prof in profiles:
+                term *= Fraction(factorial(d), z_order(prof)) * character(lam, prof) / dim
+            if not term:
+                vanished += 1
+                continue
+            nonzero.append(lam)
+            for k, c in pairs:
+                term *= weighted_colength_sum(lam, k, c)
+            want += term
+        calls.clear()
+        assert hurwitz_weighted_sum(euler, d, profiles, pairs, cutoff) == want
+        assert sorted(calls) == sorted(nonzero * len(pairs))
+        if not pairs:
+            assert hurwitz_value(euler, d, profiles, cutoff) == want
+    assert vanished > 0
+
+
 @st.composite
 def _character_sum_queries(draw):
     euler = draw(st.integers(min_value=-3, max_value=3))

@@ -492,13 +492,14 @@ def test_propositions_small(name, n):
 
 def test_every_layout_passes_a_small_gate():
     """Each layout's word-built integrand against its exact series, at n = 2
-    (n = 3 for int6_odd_u), t = 2 (t = 1 where t must be odd) and degree 2;
-    chekhov's constant takes the test matrix after C1 ... Cn."""
+    (n = 3 for int6_odd_u), t = 2 (t = 1 where t must be odd; no t where the
+    layout fixes it) and degree 2; chekhov's constant takes the test matrix
+    after C1 ... Cn."""
     from hurwitzkit.genfun import LAYOUT_NAMES
 
     for name in LAYOUT_NAMES:
         n = 3 if name == "int6_odd_u" else 2
-        t = 1 if name in ("int4", "int6", "odd4") else 2
+        t = {"int3": 2, "int5": 2, "odd3": 2, "int4": 1, "int6": 1, "odd4": 1}.get(name)
         cmp = mc_proposition_check(name, n, 2, degree=2, samples=10_000, seed=SEED, t=t)
         assert cmp.passed, (name, cmp.sigmas)
 
@@ -616,19 +617,19 @@ def test_proposition_check_empties_the_slot():
 
 
 def test_cache_stats_and_clear_caches():
-    # A profile other than the identity reaches the character recursion.
+    # A profile other than the identity reaches the character columns.
     hurwitzkit.hurwitz_value(1, 5, [(2, 1, 1, 1)])
     mc_schur_moment("sAZBZ+", (1,), 2, samples=10_000, seed=SEED)
     stats = hurwitzkit.cache_stats()
     # The whole inventory, so a new memo cache is a visible edit here.
     assert sorted(stats) == [
-        "characters._beta_char", "characters._dimension_table", "characters.class_column",
+        "characters._column", "characters._dimension_table", "characters.class_column",
         "matrixmc.trace_slot", "oracle._class_pairs", "oracle._commutator_counts",
         "oracle._square_counts", "partitions._class_size",
         "partitions.partitions_of", "symfunc.complete_homogeneous", "symfunc.schur_poly",
     ]
     assert stats["matrixmc.trace_slot"] == 1
-    assert stats["characters._beta_char"] > 0 and stats["partitions.partitions_of"] > 0
+    assert stats["characters._column"] > 0 and stats["partitions.partitions_of"] > 0
     hurwitzkit.clear_caches()
     stats = hurwitzkit.cache_stats()
     assert stats and set(stats.values()) == {0}
