@@ -28,7 +28,9 @@ LIMITS = {
     # Each class column holds p(d) <= 8 349 characters. The slowest cold column found, (2^16) with
     # its chain of 16, takes 0.25-0.29 s; `hurwitz --euler 0 --degree 32` with the profiles
     # (2^16), (3^10, 1^2) and (4^8) takes 0.7-1.0 s at a peak RSS of 42 MB (2 cores). The cost grows
-    # with the distinct classes: 100 random classes of 32 take 6.2 s (452 columns).
+    # with the distinct classes: 100 random classes of 32 take 6.2 s (452 columns). A single value
+    # pays for its class's whole chain too: cold, `character((4^8), (2^16))` takes 0.17-0.24 s and
+    # `hook_character_poly_check((2^16))` 0.17-0.32 s, where a per-value recursion took 1-22 ms.
     "character formula": Limit("degree", 32),
     # One rule for both exact engines (guard_output_size): each of the p(d) <= 8 349 character-sum
     # terms is at most (d!)^(|E| + F), an oracle count at most (d!)^(2 - E + F) (4 010 digits at

@@ -461,13 +461,17 @@ def test_gluing_matches_the_wick_oracle_with_a_constant():
     for shape in ("TL", "TL|TL", "BKP", "BKP|TL", "BKP|BKP"):
         for n in range(1, 6):
             assert sum(1 for _ in _every_dagger_order(shape, n, "C0")) == factorial(n)
+    glued = set()
     for name in LAYOUT_NAMES:
         for n in range(1, 9):
-            for t in range(1, n + 1):
+            for t in (None, *range(1, n + 1)):
                 try:
-                    _assert_glued_as_wick_says(proposition_layout(name, n, t))
+                    layout = proposition_layout(name, n, t)
                 except ValidationError:
-                    pass  # t of the wrong parity for this layout
+                    continue  # a t the layout's rule refuses or fixes
+                _assert_glued_as_wick_says(layout)
+                glued.add(name)
+    assert glued == set(LAYOUT_NAMES)
     for layout in _RELATIONS.values():
         _assert_glued_as_wick_says(layout)
 
