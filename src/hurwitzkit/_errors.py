@@ -25,12 +25,15 @@ class Limit(NamedTuple):
 
 
 LIMITS = {
-    # Each class column holds p(d) <= 8 349 characters. The slowest cold column found, (2^16) with
-    # its chain of 16, takes 0.25-0.29 s; `hurwitz --euler 0 --degree 32` with the profiles
-    # (2^16), (3^10, 1^2) and (4^8) takes 0.7-1.0 s at a peak RSS of 42 MB (2 cores). The cost grows
-    # with the distinct classes: 100 random classes of 32 take 6.2 s (452 columns). A single value
-    # pays for its class's whole chain too: cold, `character((4^8), (2^16))` takes 0.17-0.24 s and
-    # `hook_character_poly_check((2^16))` 0.17-0.32 s, where a per-value recursion took 1-22 ms.
+    # Each class column holds p(d) <= 8 349 characters, one strip step from the column of its class
+    # minus the largest part, down to the empty class. The slowest cold columns found, (1^32) (the
+    # dimensions) and (2^16), each with its chain, take 0.14-0.17 s; a single value pays for its
+    # class's whole chain too: cold, `character((4^8), (2^16))` and `hook_character_poly_check((2^16))`
+    # take 0.13-0.18 s. The cost grows with the distinct classes and their suffixes: `hurwitz --euler 0
+    # --degree 32` with the profiles (2^16), (3^10, 1^2) and (4^8) takes 0.7-0.8 s at 42 MB, 100 random
+    # classes of 32 take 4.9-5.1 s (475 columns), and the slowest admitted call found, 111 classes
+    # with small parts (the most the output-size row admits at d = 32, E = 0), 9.0-10.5 s at 195 MB
+    # (the last 111 of partitions_of(32), 627 columns, or a greedy pick of 770 columns) (2 cores).
     "character formula": Limit("degree", 32),
     # One rule for both exact engines (guard_output_size): each of the p(d) <= 8 349 character-sum
     # terms is at most (d!)^(|E| + F), an oracle count at most (d!)^(2 - E + F) (4 010 digits at

@@ -5,8 +5,9 @@ chi_lam(delta) for every lam of weight |delta|.  The column of delta is one
 border-strip step from the column of delta minus its largest part t (the
 Murnaghan-Nakayama rule): each lam sums, over the border strips of size t it
 has, the remainder's value with sign (-1)^{rows the strip jumps}.  The
-recursion stops at the identity class, whose column is the dimension table
-of its degree, built by the branching rule.
+recursion ends at the empty class.  Dimensions are the column of the
+identity class (1^d): its chain of d steps with t = 1 takes one box off a
+corner at each step, which is the branching rule.
 """
 from __future__ import annotations
 
@@ -26,48 +27,36 @@ from .partitions import (
 
 
 @lru_cache(maxsize=None)
-def _dimension_table(d: int) -> dict[Partition, int]:
-    """{lam: dim lam} over the partitions of d, in partitions_of order, by the
-    branching rule: dim lam is the sum of dim(lam - corner) over removable corners."""
-    if d < 0:
-        raise ValidationError("d must be >= 0")
-    guard("character formula", d)
-    if d == 0:
-        return {Partition(): 1}
-    below = _dimension_table(d - 1)
-    return {
-        lam: sum(
-            below[lam[:i] + (row - 1,) + lam[i + 1:] if row > 1 else lam[:i]]
-            for i, row in enumerate(lam)
-            if i + 1 == len(lam) or lam[i + 1] < row
-        )
-        for lam in partitions_of(d)
-    }
-
-
-@lru_cache(maxsize=None)
 def _column(delta: tuple[int, ...]) -> dict[Partition, int]:
     """{lam: chi_lam(delta)} over partitions_of(|delta|), in that order.
 
-    A strip of size t = delta[0] whose top row is i ends in the first row
-    j >= i where part = lam_i - t + (j - i) reaches lam_{j+1}; it exists
-    unless part is negative there or, for j > i, equals lam_j.  Its remainder
-    keeps rows i+1..j one box shorter, moved up one row, with part in row j;
-    a row of one box, and then part = 0, leaves the diagram.
+    A strip of size t = delta[0] whose top row is i stays in row i when
+    part = lam_i - t is at least lam_{i+1} (or i is the last row), and
+    exists if part >= 0; its remainder has part in row i, and a part of 0
+    leaves the diagram.  Otherwise it ends in the first row j > i where
+    part = lam_i - t + (j - i) reaches lam_{j+1}, and exists unless part is
+    negative there or equals lam_j; its remainder keeps rows i+1..j one box
+    shorter, moved up one row, with part in row j, and rows of one box then
+    leave the diagram with part = 0.
     """
     d = sum(delta)
     guard("character formula", d)
-    if not delta or delta[0] == 1:
-        return _dimension_table(d)
+    if not delta:
+        return {Partition(): 1}
     t, below = delta[0], _column(delta[1:])
     column = {}
     for lam in partitions_of(d):
         last, value = len(lam) - 1, 0
         for i, row in enumerate(lam):
-            part, j = row - t, i
+            part = row - t
+            if i == last or part >= lam[i + 1]:  # the strip stays in row i
+                if part >= 0:
+                    value += below[lam[:i] + (part,) + lam[i + 1:] if part else lam[:i]]
+                continue
+            part, j = part + 1, i + 1
             while j < last and part < lam[j + 1]:
                 part, j = part + 1, j + 1
-            if part < 0 or (j > i and part == lam[j]):
+            if part < 0 or part == lam[j]:
                 continue
             rest = below[lam[:i] + tuple(x - 1 for x in lam[i + 1:j + 1] if x > 1)
                          + ((part,) if part else ()) + lam[j + 1:]]
@@ -89,9 +78,9 @@ def character(lam, delta) -> int:
 
 
 def irrep_dimension(lam) -> int:
-    """dim lam = character at the identity class, read from the table of |lam|."""
+    """dim lam = chi_lam(1^|lam|), read from the identity class's column."""
     lam = as_partition(lam)
-    return _dimension_table(lam.weight())[lam]
+    return _column((1,) * lam.weight())[lam]
 
 
 def hook_length_dimension(lam) -> int:
@@ -115,16 +104,11 @@ def normalized_character(lam, delta) -> int:
     return cycle_class_size(delta) * character(lam, delta) // irrep_dimension(lam)
 
 
-def dimensions(d: int) -> tuple[int, ...]:
-    """irrep_dimension of every lam in partitions_of(d) order."""
-    return tuple(_dimension_table(d).values())
-
-
 @lru_cache(maxsize=None)
 def class_column(delta) -> tuple[int, ...]:
     """normalized_character(lam, delta) of every lam in partitions_of(|delta|) order."""
-    size = cycle_class_size(delta)
-    return tuple(size * chi // dim for chi, dim in zip(_column(delta).values(), dimensions(sum(delta))))
+    size, dims = cycle_class_size(delta), _column((1,) * sum(delta)).values()
+    return tuple(size * chi // dim for chi, dim in zip(_column(delta).values(), dims))
 
 
 def colength_sum(lam, k: int) -> Fraction:

@@ -18,7 +18,7 @@ from typing import Callable
 
 from ._errors import ValidationError, guard, guard_output_size
 from .characters import (
-    _dimension_table,
+    _column,
     character_class_sum,
     class_column,
     weighted_colength_sum,
@@ -63,7 +63,7 @@ def _character_sum(query: HurwitzQuery, factor: Callable[[Partition], object] | 
     profile's class column, with factor called on the nonzero terms only."""
     d, euler = query.degree, query.euler
     fact = factorial(d)
-    dims = _dimension_table(d).values()
+    dims = _column((1,) * d).values()
     terms = [dim**euler for dim in dims] if euler >= 0 else [(fact // dim) ** -euler for dim in dims]
     for column in map(class_column, query.profiles):
         terms = map(mul, terms, column)

@@ -9,8 +9,10 @@ The tuple count is the value at the identity of a convolution of per-factor
 count distributions over the group: the commutator counts, the square counts
 and the class indicators.  All of them are class functions, and so are their
 convolutions, so each is kept as a dictionary keyed by cycle type and
-evaluated at one representative per conjugacy class.  One table per degree,
-built by plain enumeration in O(p(d) d!) compositions (d <= 8), counts the
+evaluated at one representative per conjugacy class.  The square counts are
+read off the cycle types alone, since the type of R fixes the type of R^2.
+The commutator counts and the convolutions read one table per degree: built
+by plain enumeration in O(p(d) d!) compositions (d <= 8), it counts the
 types of h y^-1 for each representative h and class of y, so a convolution
 walks only its factor's classes.  Class functions commute, so the densest
 factor is the starting distribution and the next densest is read off at the
@@ -27,11 +29,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import factorial
 
 from ._errors import ValidationError, guard, guard_output_size
-from .partitions import checked_profiles, cycle_class_size, z_order
+from .partitions import checked_profiles, cycle_class_size, partitions_of, z_order
 
 Perm = tuple[int, ...]
 
@@ -134,8 +136,15 @@ def _class_pairs(d: int) -> dict[tuple[int, ...], dict[tuple[int, ...], Counter]
 
 @lru_cache(maxsize=None)
 def _square_counts(d: int) -> dict[tuple[int, ...], int]:
-    """counts[type h] = number of R in S_d with R^2 = h."""
-    hits = Counter(cycle_type(compose(r, r)) for r in permutations(range(d)))
+    """counts[type h] = number of R in S_d with R^2 = h.
+
+    The type of R fixes the type of R^2: an odd j-cycle squares to a j-cycle
+    and an even one to two j/2-cycles.  So the |C_mu| permutations of each
+    type mu square into one class, shared evenly by its elements."""
+    hits = Counter()
+    for mu in partitions_of(d):
+        halves = ((j,) if j % 2 else (j // 2,) * 2 for j in mu)
+        hits[tuple(sorted(chain.from_iterable(halves), reverse=True))] += cycle_class_size(mu)
     return {t: n // cycle_class_size(t) for t, n in hits.items()}
 
 

@@ -16,7 +16,6 @@ from hurwitzkit.characters import (
     character_table,
     class_column,
     colength_sum,
-    dimensions,
     full_cycle_normalized_character,
     hook_character_poly_check,
     hook_length_dimension,
@@ -62,21 +61,27 @@ def test_identity_class_matches_hook_lengths():
 
 
 def test_dimension_tables_are_guarded_and_validated():
-    assert dimensions(32)[-1] == 1 and len(dimensions(32)) == 8349
+    """The dimensions of degree d are the identity class's column."""
+    assert irrep_dimension((1,) * 32) == 1 and len(characters._column((1,) * 32)) == 8349
     with pytest.raises(GuardError):
         irrep_dimension((33,))
     with pytest.raises(ValidationError):
-        dimensions(-1)
+        irrep_dimension((-1,))
 
 
-def test_dimensions_leave_the_character_cache_empty():
-    """H(1, n) reads only the dimension row, so no character is evaluated."""
+def test_dimensions_fill_only_the_identity_columns():
+    """H(1, n) reads only the dimensions, so the character cache holds the
+    identity columns (1^n), n <= 24, that the chain of (1^24) ends in, and
+    no other class."""
     clear_caches()
     for n in range(1, 25):
         hurwitz_value(1, n)
-    stats = cache_stats()
-    assert stats["characters._column"] == 0
-    assert stats["characters._dimension_table"] <= 25
+    assert cache_stats()["characters._column"] == 25
+    hits = characters._column.cache_info().hits
+    for n in range(25):
+        characters._column((1,) * n)
+    assert characters._column.cache_info().hits == hits + 25
+    assert cache_stats()["characters._column"] == 25
 
 
 def test_normalized_characters_are_integers():
@@ -94,17 +99,17 @@ def test_normalized_characters_are_integers():
 
 
 def test_identity_tail_keeps_the_character_cache_small():
-    """Trailing fixed points close in one step: the call touches two classes,
-    (2, 1^22) and the identity (1^22), and holds one column for each."""
+    """Trailing fixed points are the t = 1 steps the dimensions take anyway:
+    the call holds the column of (2, 1^22) and the identity columns (1^n),
+    n <= 24, and nothing else."""
     clear_caches()
     hurwitz_value(0, 24, [(2,) + (1,) * 22] * 2)
-    assert cache_stats()["characters._column"] <= 2
+    assert cache_stats()["characters._column"] == 26
 
 
 def test_class_column_lists_normalized_characters_in_partition_order():
     for d in range(9):
         lams = partitions_of(d)
-        assert dimensions(d) == tuple(irrep_dimension(lam) for lam in lams)
         for delta in lams:
             column = class_column(delta)
             assert len(column) == len(lams)
@@ -113,13 +118,15 @@ def test_class_column_lists_normalized_characters_in_partition_order():
 
 
 def test_class_columns_are_counted_and_cleared():
+    """Two distinct classes: two class columns, and character columns for
+    (3, 2, 1), (2, 1), (2, 1^4) and the identity columns (1^n), n <= 6."""
     clear_caches()
     hurwitz_value(0, 6, [(3, 2, 1), (2, 1, 1, 1, 1), (3, 2, 1)])
     stats = cache_stats()
-    assert stats["characters.class_column"] == 2 and stats["characters._dimension_table"] == 7
+    assert stats["characters.class_column"] == 2 and stats["characters._column"] == 10
     clear_caches()
     stats = cache_stats()
-    assert stats["characters.class_column"] == 0 and stats["characters._dimension_table"] == 0
+    assert stats["characters.class_column"] == 0 and stats["characters._column"] == 0
 
 
 def test_dimension_matches_schur_leading_term():

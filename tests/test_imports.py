@@ -101,7 +101,7 @@ def _unread_exports(init: str, readers: list[str]) -> list[str]:
 # Exports that no engine, command, benchmark or acceptance criterion reads, kept on purpose.
 UNREAD_ON_PURPOSE = {
     "hook_length_dimension": "the hook-length formula, the labelled independent oracle "
-                             "for the dimension table of irrep_dimension",
+                             "for irrep_dimension, the identity class's character column",
     "oracle_count_naive": "the literal nested-loop enumerator, the labelled independent "
                           "oracle for oracle_count",
     "fold_alphabet": "alphabet folding, kept for the exact tau-function check of "

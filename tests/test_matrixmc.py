@@ -623,7 +623,7 @@ def test_cache_stats_and_clear_caches():
     stats = hurwitzkit.cache_stats()
     # The whole inventory, so a new memo cache is a visible edit here.
     assert sorted(stats) == [
-        "characters._column", "characters._dimension_table", "characters.class_column",
+        "characters._column", "characters.class_column",
         "matrixmc.trace_slot", "oracle._class_pairs", "oracle._commutator_counts",
         "oracle._square_counts", "partitions._class_size",
         "partitions.partitions_of", "symfunc.complete_homogeneous", "symfunc.schur_poly",

@@ -21,7 +21,7 @@ from hurwitzkit.oracle import (
     oracle_hurwitz,
     presentation_independence_check,
 )
-from hurwitzkit.partitions import checked_profiles, partitions_of
+from hurwitzkit.partitions import checked_profiles, cycle_class_size, partitions_of
 
 
 def test_presentation_validation():
@@ -111,6 +111,13 @@ def test_oracle_guards_exactly_what_the_character_formula_guards(monkeypatch):
                 assert raised.type is want, (pres, d, f)
                 grid[want] += 1
     assert grid == {_Admitted: 238, GuardError: 66}
+
+
+def test_square_counts_match_the_tally_over_the_group():
+    """The cycle-type rule for R^2 against a pass over all R in S_d."""
+    for d in range(9):
+        hits = Counter(cycle_type(compose(r, r)) for r in permutations(range(d)))
+        assert oracle._square_counts(d) == {t: n // cycle_class_size(t) for t, n in hits.items()}
 
 
 def test_convolution_oracle_matches_naive_enumeration():
