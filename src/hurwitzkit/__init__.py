@@ -29,7 +29,7 @@ from .characters import (
     character,
     character_class_sum,
     character_table,
-    colength_sum,
+    colength_sums,
     full_cycle_normalized_character,
     hook_character_poly_check,
     hook_length_dimension,

@@ -48,6 +48,12 @@ LIMITS = {
     # hook lengths (<= 10!), so at most 4 010 digits each at this bound.
     "schur constant": Limit("digits of numerator and denominator", 400),
     "series degree": Limit("d_max", 8),
+    # The order in 1/a: series_trunc, and the k of a weighted sum's pairs added up. Each nonzero
+    # term runs Miller's recurrence to x^k: the slowest admitted call found with a c of 4 digits,
+    # `hurwitz_weighted_sum(0, 32, [], [(12, 9973/9967)])`, takes 6.3-7.0 s at 38 MB (c = -1/2:
+    # 5.5-6.8 s; k = 16: 9.1-9.5 s); `series_trunc=12` at d_max 8, three alphabets and exponent -2,
+    # 1.4 s (2 cores).
+    "weight order": Limit("order k", 12),
     # A k-alphabet series has sum_{d <= d_max} p(d)^k profile keys; the 80 441 of `genfun
     # --layout prop1 --n 5 --dmax 4` take 5.7-7.0 s (0.8 s series, the rest JSON), 73 MB (2 cores).
     "series profile keys": Limit("profile keys", 100_000),

@@ -8,6 +8,8 @@ has, the remainder's value with sign (-1)^{rows the strip jumps}.  The
 recursion ends at the empty class.  Dimensions are the column of the
 identity class (1^d): its chain of d steps with t = 1 takes one box off a
 corner at each step, which is the branching rule.
+The colength class sums need no character: the sum over the classes of
+colength k is e_k of the contents of lam (`colength_sums`).
 """
 from __future__ import annotations
 
@@ -111,39 +113,30 @@ def class_column(delta) -> tuple[int, ...]:
     return tuple(size * chi // dim for chi, dim in zip(_column(delta).values(), dims))
 
 
-def colength_sum(lam, k: int) -> Fraction:
-    """Sum of normalized characters over all classes of colength k.
-
-    Zero when no class of that colength exists (k >= |lam|, except the empty
-    diagram at k = 0); this extension keeps the weighted sums below total.
-    """
-    lam = as_partition(lam)
-    d = lam.weight()
-    if k < 0:
-        raise ValidationError("colength must be >= 0")
-    if d == 0:
-        return Fraction(1) if k == 0 else Fraction(0)
-    if k >= d:
-        return Fraction(0)
-    return Fraction(
-        sum(normalized_character(lam, delta) for delta in partitions_of(d) if delta.colength() == k)
-    )
+def colength_sums(lam) -> tuple[int, ...]:
+    """e_0 ... e_|lam| of the contents j - i of lam, the coefficients of
+    prod_cells (1 + content x): e_k is the sum of the normalized characters of
+    lam over the classes of colength k, as that class sum is e_k of the
+    Jucys-Murphy elements, which act on lam by its contents (Jucys 1974)."""
+    e = [1]
+    for c in as_partition(lam).contents():
+        e = [a + c * b for a, b in zip(e + [0], [0] + e)]
+    return tuple(e)
 
 
 def weighted_colength_sum(lam, k: int, c):
-    """Coefficient f_k of x^k in phi(x)^c, phi = 1 + sum_{j>0} colength_sum(lam, j) x^j.
+    """Coefficient f_k of x^k in phi(x)^c, phi(x) = prod_cells (1 + content x).
 
     By J.C.P. Miller's power recurrence, read off phi (phi^c)' = c phi' phi^c:
     f_0 = 1 and f_m = (1/m) sum_j ((c + 1) j - m) phi_j f_{m-j}, over the
     j < |lam| where phi_j can be nonzero.  At c = 1 this reduces to
-    colength_sum(lam, k).  The symbolic Pochhammer series of genfun raise by
+    colength_sums(lam)[k].  The symbolic Pochhammer series of genfun raise by
     repeated products (`_series_pow`) instead; the series tests compare the
     two, so each is the other's independent check.
     """
-    lam = as_partition(lam)
     if k < 1:
         raise ValidationError("k must be >= 1")
-    phi = [colength_sum(lam, j) for j in range(1, lam.weight())]
+    phi = colength_sums(lam)[1:-1]
     f = [Fraction(1)]
     for m in range(1, k + 1):
         terms = (((c + 1) * j - m) * p * f[m - j] for j, p in enumerate(phi[:m], start=1))

@@ -15,7 +15,7 @@ from math import factorial, lcm, prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._errors import ValidationError, digits, guard
-from .characters import irrep_dimension, normalized_character
+from .characters import colength_sums, irrep_dimension, normalized_character
 from .partitions import Partition, as_partition, cycle_class_size, partitions_of
 from .symfunc import (PowerAlphabet, PowerSumPoly, content_product, eval_schur,
                       exp_truncated, fraction_text, schur_poly)
@@ -192,10 +192,10 @@ def _series_mul(a: list[Fraction], b: list[Fraction], trunc: int) -> list[Fracti
 
 
 def _series_pow(u: list[Fraction], n: int, trunc: int) -> list[Fraction]:
-    """u(x)^n truncated at x^trunc; n may be negative, as u[0] = dim lam / d! > 0
-    on both routes of `_lambda_weight`.  characters.weighted_colength_sum raises
-    by Miller's recurrence instead; the series tests compare the two, so each
-    is the other's independent check."""
+    """u(x)^n truncated at x^trunc by repeated products; n may be negative, as
+    u[0] = dim lam / d! > 0 on both routes of `_lambda_weight`.  weighted_colength_sum
+    raises prod_cells (1 + content x) by Miller's recurrence instead; the series
+    tests compare the two, so each is the other's independent check."""
     u = list(u[: trunc + 1]) + [Fraction(0)] * max(0, trunc + 1 - len(u))
     if n < 0:
         inv = [Fraction(0)] * (trunc + 1)
@@ -236,27 +236,23 @@ def _lambda_weight(lam: Partition, euler: int, alphabet_count: int,
         coeffs = schur_poly(lam).coeffs
         s_inf = coeffs.get((1,) * d, Fraction(0))
         prof_coeff = {delta: coeffs[delta] for delta in classes if delta in coeffs}
+        # s_lam(p(a)) * a^{-d} as a series in x = 1/a
+        u = [Fraction(0)] * (d + 1)
+        for parts, c in prof_coeff.items():
+            u[d - len(parts)] += c
     else:
         s_inf = Fraction(irrep_dimension(lam), factorial(d))
         prof_coeff = {delta: c for delta in classes
                       if (c := s_inf * normalized_character(lam, delta))}
+        # (dim/d!) * prod_cells (1 + content*x)
+        u = [s_inf * e for e in colength_sums(lam)]
     weight = s_inf ** (euler - sum(p.exponent for p in params) - alphabet_count)
 
     sym_series: list[dict[int, Fraction]] = []
     for param in params:
-        if route == "schur":
-            # s_lam(p(a)) * a^{-d} as a series in x = 1/a
-            u = [Fraction(0)] * (d + 1)
-            for parts, c in prof_coeff.items():
-                u[d - len(parts)] += c
-        else:
-            # (dim/d!) * prod_cells (1 + content*x)
-            u = [s_inf]
-            for c in lam.contents():
-                u = _series_mul(u, [Fraction(1), Fraction(c)], d)
         if param.value is not None:
             a = param.value
-            val = sum(u[k] * a ** (d - k) for k in range(min(d, len(u) - 1) + 1))
+            val = sum(w * a ** (d - k) for k, w in enumerate(u))
             if param.exponent < 0 and val == 0:
                 raise ValidationError("cannot invert vanishing numeric factor")
             weight *= val**param.exponent
@@ -323,6 +319,9 @@ def hypergeometric_series(
     if route not in ("schur", "pochhammer"):
         raise ValidationError(f"unknown route {route!r}")
     trunc = d_max if series_trunc is None else series_trunc
+    if trunc < 0:
+        raise ValidationError(f"series_trunc must be >= 0, got {trunc}")
+    guard("weight order", trunc)
     aux_names = tuple(p.symbol for p in params if p.symbol is not None)
     series = ProfileSeries(alphabet_count, d_max, aux_names)
     series.add(SeriesKey(0, (Partition(),) * alphabet_count, (0,) * len(aux_names)), Fraction(1))

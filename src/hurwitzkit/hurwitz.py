@@ -92,13 +92,14 @@ def hurwitz_value(euler: int, degree: int, profiles=(), cutoff: int | None = Non
 
 
 def hurwitz_weighted_sum(euler: int, degree: int, profiles, weight_pairs, cutoff: int | None = None):
-    """Weighted Hurwitz sum: each pair (k, c) adds a factor
-    weighted_colength_sum(lam, k, c).  At c = 1 the factor is the colength
-    class sum, so the pair (k, 1) sums over every profile of colength k."""
+    """Weighted Hurwitz sum: each pair (k, c) adds a factor weighted_colength_sum(lam, k, c),
+    the x^k coefficient of prod_cells (1 + content x)^c.  At c = 1 that is e_k of the
+    contents, the colength class sum, so the pair (k, 1) sums over every profile of colength k."""
     query = HurwitzQuery(euler, degree, tuple(profiles), cutoff)
     for k, _ in weight_pairs:
         if k < 1:
             raise ValidationError("weight order k must be >= 1")
+    guard("weight order", sum(k for k, _ in weight_pairs))
     return _character_sum(
         query, lambda lam: prod(weighted_colength_sum(lam, k, c) for k, c in weight_pairs)
     )

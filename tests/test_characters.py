@@ -15,7 +15,7 @@ from hurwitzkit.characters import (
     character_class_sum,
     character_table,
     class_column,
-    colength_sum,
+    colength_sums,
     full_cycle_normalized_character,
     hook_character_poly_check,
     hook_length_dimension,
@@ -23,7 +23,7 @@ from hurwitzkit.characters import (
     normalized_character,
     weighted_colength_sum,
 )
-from hurwitzkit.hurwitz import hurwitz_value
+from hurwitzkit.hurwitz import hurwitz_value, hurwitz_weighted_sum
 from hurwitzkit.partitions import Partition, partitions_of, z_order
 from hurwitzkit.symfunc import schur_poly
 
@@ -107,6 +107,15 @@ def test_identity_tail_keeps_the_character_cache_small():
     assert cache_stats()["characters._column"] == 26
 
 
+def test_weighted_sums_read_only_the_identity_columns():
+    """A weighted sum takes its factors from the contents, not from the
+    classes of each colength: with no profile the call holds the identity
+    columns (1^n), n <= 22, and nothing else."""
+    clear_caches()
+    hurwitz_weighted_sum(0, 22, [], [(2, 1)])
+    assert cache_stats()["characters._column"] == 23
+
+
 def test_class_column_lists_normalized_characters_in_partition_order():
     for d in range(9):
         lams = partitions_of(d)
@@ -155,34 +164,46 @@ def test_schur_coefficients_are_characters_over_centralizer():
                 )
 
 
-def test_colength_sum():
+def test_colength_sums():
     for d in range(1, 7):
         for lam in partitions_of(d):
-            assert colength_sum(lam, 0) == 1
-            assert colength_sum(lam, d) == 0
-            assert colength_sum(lam, d + 3) == 0
+            sums = colength_sums(lam)
+            assert len(sums) == d + 1 and sums[0] == 1 and sums[d] == 0
             if d > 1:
                 gamma = Partition([2] + [1] * (d - 2))
-                assert colength_sum(lam, 1) == normalized_character(lam, gamma)
-            assert colength_sum(lam, d - 1) == normalized_character(lam, Partition((d,)))
-    assert colength_sum(Partition((2,)), 1) == 1
-    assert colength_sum(Partition((2, 1)), 2) == -1
+                assert sums[1] == normalized_character(lam, gamma)
+            assert sums[d - 1] == normalized_character(lam, Partition((d,)))
+    assert colength_sums(Partition((2,))) == (1, 1, 0)
+    assert colength_sums(Partition((2, 1))) == (1, 0, -1, 0)
+    assert colength_sums(()) == (1,)
+
+
+def test_colength_sums_match_the_class_scan():
+    """Reference: the sum of normalized characters over every class of
+    colength k, for every lam with |lam| <= 10 and every k."""
+    for d in range(11):
+        classes = partitions_of(d)
+        for lam in classes:
+            scan = [sum(normalized_character(lam, delta) for delta in classes
+                        if delta.colength() == k) for k in range(d + 1)]
+            assert list(colength_sums(lam)) == scan, lam
 
 
 def test_cached_helpers_take_lists_tuples_and_partitions():
     for lam in ([3, 1], (3, 1), Partition([3, 1])):
         assert irrep_dimension(lam) == 3
-        assert [colength_sum(lam, k) for k in range(4)] == [1, 2, -1, -2]
+        assert colength_sums(lam) == (1, 2, -1, -2, 0)
 
 
 def test_weighted_colength_sum():
     for d in range(1, 7):
         for lam in partitions_of(d):
+            sums = colength_sums(lam) + (0,)
             for k in range(1, d + 2):
-                assert weighted_colength_sum(lam, k, 1) == colength_sum(lam, k)
+                assert weighted_colength_sum(lam, k, 1) == sums[k]
     lam = Partition((3, 1))
     c = Fraction(5, 2)
-    assert weighted_colength_sum(lam, 1, c) == c * colength_sum(lam, 1)
+    assert weighted_colength_sum(lam, 1, c) == c * colength_sums(lam)[1]
     assert weighted_colength_sum(Partition((2,)), 2, 2) == 1
 
 
@@ -191,7 +212,7 @@ def test_weighted_colength_sum_is_power_series_coefficient():
     for lam in [Partition((3, 1)), Partition((2, 2, 1)), Partition((4, 2))]:
         d = lam.weight()
         for c in (2, 3):
-            coeffs = [Fraction(1)] + [colength_sum(lam, j) for j in range(1, d)]
+            coeffs = colength_sums(lam)[:d]
             power = [Fraction(1)]
             for _ in range(c):
                 new = [Fraction(0)] * (len(power) + d - 1)
@@ -213,7 +234,7 @@ def test_weighted_colength_sum_is_fast_and_exact_at_large_k():
     value = weighted_colength_sum(lam, 60, -1)
     assert time.perf_counter() - start < 1.0
     assert type(value) is Fraction
-    phi = [Fraction(1)] + [colength_sum(lam, j) for j in range(1, lam.weight())]
+    phi = colength_sums(lam)
     f = [Fraction(1)] + [weighted_colength_sum(lam, k, -1) for k in range(1, 61)]
     assert f[60] == value
     for k in range(1, 61):
@@ -287,7 +308,7 @@ def test_weighted_colength_sum_is_polynomial_of_degree_k():
             (-1) ** i * comb(k, i) * weighted_colength_sum(lam, k, k - i)
             for i in range(k + 1)
         )
-        assert top == colength_sum(lam, 1) ** k  # k! * leading coeff
+        assert top == colength_sums(lam)[1] ** k  # k! * leading coeff
 
 
 def test_full_cycle_profile_restricts_to_hooks():

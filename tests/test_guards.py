@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurwitzkit import LIMITS, GuardError, ValidationError
-from hurwitzkit.characters import colength_sum, full_cycle_normalized_character, weighted_colength_sum
+from hurwitzkit.characters import full_cycle_normalized_character, weighted_colength_sum
 from hurwitzkit._errors import digits
 from hurwitzkit.cli import main
 from hurwitzkit.genfun import (ContentFunction, PochhammerParam, ProfileSeries, SeriesKey,
@@ -204,6 +204,23 @@ def test_content_shift_guard_fires_before_any_product(shift, code):
         assert not out and time.monotonic() - start < 1.0
 
 
+def test_weight_order_bounds_the_truncation_and_the_pairs():
+    """series_trunc and the k of a weighted sum's pairs, added up, are each an
+    order in 1/a: the row admits its bound and refuses one more before any
+    term is formed."""
+    most = LIMITS["weight order"].most
+    poch = (PochhammerParam(-2, symbol="a"),)
+    hypergeometric_series(2, 1, poch, d_max=1, series_trunc=most)
+    hurwitz_weighted_sum(2, 3, [], [(most - 1, 2), (1, 1)])
+    start = time.monotonic()
+    for call in (lambda: hypergeometric_series(2, 1, poch, d_max=1, series_trunc=most + 1),
+                 lambda: hurwitz_weighted_sum(2, 3, [], [(most, 2), (1, 1)]),
+                 lambda: hurwitz_weighted_sum(2, 6, [], [(10**5, 2)])):
+        with pytest.raises(GuardError, match=f"weight order guard: order k <= {most}"):
+            call()
+    assert time.monotonic() - start < 1.0
+
+
 def test_digits_counts_past_the_integer_string_limit():
     assert [digits(n) for n in (0, 7, -10, 99, 100, -(10**5000), 10**5000 - 1)] == [
         1, 1, 2, 2, 3, 5001, 5000]
@@ -271,7 +288,6 @@ _REJECTIONS = {
                            "weight order k must be >= 1"),
     "full cycle, no handles": (lambda: full_cycle_identity_holds(2, 3, handles=0),
                                "handles must be >= 1"),
-    "colength -1": (lambda: colength_sum((2, 1), -1), "colength must be >= 0"),
     "weighted colength k = 0": (lambda: weighted_colength_sum((2, 1), 0, 2), "k must be >= 1"),
     "full cycle of ()": (lambda: full_cycle_normalized_character(()),
                          "full cycle needs weight >= 1"),
@@ -290,6 +306,8 @@ _REJECTIONS = {
         "cannot invert vanishing numeric factor"),
     "unknown route": (lambda: hypergeometric_series(2, 1, d_max=1, route="hook"),
                       "unknown route 'hook'"),
+    "series_trunc -1": (lambda: hypergeometric_series(2, 1, d_max=1, series_trunc=-1),
+                        "series_trunc must be >= 0, got -1"),
     "fold index 1 of 1": (lambda: fold_alphabet(_p2_series(), 1, "a"),
                           "alphabet index out of range"),
     "fold index -1": (lambda: fold_alphabet(_p2_series(), -1, "a"),
