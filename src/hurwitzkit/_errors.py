@@ -3,6 +3,7 @@ hard guards that every exponential-cost path checks its input against."""
 from __future__ import annotations
 
 from math import factorial, log10
+from operator import index
 from typing import NamedTuple
 
 
@@ -38,8 +39,8 @@ LIMITS = {
     # One rule for both exact engines (guard_output_size): each of the p(d) <= 8 349 character-sum
     # terms is at most (d!)^(|E| + F), an oracle count at most (d!)^(2 - E + F) (4 010 digits at
     # d <= 8), so every value prints under Python's 4 300-digit limit. Slowest admitted oracle calls
-    # found: `oracle --surface crosscaps:802 --degree 8`, 1.6-2.4 s, and `genus:401 --degree 8`,
-    # 1.5-1.9 s, nearly all of it the pair table; their convolutions take 0.01-0.02 s (2 cores).
+    # found, cold: `oracle --surface crosscaps:802 --degree 8` and `genus:401 --degree 8`, 0.6-0.9 s
+    # each, 0.40-0.50 s of it the class table and 0.02 s the convolutions (2 cores).
     "output size": Limit("(|E| + F) * digits(d!)", 4000),
     "identity check": Limit("degree", 7),
     "character table": Limit("d", 8),
@@ -88,7 +89,19 @@ def guard(name: str, value: int) -> None:
     """Raise GuardError unless value lies within the limit LIMITS[name]."""
     limit = LIMITS[name]
     if value > limit.most or (limit.least is not None and value < limit.least):
-        raise GuardError(f"{name} guard: {limit} (got {value})")
+        # str() refuses an int past 4 300 digits, so a long one is named by its digit count
+        long = isinstance(value, int) and abs(value) >= 10**30
+        got = f"a value of {digits(value)} digits" if long else value
+        raise GuardError(f"{name} guard: {limit} (got {got})")
+
+
+def as_int(name: str, value) -> int:
+    """value as an int, by operator.index as Partition parts are, or a ValidationError
+    naming the argument: a float, a string or a Fraction is not an integer argument."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 def digits(n: int) -> int:

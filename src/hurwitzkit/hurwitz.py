@@ -16,7 +16,7 @@ from math import factorial, prod
 from operator import mul
 from typing import Callable
 
-from ._errors import ValidationError, guard, guard_output_size
+from ._errors import ValidationError, as_int, guard, guard_output_size
 from .characters import (
     _column,
     character_class_sum,
@@ -41,6 +41,10 @@ class HurwitzQuery:
     cutoff: int | None = None  # None means no length cutoff
 
     def __post_init__(self):
+        object.__setattr__(self, "euler", as_int("euler", self.euler))
+        object.__setattr__(self, "degree", as_int("degree", self.degree))
+        if self.cutoff is not None:
+            object.__setattr__(self, "cutoff", as_int("cutoff", self.cutoff))
         guard("character formula", self.degree)
         profs = checked_profiles(self.degree, self.profiles)
         object.__setattr__(self, "profiles", profs)

@@ -11,10 +11,14 @@ and the class indicators.  All of them are class functions, and so are their
 convolutions, so each is kept as a dictionary keyed by cycle type and
 evaluated at one representative per conjugacy class.  The square counts are
 read off the cycle types alone, since the type of R fixes the type of R^2.
-The commutator counts and the convolutions read one table per degree: built
-by plain enumeration in O(p(d) d!) compositions (d <= 8), it counts the
-types of h y^-1 for each representative h and class of y, so a convolution
-walks only its factor's classes.  Class functions commute, so the densest
+The commutator counts and the convolutions read one table per degree (d <= 8):
+for classes b and c, how many w in C_b take a representative h_t into C_c.
+The number of x y z = 1 over three classes is symmetric in them, so the
+table is built by one enumeration per unordered pair of classes, every
+element of the smaller class composed with a representative of the larger:
+244 370 compositions at d = 8, where a pass over S_d per representative
+takes p(d) d! = 887 040.  A convolution walks only the pairs of its two
+factors' classes.  Class functions commute, so the densest
 factor is the starting distribution and the next densest is read off at the
 identity: the first and last factors are free, and each middle class factor
 costs p(d)^2 steps.  The commutator and square counts are raised to the k
@@ -32,7 +36,7 @@ from functools import lru_cache, reduce
 from itertools import chain, permutations, product
 from math import factorial
 
-from ._errors import ValidationError, guard, guard_output_size
+from ._errors import ValidationError, as_int, guard, guard_output_size
 from .partitions import checked_profiles, cycle_class_size, partitions_of, z_order
 
 Perm = tuple[int, ...]
@@ -47,6 +51,8 @@ class SurfacePresentation:
     crosscaps: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "handles", as_int("handles", self.handles))
+        object.__setattr__(self, "crosscaps", as_int("crosscaps", self.crosscaps))
         if self.kind == "orientable":
             if self.handles < 0 or self.crosscaps:
                 raise ValidationError("orientable surface: handles >= 0, no crosscaps")
@@ -120,18 +126,32 @@ def class_elements(d: int, delta: tuple[int, ...]) -> tuple[Perm, ...]:
 
 
 @lru_cache(maxsize=None)
-def _class_pairs(d: int) -> dict[tuple[int, ...], dict[tuple[int, ...], Counter]]:
-    """pairs[type h][type y] = Counter(type h y^-1) over y in S_d, for one
-    representative h per class.  y^-1 runs over S_d as y does and has the
-    type of y, so w = y^-1 is enumerated and h y^-1 = h w."""
+def _class_pairs(d: int) -> dict[tuple[int, ...], dict[tuple[int, ...], dict[tuple[int, ...], int]]]:
+    """table[type b][type c] = {type t: #{w in C_b : h_t w in C_c}}, for one
+    representative h_t per class.
+
+    |C_t| times that is N(t, b, c), the number of x y z = 1 with x, y, z in
+    C_t, C_b, C_c, which is symmetric in its three classes: a cyclic shift
+    keeps x y z = 1, and inverting reverses the product while each class is
+    closed under inverses.  So each unordered pair of classes is enumerated
+    once: the representative of the larger class composed with every element
+    of the smaller gives N for every c, and so both orders of the pair.  The
+    type of each product is looked up in the one pass over S_d that sorts
+    the permutations into classes."""
     types = {p: cycle_type(p) for p in permutations(range(d))}
-    reps = {t: p for p, t in types.items()}
-    pairs = {}
-    for t, h in reps.items():
-        pairs[t] = by_y = {b: Counter() for b in reps}
-        for w, tw in types.items():
-            by_y[tw][types[tuple(map(h.__getitem__, w))]] += 1
-    return pairs
+    classes = {}
+    for p, t in types.items():
+        classes.setdefault(t, []).append(p)
+    order = sorted(classes, key=lambda t: -len(classes[t]))
+    table = {b: {c: {} for c in order} for b in order}
+    for i, big in enumerate(order):
+        h = classes[big][0]
+        for small in order[i:]:
+            hits = Counter(types[tuple(map(h.__getitem__, w))] for w in classes[small])
+            for c, n in hits.items():
+                table[small][c][big] = n
+                table[big][c][small] = n * len(classes[big]) // len(classes[small])
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -154,16 +174,26 @@ def _commutator_counts(d: int) -> dict[tuple[int, ...], int]:
 
     B A^-1 B^-1 = A^-1 h has |Z(A)| = z(type A) solutions B when A^-1 h
     has the type of A, and none otherwise; A = h y^-1 gives A^-1 h = y."""
-    counts = {t: sum(by_y[a][a] * z_order(a) for a in by_y) for t, by_y in _class_pairs(d).items()}
-    return {t: n for t, n in counts.items() if n}
+    counts = Counter()
+    for a, row in _class_pairs(d).items():
+        for t, n in row[a].items():
+            counts[t] += n * z_order(a)
+    return dict(counts)
 
 
 def _convolve(f: dict, g: dict, d: int) -> dict:
     """(f * g)[h] = sum_y f[h y^-1] g[y] for class functions keyed by cycle
-    type, walking only the keys of g; zero values are dropped."""
-    return {t: v for t, by_y in _class_pairs(d).items()
-            if (v := sum(gb * sum(n * f.get(a, 0) for a, n in by_y[b].items())
-                         for b, gb in g.items()))}
+    type: y^-1 has the type b of y, so table[b][c][t] counts the y with
+    h_t y^-1 in C_c.  Walks only the keys of g against the keys of f; zero
+    values are dropped."""
+    table = _class_pairs(d)
+    out = Counter()
+    for b, gb in g.items():
+        row = table[b]
+        for c, fc in f.items():
+            for t, n in row[c].items():
+                out[t] += gb * fc * n
+    return {t: v for t, v in out.items() if v}
 
 
 def _halves(f: dict, k: int, d: int) -> list[dict]:
@@ -178,6 +208,7 @@ def _halves(f: dict, k: int, d: int) -> list[dict]:
 
 def oracle_count(pres: SurfacePresentation, degree: int, profiles=()) -> int:
     """Number of surface-relation solutions with X_i in the prescribed classes."""
+    degree = as_int("degree", degree)
     profs = checked_profiles(degree, profiles)
     guard("oracle degree", degree)
     guard_output_size(pres.euler, degree, len(profs))
@@ -206,6 +237,7 @@ def oracle_count_naive(pres: SurfacePresentation, degree: int, profiles=()) -> i
     """Literal nested-tuple enumeration (last class factor solved for and
     membership-tested).  Exponentially slower than oracle_count; kept as an
     independent cross-check for tiny inputs."""
+    degree = as_int("degree", degree)
     profs = checked_profiles(degree, profiles)
     work = factorial(degree) ** (2 * pres.handles + pres.crosscaps)
     for p in profs[:-1]:

@@ -22,7 +22,7 @@ from hurwitzkit.genfun import (ContentFunction, PochhammerParam, ProfileSeries, 
 from hurwitzkit.hirota import hirota_bilinear_check
 from hurwitzkit.hurwitz import full_cycle_identity_holds, hurwitz_value, hurwitz_weighted_sum
 from hurwitzkit.matrixmc import MCEstimate, mc_proposition_check, mc_schur_moment
-from hurwitzkit.oracle import SurfacePresentation
+from hurwitzkit.oracle import SurfacePresentation, oracle_count, oracle_count_naive
 from hurwitzkit.partitions import Partition, euler_char_cover, partitions_of
 from hurwitzkit.symfunc import PowerAlphabet, PowerSumPoly, qt_pochhammer_lambda
 
@@ -226,6 +226,31 @@ def test_digits_counts_past_the_integer_string_limit():
         1, 1, 2, 2, 3, 5001, 5000]
     with pytest.raises(GuardError, match=r"content shift guard: .* \(got 5001\)"):
         ContentFunction.rational([Fraction(10**5000)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: oracle_count(SurfacePresentation.orientable(10**5000), 3),
+    lambda: oracle_count(SurfacePresentation.torus(), 10**5000),
+    lambda: hurwitz_value(10**5000, 3, [(2, 1)]),
+])
+def test_a_guarded_value_past_the_string_limit_is_named_by_its_digits(call):
+    with pytest.raises(GuardError, match=r"\(got a value of 500[01] digits\)"):
+        call()
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: SurfacePresentation("nonorientable", crosscaps=1.5), "crosscaps"),
+    (lambda: SurfacePresentation.orientable(1.0), "handles"),
+    (lambda: oracle_count(SurfacePresentation.torus(), 3.0), "degree"),
+    (lambda: oracle_count_naive(SurfacePresentation.torus(), "3"), "degree"),
+    (lambda: hurwitz_value(1.5, 3, [(2, 1)]), "euler"),
+    (lambda: hurwitz_value(Fraction(1, 2), 3, [(2, 1)]), "euler"),
+    (lambda: hurwitz_value(2, 3.0, [(2, 1)]), "degree"),
+    (lambda: hurwitz_value(2, 3, [(2, 1)], cutoff=2.0), "cutoff"),
+])
+def test_integer_arguments_must_be_integers(call, name):
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+        call()
 
 
 # The largest admitted constants have 400 digits above or below the line; both

@@ -120,6 +120,32 @@ def test_square_counts_match_the_tally_over_the_group():
         assert oracle._square_counts(d) == {t: n // cycle_class_size(t) for t, n in hits.items()}
 
 
+def _class_pairs_over_the_group(d):
+    """The old table, kept as a reference: for each class representative h_t,
+    one pass over S_d tallying the type of h_t w by the type of w, laid out as
+    _class_pairs lays it out, table[b][c] = {t: #{w in C_b : h_t w in C_c}}."""
+    types = {p: cycle_type(p) for p in permutations(range(d))}
+    reps = {t: p for p, t in types.items()}
+    table = {b: {c: Counter() for c in reps} for b in reps}
+    for t, h in reps.items():
+        for w, b in types.items():
+            table[b][cycle_type(compose(h, w))][t] += 1
+    return table
+
+
+def test_class_pairs_match_the_pass_over_the_group():
+    """One enumeration per unordered class pair gives the table of a pass over
+    S_d per representative, and |C_t| table[b][c][t], the number of x y z = 1
+    in C_t x C_b x C_c, is symmetric in its three classes."""
+    for d in range(1, 8):
+        table = oracle._class_pairs(d)
+        assert table == _class_pairs_over_the_group(d), d
+        triples = {(t, b, c): cycle_class_size(t) * table[b][c].get(t, 0)
+                   for t in table for b in table for c in table}
+        for (t, b, c), n in triples.items():
+            assert n == triples[b, c, t] == triples[b, t, c], (d, t, b, c)
+
+
 def test_convolution_oracle_matches_naive_enumeration():
     cases = [
         (SurfacePresentation.sphere(), 3, [(3,), (3,), (3,)]),
