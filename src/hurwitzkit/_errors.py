@@ -2,6 +2,7 @@
 hard guards that every exponential-cost path checks its input against."""
 from __future__ import annotations
 
+from fractions import Fraction
 from math import factorial, log10
 from operator import index
 from typing import NamedTuple
@@ -55,6 +56,13 @@ LIMITS = {
     # 5.5-6.8 s; k = 16: 9.1-9.5 s); `series_trunc=12` at d_max 8, three alphabets and exponent -2,
     # 1.4 s (2 cores).
     "weight order": Limit("order k", 12),
+    # A symbolic Pochhammer factor takes |exponent| products of series to x^series_trunc, a numeric
+    # one a power of that many times its digits; layout exponents lie in -8..1. The slowest admitted
+    # call found, `hypergeometric_series(2, 3, (PochhammerParam(64, symbol="a"),), d_max=8,
+    # series_trunc=12)` (99 707 keys), takes 2.2-3.4 s at 71 MB (0.9-1.2 s at one alphabet); past
+    # the bound, 128 takes 3.8 s at three alphabets, 256 5.9 s at one, and a numeric exponent of
+    # 1 000 0.9 s at d_max 8 (cold, 2 cores).
+    "pochhammer exponent": Limit("|exponent|", 64),
     # A k-alphabet series has sum_{d <= d_max} p(d)^k profile keys; the 80 441 of `genfun
     # --layout prop1 --n 5 --dmax 4` take 5.7-7.0 s (0.8 s series, the rest JSON), 73 MB (2 cores).
     "series profile keys": Limit("profile keys", 100_000),
@@ -89,19 +97,38 @@ def guard(name: str, value: int) -> None:
     """Raise GuardError unless value lies within the limit LIMITS[name]."""
     limit = LIMITS[name]
     if value > limit.most or (limit.least is not None and value < limit.least):
-        # str() refuses an int past 4 300 digits, so a long one is named by its digit count
-        long = isinstance(value, int) and abs(value) >= 10**30
-        got = f"a value of {digits(value)} digits" if long else value
-        raise GuardError(f"{name} guard: {limit} (got {got})")
+        raise GuardError(f"{name} guard: {limit} (got {shown(value)})")
 
 
-def as_int(name: str, value) -> int:
-    """value as an int, by operator.index as Partition parts are, or a ValidationError
-    naming the argument: a float, a string or a Fraction is not an integer argument."""
+def as_int(name: str, value, least: int | None = None) -> int:
+    """operator.index(value), as for Partition parts, if it is at least `least`; else a
+    ValidationError naming the argument (a float, a string or a Fraction is no integer)."""
     try:
-        return index(value)
+        value = index(value)
     except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+        raise ValidationError(f"{name} must be an integer, got {shown(value)}") from None
+    if least is not None and value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {shown(value)}")
+    return value
+
+
+def as_rational(name: str, value):
+    """value if it is an int or a Fraction, else a ValidationError naming the argument."""
+    if not isinstance(value, (int, Fraction)):
+        raise ValidationError(f"{name} must be rational, got {shown(value)}")
+    return value
+
+
+def shown(value) -> str:
+    """A value as every message names it: an int of 30 digits or more by its digit count
+    (str() refuses past 4 300), a Fraction as num/den and a tuple part by part alike, else repr."""
+    if isinstance(value, int) and abs(value) >= 10**30:
+        return f"a value of {digits(value)} digits"
+    if isinstance(value, Fraction):
+        return f"{shown(value.numerator)}/{shown(value.denominator)}"
+    if isinstance(value, tuple):
+        return f"({', '.join(map(shown, value))}{',' * (len(value) == 1)})"
+    return repr(value)
 
 
 def digits(n: int) -> int:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from ._errors import ValidationError, guard
+from ._errors import ValidationError, as_int, as_rational, guard, shown
 from .partitions import (
     Partition,
     as_partition,
@@ -73,9 +73,8 @@ def character(lam, delta) -> int:
     lam = as_partition(lam)
     delta = as_partition(delta)
     if lam.weight() != delta.weight():
-        raise ValidationError(
-            f"weight mismatch: |lam|={lam.weight()} vs |delta|={delta.weight()}"
-        )
+        raise ValidationError(f"weight mismatch: |lam|={shown(lam.weight())} "
+                              f"vs |delta|={shown(delta.weight())}")
     return _column(delta)[lam]
 
 
@@ -134,8 +133,7 @@ def weighted_colength_sum(lam, k: int, c):
     repeated products (`_series_pow`) instead; the series tests compare the
     two, so each is the other's independent check.
     """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
+    k, c = as_int("k", k, 1), as_rational("c", c)
     phi = colength_sums(lam)[1:-1]
     f = [Fraction(1)]
     for m in range(1, k + 1):
@@ -205,9 +203,8 @@ class CharacterTable:
     the column labels per row label lam."""
 
     def __init__(self, d: int):
-        if d < 0:
-            raise ValidationError("d must be >= 0")
-        self.d = d
+        self.d = d = as_int("d", d, 0)
+        guard("character table", d)
         self.row_labels = self.column_labels = partitions_of(d)
         self.class_sizes = tuple(map(cycle_class_size, self.column_labels))
         self.rows = tuple(zip(*(_column(delta).values() for delta in self.column_labels)))
@@ -215,8 +212,8 @@ class CharacterTable:
     def chi(self, lam, delta) -> int:
         lam, delta = as_partition(lam), as_partition(delta)
         if lam.weight() != self.d or delta.weight() != self.d:
-            raise ValidationError(f"weight mismatch: |lam|={lam.weight()} and "
-                                  f"|delta|={delta.weight()} in the table of S_{self.d}")
+            raise ValidationError(f"weight mismatch: |lam|={shown(lam.weight())} and "
+                                  f"|delta|={shown(delta.weight())} in the table of S_{self.d}")
         labels = self.row_labels
         return self.rows[labels.index(lam)][labels.index(delta)]
 

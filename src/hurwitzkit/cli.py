@@ -127,7 +127,6 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_characters(args) -> int:
-    guard("character table", args.d)
     table = character_table(args.d)
     if args.format == "csv":
         sys.stdout.write(table.to_csv())
@@ -140,7 +139,6 @@ def _cmd_characters(args) -> int:
 
 def _cmd_schur(args) -> int:
     lam = _parse_partition(args.partition)
-    guard("schur expansion", lam.weight())
     poly = schur_poly(lam)
     payload = {"partition": lam.to_json(), "power_sum_expansion": poly.to_json()}
     if args.at_constant is not None:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial, lcm, prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from ._errors import ValidationError, digits, guard
+from ._errors import ValidationError, as_int, as_rational, digits, guard, shown
 from .characters import colength_sums, irrep_dimension, normalized_character
 from .partitions import Partition, as_partition, cycle_class_size, partitions_of
 from .symfunc import (PowerAlphabet, PowerSumPoly, content_product, eval_schur,
@@ -129,8 +129,8 @@ class ContentFunction:
     @classmethod
     def rational(cls, numer_shifts: Iterable = (), denom_shifts: Iterable = ()) -> "ContentFunction":
         """r(x) = prod (a_i + x) / prod (b_i + x)."""
-        num = tuple(Fraction(a) for a in numer_shifts)
-        den = tuple(Fraction(b) for b in denom_shifts)
+        num = tuple(as_rational("shift", a) for a in numer_shifts)
+        den = tuple(as_rational("shift", b) for b in denom_shifts)
         guard("content shift", max((digits(part) for q in num + den
                                     for part in (q.numerator, q.denominator)), default=0))
 
@@ -177,8 +177,9 @@ class PochhammerParam:
     def __post_init__(self):
         if (self.value is None) == (self.symbol is None):
             raise ValidationError("exactly one of value/symbol must be set")
-        if self.symbol is None and not isinstance(self.value, (int, Fraction)):
-            raise ValidationError(f"Pochhammer value must be rational, got {self.value!r}")
+        guard("pochhammer exponent", abs(as_int("Pochhammer exponent", self.exponent)))
+        if self.symbol is None:
+            as_rational("Pochhammer value", self.value)
 
 
 def _series_mul(a: list[Fraction], b: list[Fraction], trunc: int) -> list[Fraction]:
@@ -211,11 +212,10 @@ def _series_pow(u: list[Fraction], n: int, trunc: int) -> list[Fraction]:
 
 
 def _check_sizes(d_max: int, cutoff: int | None = None, limit: str = "series degree") -> None:
-    """Reject a d_max below 0 and a cutoff (matrix size N) below 1; guard d_max."""
-    if d_max < 0:
-        raise ValidationError(f"d_max must be >= 0, got {d_max}")
-    if cutoff is not None and cutoff < 1:
-        raise ValidationError(f"cutoff N must be >= 1, got {cutoff}")
+    """Check d_max >= 0 and a cutoff (matrix size N) >= 1 as integers; guard d_max."""
+    d_max = as_int("d_max", d_max, 0)
+    if cutoff is not None:
+        as_int("cutoff N", cutoff, 1)
     guard(limit, d_max)
 
 
@@ -312,15 +312,14 @@ def hypergeometric_series(
     """Expansion of the generalized hypergeometric sum over partitions: each
     lam of length <= cutoff contributes its `_lambda_weight`, expanded into
     profile keys.  Both routes must produce the identical series."""
+    euler, alphabet_count = as_int("euler", euler), as_int("alphabet_count", alphabet_count, 0)
     _check_sizes(d_max, cutoff)
     # p(d) >= 2 for d >= 2, so an exponent of 17 already passes the bound.
     guard("series profile keys",
           sum(len(partitions_of(d)) ** min(alphabet_count, 17) for d in range(d_max + 1)))
     if route not in ("schur", "pochhammer"):
         raise ValidationError(f"unknown route {route!r}")
-    trunc = d_max if series_trunc is None else series_trunc
-    if trunc < 0:
-        raise ValidationError(f"series_trunc must be >= 0, got {trunc}")
+    trunc = as_int("series_trunc", d_max if series_trunc is None else series_trunc, 0)
     guard("weight order", trunc)
     aux_names = tuple(p.symbol for p in params if p.symbol is not None)
     series = ProfileSeries(alphabet_count, d_max, aux_names)
@@ -334,7 +333,7 @@ def hypergeometric_series(
 def fold_alphabet(series: ProfileSeries, index: int, symbol: str) -> ProfileSeries:
     """Specialize alphabet `index` to the constant alphabet p(a): the profile
     monomial p_Delta becomes a^{len(Delta)}, recorded as an aux exponent."""
-    if not 0 <= index < series.alphabet_count:
+    if not 0 <= as_int("index", index) < series.alphabet_count:
         raise ValidationError("alphabet index out of range")
     out = ProfileSeries(series.alphabet_count - 1, series.d_max, series.aux_names + (symbol,))
     for key, coeff in series.terms.items():
@@ -352,6 +351,7 @@ def hyp_tau_series(kind: str, r: ContentFunction, n, d_max: int,
     sum_lam r_lam(n) c_{lam,A} c_{lam,B}; kind "BKP": one alphabet with the
     length cutoff.
     """
+    n = as_int("n", n)
     _check_sizes(d_max, cutoff)
     if kind not in ("TL", "BKP"):
         raise ValidationError("kind must be TL or BKP")
@@ -498,6 +498,7 @@ class PropositionLayout:
         return (PochhammerParam(self.poch_exponent, value=N),) if self.poch_exponent else ()
 
     def series(self, N: int, d_max: int) -> ProfileSeries:
+        _check_sizes(d_max, N)  # before N is a Pochhammer value
         return hypergeometric_series(
             self.euler, len(self.slots), self._params(N), cutoff=N, d_max=d_max
         )
@@ -505,7 +506,7 @@ class PropositionLayout:
     def value(self, N: int, d_max: int, alphabets: Sequence[PowerAlphabet]):
         """series(N, d_max).evaluate(alphabets) without the profile expansion:
         1 + the sum of `term` over |lam| <= d_max."""
-        _check_sizes(d_max, N)
+        _check_sizes(d_max, as_int("N", N))
         if len(alphabets) != len(self.slots):
             raise ValidationError("alphabet count mismatch")
         return sum((self.term(lam, N, alphabets) for d in range(1, d_max + 1)
@@ -528,8 +529,7 @@ def _dagger_order(name: str, rule: str, two_polygons: bool, n: int,
     Z2^dag ... Zt^dag Z1^dag on a second one; t <= 1 is plain reversal.  n is
     checked first, so a guarded n builds no order.  A t that the rule fixes
     otherwise is refused, not ignored."""
-    if n < 1:
-        raise ValidationError("need at least one matrix")
+    n = as_int("n", n, 1)
     guard("layout matrices", n)
     if rule == "none":
         if t is not None:
@@ -543,7 +543,7 @@ def _dagger_order(name: str, rule: str, two_polygons: bool, n: int,
         t = n
     elif t is None:
         raise ValidationError(f"layout {name} needs the t parameter")
-    elif not 1 <= t <= n:
+    elif not 1 <= as_int("t", t) <= n:
         raise ValidationError("t must be in 1..n")
     elif (t % 2 == 0) != (rule == "even"):
         raise ValidationError(f"layout {name} needs {rule} t")
@@ -595,11 +595,11 @@ def build_layout(shape: str, kind: str, sigma: Sequence[int], constant: str | No
     index; E = (#TL factors) - n + (#vertices, the empty ones included); each
     empty vertex is a Pochhammer factor, and each unitary matrix one to the
     power -1.  name and t only label the layout."""
-    kinds, n = shape.split("|"), len(sigma)
+    kinds, n, t = shape.split("|"), len(sigma), as_int("t", t)
     if len(kinds) > 2 or not set(kinds) <= {"TL", "BKP"} or kind not in ("complex", "unitary"):
         raise ValidationError(f"unknown shape {shape!r} or matrix kind {kind!r}")
     if n < 1 or {type(i) for i in sigma} != {int} or sorted(sigma) != list(range(1, n + 1)):
-        raise ValidationError(f"sigma must order 1..n for some n >= 1, got {tuple(sigma)}")
+        raise ValidationError(f"sigma must order 1..n for some n >= 1, got {shown(tuple(sigma))}")
     guard("layout matrices", n)
     words = _words(len(kinds) == 2, sigma, constant is not None)
     alphabets = iter(("p", "p*"))

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable
 
-from ._errors import ValidationError, guard
+from ._errors import ValidationError, as_int, guard
 from .genfun import ContentFunction, _check_sizes, hyp_tau_series
 from .symfunc import PowerSumPoly
 
@@ -30,7 +30,7 @@ def g_normalization(r: ContentFunction, n: int) -> Fraction:
     """Product of e^{-U_i} factors between 0 and n, with U_0 = 0: r(j) is a
     factor of the |n - j| products e^{-U_i} that reach it, so g(n) is the
     product of r(j)^|n - j| over 0 < j < n, or over n < j <= 0 for n < 0."""
-    out = Fraction(1)
+    n, out = as_int("n", n), Fraction(1)
     for j in range(1, n) if n > 0 else range(0, n, -1):
         out *= _nonzero(r, j) ** abs(n - j)
     return out
@@ -46,7 +46,8 @@ def _nonzero(r: ContentFunction, x: int):
 def bkp_tau_poly(r: ContentFunction, n: int, cutoff: int | None, d_max: int) -> PowerSumPoly:
     """g(n) * sum_{len(lam)<=cutoff} r_lam(n) s_lam(p) to weight d_max: g(n) times hyp_tau_series."""
     g = g_normalization(r, n)
-    if cutoff == 0:
+    if cutoff is not None and as_int("cutoff N", cutoff, 0) == 0:  # the bilinear check's N - 1
+        _check_sizes(d_max)
         return PowerSumPoly.one().scale(g)
     series = hyp_tau_series("BKP", r, n, d_max, cutoff)
     return PowerSumPoly({key.profiles[0]: g * c for key, c in series.items()})
@@ -81,8 +82,8 @@ def hirota_bilinear_check(r: ContentFunction, cutoff: int, d_max: int,
     they are checked in integers: a nonzero scale does not change a zero test.
     Each tau (N, n) is built once, from one table of the content values of r:
     offsets n and n + 1 share three of their seven taus."""
-    _check_sizes(d_max, cutoff, "bilinear check")  # the shifted sums need N - 1 >= 0
-    n_values = tuple(n_values)
+    _check_sizes(d_max, as_int("cutoff N", cutoff), "bilinear check")  # shifted sums: N - 1 >= 0
+    n_values = tuple(as_int("n", n) for n in n_values)
     if not n_values:
         raise ValidationError("n_values must name at least one offset")
     guard("bilinear offset", max(abs(n) for n in n_values))

@@ -16,7 +16,7 @@ from math import factorial, prod
 from operator import mul
 from typing import Callable
 
-from ._errors import ValidationError, as_int, guard, guard_output_size
+from ._errors import as_int, as_rational, guard, guard_output_size
 from .characters import (
     _column,
     character_class_sum,
@@ -44,12 +44,10 @@ class HurwitzQuery:
         object.__setattr__(self, "euler", as_int("euler", self.euler))
         object.__setattr__(self, "degree", as_int("degree", self.degree))
         if self.cutoff is not None:
-            object.__setattr__(self, "cutoff", as_int("cutoff", self.cutoff))
+            object.__setattr__(self, "cutoff", as_int("cutoff", self.cutoff, 1))
         guard("character formula", self.degree)
         profs = checked_profiles(self.degree, self.profiles)
         object.__setattr__(self, "profiles", profs)
-        if self.cutoff is not None and self.cutoff < 1:
-            raise ValidationError("cutoff must be >= 1 or None")
         guard_output_size(self.euler, self.degree, len(profs))
 
 
@@ -100,20 +98,18 @@ def hurwitz_weighted_sum(euler: int, degree: int, profiles, weight_pairs, cutoff
     the x^k coefficient of prod_cells (1 + content x)^c.  At c = 1 that is e_k of the
     contents, the colength class sum, so the pair (k, 1) sums over every profile of colength k."""
     query = HurwitzQuery(euler, degree, tuple(profiles), cutoff)
-    for k, _ in weight_pairs:
-        if k < 1:
-            raise ValidationError("weight order k must be >= 1")
-    guard("weight order", sum(k for k, _ in weight_pairs))
-    return _character_sum(
-        query, lambda lam: prod(weighted_colength_sum(lam, k, c) for k, c in weight_pairs)
-    )
+    pairs = [(as_int("weight order k", k, 1), as_rational("c", c)) for k, c in weight_pairs]
+    guard("weight order", sum(k for k, _ in pairs))
+    return _character_sum(query, lambda lam: prod(weighted_colength_sum(lam, k, c)
+                                                  for k, c in pairs))
 
 
 def gluing_identity_holds(euler_a: int, euler_b: int, degree: int, profiles_a=(), profiles_b=()) -> bool:
     """Check the surface-gluing identity: the cover count for the connected sum
     equals the class-summed product of the two pieces, each opened by one
     extra branch point."""
-    guard("identity check", degree)
+    euler_a, euler_b = as_int("euler_a", euler_a), as_int("euler_b", euler_b)
+    guard("identity check", as_int("degree", degree))
     profs_a = tuple(as_partition(p) for p in profiles_a)
     profs_b = tuple(as_partition(p) for p in profiles_b)
     left = hurwitz_value(euler_a + euler_b, degree, profs_a + profs_b)
@@ -130,6 +126,7 @@ def gluing_identity_holds(euler_a: int, euler_b: int, degree: int, profiles_a=()
 def hurwitz_down_identity_holds(euler: int, degree: int, profiles=()) -> bool:
     """Check that dropping the base Euler characteristic by one equals summing an
     extra branch point against the square-root weights character_class_sum."""
+    euler, degree = as_int("euler", euler), as_int("degree", degree)
     guard("identity check", degree)
     profs = tuple(as_partition(p) for p in profiles)
     left = hurwitz_value(euler - 1, degree, profs)
@@ -142,9 +139,9 @@ def hurwitz_down_identity_holds(euler: int, degree: int, profiles=()) -> bool:
 def full_cycle_identity_holds(euler: int, degree: int, profiles=(), handles: int = 1) -> bool:
     """In the presence of a maximally ramified branch point, trading 2g of base
     Euler characteristic for 2g extra full-cycle branch points costs d^{2g}."""
+    euler, degree = as_int("euler", euler), as_int("degree", degree)
     guard("identity check", degree)
-    if handles < 1:
-        raise ValidationError("handles must be >= 1")
+    handles = as_int("handles", handles, 1)
     profs = tuple(as_partition(p) for p in profiles)
     full = Partition([degree])
     left = hurwitz_value(euler - 2 * handles, degree, profs + (full,))

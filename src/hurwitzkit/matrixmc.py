@@ -38,7 +38,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._errors import LIMITS, ValidationError, guard
+from ._errors import LIMITS, ValidationError, as_int, guard
 from .genfun import build_layout, proposition_layout
 from .partitions import as_partition, partitions_of
 from .symfunc import PowerAlphabet, eval_schur, schur_poly
@@ -228,10 +228,8 @@ def check_seed(seed: int) -> None:
 
 
 def _check_stream(seed: int, workers: int) -> None:
-    if workers < 1:
-        raise ValidationError("workers must be >= 1")
     check_seed(seed)
-    guard("mc workers", workers)
+    guard("mc workers", as_int("workers", workers, 1))
 
 
 def _as_test_matrix(matrix, size: int) -> np.ndarray:
@@ -380,8 +378,7 @@ def mc_schur_moment(
     if lam.weight() < 1 or mu.weight() < 1:
         raise ValidationError("partitions must be nonempty")
     guard("mc weight", max(lam.weight(), mu.weight()))
-    if size < 1:
-        raise ValidationError("size must be >= 1")
+    size = as_int("size", size, 1)
     guard("mc moment size", size)
     guard("mc samples", samples)
     if len(words) == 1 and mu != lam:
@@ -445,10 +442,7 @@ def mc_proposition_check(
     default_test_matrix(size, i) for C_(i+1), and (size, n) for the constant)."""
     layout = proposition_layout(layout_name, n, t)
     _check_stream(seed, workers)
-    if size < 1:
-        raise ValidationError("size must be >= 1")
-    if degree < 1:
-        raise ValidationError("degree must be >= 1")
+    size, degree = as_int("size", size, 1), as_int("degree", degree, 1)
     guard("mc proposition size", size)
     guard("mc proposition degree", degree)
     guard("mc samples", samples)

@@ -208,7 +208,6 @@ def _halves(f: dict, k: int, d: int) -> list[dict]:
 
 def oracle_count(pres: SurfacePresentation, degree: int, profiles=()) -> int:
     """Number of surface-relation solutions with X_i in the prescribed classes."""
-    degree = as_int("degree", degree)
     profs = checked_profiles(degree, profiles)
     guard("oracle degree", degree)
     guard_output_size(pres.euler, degree, len(profs))
@@ -237,12 +236,14 @@ def oracle_count_naive(pres: SurfacePresentation, degree: int, profiles=()) -> i
     """Literal nested-tuple enumeration (last class factor solved for and
     membership-tested).  Exponentially slower than oracle_count; kept as an
     independent cross-check for tiny inputs."""
-    degree = as_int("degree", degree)
     profs = checked_profiles(degree, profiles)
-    work = factorial(degree) ** (2 * pres.handles + pres.crosscaps)
+    # 10! and 2^21 are each past the row: no huge factorial or power is formed
+    work = factorial(min(degree, 10)) ** min(2 * pres.handles + pres.crosscaps, 21)
     for p in profs[:-1]:
         work *= cycle_class_size(p)
     guard("naive oracle work", work)
+    guard("oracle degree", degree)
+    guard_output_size(pres.euler, degree, len(profs))
     identity = tuple(range(degree))
     free_slots = 2 * pres.handles + pres.crosscaps
     class_lists = [class_elements(degree, p) for p in profs]
@@ -272,7 +273,7 @@ def oracle_count_naive(pres: SurfacePresentation, degree: int, profiles=()) -> i
 def presentation_independence_check(euler: int, degree: int, profiles=()) -> bool:
     """For even euler <= 0 both presentations (handles vs crosscaps) exist and
     must give identical counts."""
-    if euler > 0 or euler % 2:
+    if as_int("euler", euler) > 0 or euler % 2:
         raise ValidationError("independence check needs even euler <= 0")
     orient = SurfacePresentation.orientable((2 - euler) // 2)
     nonori = SurfacePresentation.nonorientable(2 - euler)

@@ -6,7 +6,7 @@ from math import factorial
 from operator import ge, index
 from typing import Iterable, Iterator
 
-from ._errors import ValidationError
+from ._errors import ValidationError, as_int, shown
 
 
 class Partition(tuple):
@@ -26,11 +26,12 @@ class Partition(tuple):
                 raise TypeError("a string is not a sequence of parts")
             pts = tuple(map(index, parts))
         except TypeError as exc:
-            raise ValidationError(f"a partition is an iterable of integers, got {parts!r}") from exc
+            raise ValidationError(f"a partition is an iterable of integers, got {shown(parts)}"
+                                  ) from exc
         if pts and min(pts) < 1:
-            raise ValidationError(f"partition parts must be >= 1: {pts}")
+            raise ValidationError(f"partition parts must be >= 1: {shown(pts)}")
         if not all(map(ge, pts, pts[1:])):
-            raise ValidationError(f"partition parts must be weakly decreasing: {pts}")
+            raise ValidationError(f"partition parts must be weakly decreasing: {shown(pts)}")
         return tuple.__new__(cls, pts)
 
     @property
@@ -77,8 +78,7 @@ def as_partition(value) -> Partition:
 @lru_cache(maxsize=None)
 def partitions_of(d: int) -> tuple[Partition, ...]:
     """All partitions of d, in reverse-lexicographic order: (d) first, (1^d) last."""
-    if d < 0:
-        raise ValidationError("d must be >= 0")
+    d = as_int("d", d, 0)
     if d == 0:
         return (Partition(),)
     # (first, *rest) over the partitions rest of d - first whose parts are at
@@ -120,12 +120,12 @@ def _class_size(delta: tuple[int, ...]) -> int:
 
 def checked_profiles(degree: int, profiles: Iterable) -> tuple[Partition, ...]:
     """The profiles of a degree-d branched cover as Partitions, each of weight d >= 1."""
-    if degree < 1:
-        raise ValidationError("degree must be >= 1")
+    degree = as_int("degree", degree, 1)
     profs = tuple(as_partition(p) for p in profiles)
     for p in profs:
         if p.weight() != degree:
-            raise ValidationError(f"profile {p.parts} has weight {p.weight()}, expected {degree}")
+            raise ValidationError(f"profile {shown(p.parts)} has weight {shown(p.weight())}, "
+                                  f"expected {shown(degree)}")
     return profs
 
 
@@ -133,18 +133,11 @@ def euler_char_cover(euler: int, profiles: Iterable, degree: int | None = None) 
     """Euler characteristic of a degree-d cover of a surface with Euler characteristic
     `euler`, branched with the given profiles: d*euler - sum of colengths.
     """
+    euler = as_int("euler", euler)
     profs = [as_partition(p) for p in profiles]
-    weights = {p.weight() for p in profs}
-    if len(weights) > 1:
-        raise ValidationError(f"profiles have mixed weights: {sorted(weights)}")
-    if weights:
-        d = weights.pop()
-        if degree is not None and degree != d:
-            raise ValidationError(f"degree {degree} does not match profile weight {d}")
-    else:
-        if degree is None:
-            raise ValidationError("degree required when no profiles are given")
-        d = degree
-    if d < 1:
-        raise ValidationError("degree must be >= 1")
-    return d * euler - sum(p.colength() for p in profs)
+    if not profs and degree is None:
+        raise ValidationError("degree required when no profiles are given")
+    d = profs[0].weight() if profs else degree
+    if degree is not None and degree != d:
+        raise ValidationError(f"degree {shown(degree)} does not match profile weight {shown(d)}")
+    return d * euler - sum(p.colength() for p in checked_profiles(d, profs))

@@ -11,7 +11,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Callable, Mapping
 
-from ._errors import ValidationError
+from ._errors import ValidationError, as_int, guard
 from .partitions import Partition, as_partition
 
 Monomial = tuple[int, ...]  # a partition written as a weakly decreasing tuple
@@ -53,8 +53,7 @@ class PowerSumPoly:
 
     @classmethod
     def variable(cls, m: int) -> "PowerSumPoly":
-        if m < 1:
-            raise ValidationError("power-sum index must be >= 1")
+        m = as_int("power-sum index", m, 1)
         return cls({(m,): Fraction(1)})
 
     def coefficient(self, delta) -> Fraction:
@@ -177,7 +176,8 @@ def exp_truncated(arg: PowerSumPoly, max_weight: int) -> PowerSumPoly:
 
 @lru_cache(maxsize=None)
 def complete_homogeneous(k: int) -> PowerSumPoly:
-    """Coefficient of z^k in exp(sum_m p_m z^m / m); zero for k < 0."""
+    """Coefficient of z^k in exp(sum_m p_m z^m / m), s_(k); zero for k < 0."""
+    guard("schur expansion", as_int("k", k))
     if k < 0:
         return PowerSumPoly.zero()
     if k == 0:
@@ -198,6 +198,7 @@ def schur_poly(lam: Partition) -> PowerSumPoly:
     genfun.cauchy_littlewood_check) and the MC harness are built on it, and
     the character-side "pochhammer" route is checked against it."""
     parts = as_partition(lam)
+    guard("schur expansion", parts.weight())
     size = len(parts)
 
     @lru_cache(maxsize=None)
