@@ -119,9 +119,21 @@ def as_rational(name: str, value):
     return value
 
 
+def as_tuple(name: str, value, item) -> tuple:
+    """tuple(map(item, value)) if value is iterable, else a ValidationError naming the argument."""
+    try:
+        entries = iter(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be iterable, got {shown(value)}") from None
+    return tuple(map(item, entries))
+
+
 def shown(value) -> str:
     """A value as every message names it: an int of 30 digits or more by its digit count
-    (str() refuses past 4 300), a Fraction as num/den and a tuple part by part alike, else repr."""
+    (str() refuses past 4 300), a str of more than 24 characters by its first 24 and its
+    length, a Fraction as num/den and a tuple part by part alike, else repr."""
+    if isinstance(value, str) and len(value) > 24:
+        return f"{value[:24]!r}... ({len(value)} characters)"
     if isinstance(value, int) and abs(value) >= 10**30:
         return f"a value of {digits(value)} digits"
     if isinstance(value, Fraction):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable
 
-from ._errors import GuardError, ValidationError, digits, guard
+from ._errors import GuardError, ValidationError, digits, guard, shown
 from .partitions import Partition, conjugate, partitions_of
 from .symfunc import PowerAlphabet, eval_schur, fraction_text, pochhammer_lambda, schur_poly
 from .characters import character_table
@@ -37,16 +37,44 @@ EXIT_GUARD = 3
 EXIT_MC_GATE = 4
 
 
-def _parse_partition(text: str) -> Partition:
-    text = text.strip()
-    if not text or text == "-":
-        return Partition()
+# command -> {mode flag: the flags that only this mode reads}. A flag given outside its
+# mode would be ignored, and a bad value of it pass.
+_MODES = {
+    "genfun": {"--layout": ("--n", "--t", "--N"), "--unbranched": (), "--single-branch": ()},
+    "mc": {"--relation": ("--lambda", "--mu"), "--proposition": ("--degree", "--n", "--t")},
+}
+
+
+def _mode(args) -> str:
+    """The mode flag given to args.command: exactly one must be, and no flag only another
+    mode reads."""
+    modes, given = _MODES[args.command], vars(args)
+    value = lambda flag: given[flag[2:].replace("-", "_")]
+    chosen = [mode for mode in modes if value(mode)]
+    if len(chosen) != 1:
+        *most, last = modes
+        raise ValidationError(f"choose one of {', '.join(most)} and {last}")
+    unread = dict.fromkeys(flag for flags in modes.values() for flag in flags
+                           if flag not in modes[chosen[0]] and value(flag) is not None)
+    if unread:
+        raise ValidationError(f"{args.command} {chosen[0]} takes no {', '.join(unread)}")
+    return chosen[0]
+
+
+def _integers(flag: str, text: str, build=tuple, takes: str = "comma-separated integers"):
+    """build(the comma-separated integers of text), the one reading of integer flag text; text
+    int() refuses, or integers build refuses, is one ValidationError naming flag and text."""
     try:
-        return Partition(int(p) for p in text.split(","))
-    except ValueError as exc:  # named by its start and length: one short line
-        shown = repr(text) if len(text) <= 24 else f"{text[:24]!r}... ({len(text)} characters)"
-        raise ValidationError(f"bad partition {shown}: parts must be weakly decreasing"
-                              " integers >= 1 of at most 4300 digits") from exc
+        return build(map(int, text.split(",")))
+    except ValueError as exc:
+        raise ValidationError(f"{flag} takes {takes} of at most 4300 digits, got {shown(text)}"
+                              ) from exc
+
+
+def _parse_partition(flag: str, text: str) -> Partition:
+    if text.strip() in ("", "-"):
+        return Partition()
+    return _integers(flag, text, Partition, "weakly decreasing integers >= 1")
 
 
 def _parse_rational(flag: str, text: str, limit: str) -> Fraction:
@@ -54,7 +82,7 @@ def _parse_rational(flag: str, text: str, limit: str) -> Fraction:
     before the Fraction is built: past +-4 len(text), an exponent only appends zeros."""
     mantissa, _, exp = text.lower().partition("e")
     try:
-        shift = int(exp or 0)
+        (shift,) = _integers(flag, exp or "0")
         cut = max(-4 * len(text), min(shift, 4 * len(text)))
         value = Fraction(f"{mantissa}e{cut}" if exp else text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -66,19 +94,16 @@ def _parse_rational(flag: str, text: str, limit: str) -> Fraction:
 
 
 def _parse_surface(text: str) -> SurfacePresentation:
-    names = {
-        "sphere": SurfacePresentation.sphere,
-        "rp2": SurfacePresentation.rp2,
-        "torus": SurfacePresentation.torus,
-        "klein": SurfacePresentation.klein_bottle,
-    }
+    names = {"sphere": SurfacePresentation.sphere, "rp2": SurfacePresentation.rp2,
+             "torus": SurfacePresentation.torus, "klein": SurfacePresentation.klein_bottle}
+    counted = {"genus": SurfacePresentation.orientable,
+               "crosscaps": SurfacePresentation.nonorientable}
+    kind, colon, count = text.partition(":")
     if text in names:
         return names[text]()
-    if text.startswith("genus:"):
-        return SurfacePresentation.orientable(int(text.split(":", 1)[1]))
-    if text.startswith("crosscaps:"):
-        return SurfacePresentation.nonorientable(int(text.split(":", 1)[1]))
-    raise ValidationError(f"unknown surface {text!r}")
+    if colon and kind in counted and "," not in count:
+        return counted[kind](*_integers(f"--surface {kind}:", count, takes="an integer"))
+    raise ValidationError(f"unknown surface {shown(text)}")
 
 
 def _emit(payload) -> None:
@@ -99,30 +124,20 @@ def _emit_series(terms: Iterable[dict], head: dict | None = None) -> None:
 
 
 def _cmd_hurwitz(args) -> int:
-    profiles = [_parse_partition(p) for p in args.profile]
+    profiles = [_parse_partition("--profile", p) for p in args.profile]
     res = hurwitz_number(args.euler, args.degree, profiles, cutoff=args.cutoff)
-    _emit(
-        {
-            "value": fraction_text(res.value),
-            "true_hurwitz": res.is_true_hurwitz,
-            "euler_cover": res.euler_cover,
-        }
-    )
+    _emit({"value": fraction_text(res.value), "true_hurwitz": res.is_true_hurwitz,
+           "euler_cover": res.euler_cover})
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
     pres = _parse_surface(args.surface)
-    profiles = [_parse_partition(p) for p in args.profile]
+    profiles = [_parse_partition("--profile", p) for p in args.profile]
     count = oracle_count(pres, args.degree, profiles)
-    _emit(
-        {
-            "surface": {"kind": pres.kind, "handles": pres.handles, "crosscaps": pres.crosscaps},
-            "euler": pres.euler,
-            "count": count,
-            "value": fraction_text(Fraction(count, factorial(args.degree))),
-        }
-    )
+    _emit({"surface": {"kind": pres.kind, "handles": pres.handles, "crosscaps": pres.crosscaps},
+           "euler": pres.euler, "count": count,
+           "value": fraction_text(Fraction(count, factorial(args.degree)))})
     return EXIT_OK
 
 
@@ -138,7 +153,7 @@ def _cmd_characters(args) -> int:
 
 
 def _cmd_schur(args) -> int:
-    lam = _parse_partition(args.partition)
+    lam = _parse_partition("--partition", args.partition)
     poly = schur_poly(lam)
     payload = {"partition": lam.to_json(), "power_sum_expansion": poly.to_json()}
     if args.at_constant is not None:
@@ -151,28 +166,20 @@ def _cmd_schur(args) -> int:
 
 
 def _cmd_genfun(args) -> int:
-    if args.unbranched:
+    mode = _mode(args)
+    if mode == "--unbranched":
         coeffs = unbranched_cover_coefficients(args.dmax)
         _emit({"coefficients": [fraction_text(c) for c in coeffs]})
         return EXIT_OK
-    if args.single_branch:
+    if mode == "--single-branch":
         _emit_series(single_branch_point_series(args.dmax).json_terms())
         return EXIT_OK
-    if not args.layout:
-        raise ValidationError("choose --layout, --unbranched or --single-branch")
-    layout = proposition_layout(args.layout, args.n, t=args.t)
-    series = layout.series(N=args.N, d_max=args.dmax)
-    _emit_series(
-        series.json_terms(),
-        {
-            "layout": layout.name,
-            "matrix_kind": layout.matrix_kind,
-            "euler": layout.euler,
-            "branch_points": layout.branch_points,
-            "signature": layout.signature,
-            "slots": list(layout.slots),
-        },
-    )
+    layout = proposition_layout(args.layout, 1 if args.n is None else args.n, t=args.t)
+    series = layout.series(N=3 if args.N is None else args.N, d_max=args.dmax)
+    _emit_series(series.json_terms(), {
+        "layout": layout.name, "matrix_kind": layout.matrix_kind, "euler": layout.euler,
+        "branch_points": layout.branch_points, "signature": layout.signature,
+        "slots": list(layout.slots)})
     return EXIT_OK
 
 
@@ -181,53 +188,27 @@ def _cmd_hirota(args) -> int:
         r = ContentFunction.one()
     else:
         r = ContentFunction.rational([_parse_rational("--r", args.r, "content shift")])
-    n_values = tuple(int(x) for x in args.n.split(",")) if args.n else (0, 1)
+    n_values = _integers("--n", args.n) if args.n else (0, 1)
     ok = hirota_bilinear_check(r, args.N, args.dmax, n_values=n_values)
     _emit({"r": r.description, "N": args.N, "dmax": args.dmax, "holds": ok})
     return EXIT_OK if ok else 1
 
 
 def _cmd_mc(args) -> int:
-    if bool(args.relation) == bool(args.proposition):
-        raise ValidationError("choose one of --relation and --proposition")
-    # A flag of the other mode would be ignored, and a bad value of it pass.
-    mode, unread = (("--proposition", {"--lambda": args.lam, "--mu": args.mu}) if args.proposition
-                    else ("--relation", {"--degree": args.degree, "--n": args.n, "--t": args.t}))
-    given = [flag for flag, value in unread.items() if value is not None]
-    if given:
-        raise ValidationError(f"mc {mode} takes no {', '.join(given)}")
-    if args.proposition:
-        cmp = mc_proposition_check(
-            args.proposition,
-            1 if args.n is None else args.n,
-            args.N,
-            degree=2 if args.degree is None else args.degree,
-            samples=args.samples,
-            seed=args.seed,
-            t=args.t,
-        )
+    if _mode(args) == "--proposition":
+        cmp = mc_proposition_check(args.proposition, 1 if args.n is None else args.n, args.N,
+                                   degree=2 if args.degree is None else args.degree,
+                                   samples=args.samples, seed=args.seed, t=args.t)
     else:
-        lam = _parse_partition("1" if args.lam is None else args.lam)
-        mu = _parse_partition(args.mu) if args.mu else None
-        cmp = mc_schur_moment(
-            args.relation,
-            lam,
-            args.N,
-            samples=args.samples,
-            seed=args.seed,
-            mu=mu,
-        )
-    _emit(
-        {
-            "mean": [cmp.estimate.mean.real, cmp.estimate.mean.imag],
-            "stderr": cmp.estimate.stderr,
-            "samples": cmp.estimate.samples,
-            "seed": cmp.estimate.seed,
-            "exact": [complex(cmp.exact).real, complex(cmp.exact).imag],
-            "sigmas": cmp.sigmas,
-            "pass": cmp.passed,
-        }
-    )
+        lam = vars(args)["lambda"]  # "lambda" is a keyword, so no attribute name
+        lam = _parse_partition("--lambda", "1" if lam is None else lam)
+        mu = _parse_partition("--mu", args.mu) if args.mu else None
+        cmp = mc_schur_moment(args.relation, lam, args.N, samples=args.samples, seed=args.seed,
+                              mu=mu)
+    est, exact = cmp.estimate, complex(cmp.exact)
+    _emit({"mean": [est.mean.real, est.mean.imag], "stderr": est.stderr, "samples": est.samples,
+           "seed": est.seed, "exact": [exact.real, exact.imag], "sigmas": cmp.sigmas,
+           "pass": cmp.passed})
     return EXIT_OK if cmp.passed else EXIT_MC_GATE
 
 
@@ -315,13 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_schur)
 
     p = sub.add_parser("genfun", help="generating series")
-    p.add_argument("--layout", choices=LAYOUT_NAMES, default=None)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--N", type=int, default=3)
+    p.add_argument("--layout", choices=LAYOUT_NAMES)
+    p.add_argument("--n", type=int, help="default 1")
+    p.add_argument("--t", type=int)
+    p.add_argument("--N", type=int, help="default 3")
     p.add_argument("--dmax", type=int, default=3)
     p.add_argument("--unbranched", action="store_true")
-    p.add_argument("--single-branch", dest="single_branch", action="store_true")
+    p.add_argument("--single-branch", action="store_true")
     p.set_defaults(fn=_cmd_genfun)
 
     p = sub.add_parser("hirota", help="elementary bilinear checks")
@@ -334,14 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_hirota)
 
     p = sub.add_parser("mc", help="Monte Carlo vs exact comparisons")
-    p.add_argument("--relation", choices=LEMMA_RELATIONS, default=None)
-    p.add_argument("--lambda", dest="lam", default=None, help="default 1")
-    p.add_argument("--mu", default=None)
-    p.add_argument("--proposition", choices=LAYOUT_NAMES, default=None)
-    p.add_argument("--n", type=int, default=None, help="default 1")
-    p.add_argument("--t", type=int, default=None)
+    p.add_argument("--relation", choices=LEMMA_RELATIONS)
+    p.add_argument("--lambda", help="default 1")
+    p.add_argument("--mu")
+    p.add_argument("--proposition", choices=LAYOUT_NAMES)
+    p.add_argument("--n", type=int, help="default 1")
+    p.add_argument("--t", type=int)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--degree", type=int, default=None, help="default 2")
+    p.add_argument("--degree", type=int, help="default 2")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(fn=_cmd_mc)
@@ -362,7 +343,7 @@ def main(argv=None) -> int:
     except GuardError as exc:
         print(f"guard violation: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ValidationError, ValueError) as exc:
+    except ValueError as exc:  # a ValidationError, or a value a library call refuses
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except MemoryError as exc:

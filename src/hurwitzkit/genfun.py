@@ -70,7 +70,7 @@ class ProfileSeries:
                     term = term * alpha.values[m]
             for name, expo in zip(self.aux_names, key.aux):
                 if name not in symbols:
-                    raise ValidationError(f"no value supplied for symbol {name!r}")
+                    raise ValidationError(f"no value supplied for symbol {shown(name)}")
                 term = term * symbols[name] ** expo
             totals[key.degree] = totals.get(key.degree, 0) + term
         if by_degree:
@@ -318,7 +318,7 @@ def hypergeometric_series(
     guard("series profile keys",
           sum(len(partitions_of(d)) ** min(alphabet_count, 17) for d in range(d_max + 1)))
     if route not in ("schur", "pochhammer"):
-        raise ValidationError(f"unknown route {route!r}")
+        raise ValidationError(f"unknown route {shown(route)}")
     trunc = as_int("series_trunc", d_max if series_trunc is None else series_trunc, 0)
     guard("weight order", trunc)
     aux_names = tuple(p.symbol for p in params if p.symbol is not None)
@@ -597,7 +597,7 @@ def build_layout(shape: str, kind: str, sigma: Sequence[int], constant: str | No
     power -1.  name and t only label the layout."""
     kinds, n, t = shape.split("|"), len(sigma), as_int("t", t)
     if len(kinds) > 2 or not set(kinds) <= {"TL", "BKP"} or kind not in ("complex", "unitary"):
-        raise ValidationError(f"unknown shape {shape!r} or matrix kind {kind!r}")
+        raise ValidationError(f"unknown shape {shown(shape)} or matrix kind {shown(kind)}")
     if n < 1 or {type(i) for i in sigma} != {int} or sorted(sigma) != list(range(1, n + 1)):
         raise ValidationError(f"sigma must order 1..n for some n >= 1, got {shown(tuple(sigma))}")
     guard("layout matrices", n)
@@ -619,7 +619,7 @@ def proposition_layout(name: str, n: int, t: int | None = None) -> PropositionLa
     the dagger order its t rule fixes.  t is the depth of that order for the
     complex order-changed layouts; the unitary ones use t = n."""
     if name not in _FAMILIES:
-        raise ValidationError(f"unknown layout {name!r}")
+        raise ValidationError(f"unknown layout {shown(name)}")
     shape, kind, rule, constant = _FAMILIES[name]
     depth, sigma = _dagger_order(name, rule, "|" in shape, n, t)
     return build_layout(shape, kind, sigma, constant, name, depth)

@@ -16,7 +16,8 @@ from math import factorial, prod
 from operator import mul
 from typing import Callable
 
-from ._errors import as_int, as_rational, guard, guard_output_size
+from ._errors import (ValidationError, as_int, as_rational, as_tuple, guard, guard_output_size,
+                      shown)
 from .characters import (
     _column,
     character_class_sum,
@@ -80,7 +81,7 @@ def _character_sum(query: HurwitzQuery, factor: Callable[[Partition], object] | 
 
 def hurwitz_number(euler: int, degree: int, profiles=(), cutoff: int | None = None) -> HurwitzResult:
     """Character-formula count of degree-d branched covers with the given profiles."""
-    query = HurwitzQuery(euler, degree, tuple(profiles), cutoff)
+    query = HurwitzQuery(euler, degree, profiles, cutoff)
     return HurwitzResult(
         value=_character_sum(query),
         query=query,
@@ -90,15 +91,23 @@ def hurwitz_number(euler: int, degree: int, profiles=(), cutoff: int | None = No
 
 
 def hurwitz_value(euler: int, degree: int, profiles=(), cutoff: int | None = None) -> Fraction:
-    return _character_sum(HurwitzQuery(euler, degree, tuple(profiles), cutoff))
+    return _character_sum(HurwitzQuery(euler, degree, profiles, cutoff))
+
+
+def _weight_pair(pair) -> tuple[int, int | Fraction]:
+    try:
+        k, c = pair
+    except (TypeError, ValueError):  # no pair: not iterable, or not of two entries
+        raise ValidationError(f"a weight pair is (k, c), got {shown(pair)}") from None
+    return as_int("weight order k", k, 1), as_rational("c", c)
 
 
 def hurwitz_weighted_sum(euler: int, degree: int, profiles, weight_pairs, cutoff: int | None = None):
     """Weighted Hurwitz sum: each pair (k, c) adds a factor weighted_colength_sum(lam, k, c),
     the x^k coefficient of prod_cells (1 + content x)^c.  At c = 1 that is e_k of the
     contents, the colength class sum, so the pair (k, 1) sums over every profile of colength k."""
-    query = HurwitzQuery(euler, degree, tuple(profiles), cutoff)
-    pairs = [(as_int("weight order k", k, 1), as_rational("c", c)) for k, c in weight_pairs]
+    query = HurwitzQuery(euler, degree, profiles, cutoff)
+    pairs = as_tuple("weight_pairs", weight_pairs, _weight_pair)
     guard("weight order", sum(k for k, _ in pairs))
     return _character_sum(query, lambda lam: prod(weighted_colength_sum(lam, k, c)
                                                   for k, c in pairs))
@@ -110,8 +119,8 @@ def gluing_identity_holds(euler_a: int, euler_b: int, degree: int, profiles_a=()
     extra branch point."""
     euler_a, euler_b = as_int("euler_a", euler_a), as_int("euler_b", euler_b)
     guard("identity check", as_int("degree", degree))
-    profs_a = tuple(as_partition(p) for p in profiles_a)
-    profs_b = tuple(as_partition(p) for p in profiles_b)
+    profs_a = as_tuple("profiles_a", profiles_a, as_partition)
+    profs_b = as_tuple("profiles_b", profiles_b, as_partition)
     left = hurwitz_value(euler_a + euler_b, degree, profs_a + profs_b)
     right = Fraction(0)
     for delta in partitions_of(degree):
@@ -128,7 +137,7 @@ def hurwitz_down_identity_holds(euler: int, degree: int, profiles=()) -> bool:
     extra branch point against the square-root weights character_class_sum."""
     euler, degree = as_int("euler", euler), as_int("degree", degree)
     guard("identity check", degree)
-    profs = tuple(as_partition(p) for p in profiles)
+    profs = as_tuple("profiles", profiles, as_partition)
     left = hurwitz_value(euler - 1, degree, profs)
     right = Fraction(0)
     for delta in partitions_of(degree):
@@ -142,7 +151,7 @@ def full_cycle_identity_holds(euler: int, degree: int, profiles=(), handles: int
     euler, degree = as_int("euler", euler), as_int("degree", degree)
     guard("identity check", degree)
     handles = as_int("handles", handles, 1)
-    profs = tuple(as_partition(p) for p in profiles)
+    profs = as_tuple("profiles", profiles, as_partition)
     full = Partition([degree])
     left = hurwitz_value(euler - 2 * handles, degree, profs + (full,))
     right = degree ** (2 * handles) * hurwitz_value(

@@ -221,15 +221,19 @@ def default_test_matrix(size: int, which: int = 0) -> np.ndarray:
     return np.diag(diag).astype(complex)
 
 
-def check_seed(seed: int) -> None:
-    """Refuse a seed outside [0, 2^64), the range of the streams' seeds."""
+def check_seed(seed: int) -> int:
+    """seed as an integer, refused outside [0, 2^64), the range of the streams' seeds."""
+    seed = as_int("seed", seed)
     if not 0 <= seed < 2**64:
         raise ValidationError("seed must satisfy 0 <= seed < 2^64")
+    return seed
 
 
-def _check_stream(seed: int, workers: int) -> None:
-    check_seed(seed)
-    guard("mc workers", as_int("workers", workers, 1))
+def _check_stream(seed: int, workers: int) -> tuple[int, int]:
+    """seed and workers as integers, each checked against its range."""
+    seed, workers = check_seed(seed), as_int("workers", workers, 1)
+    guard("mc workers", workers)
+    return seed, workers
 
 
 def _as_test_matrix(matrix, size: int) -> np.ndarray:
@@ -372,7 +376,7 @@ def mc_schur_moment(
         raise ValidationError(f"relation must be one of {LEMMA_RELATIONS}")
     layout = _RELATIONS[relation]
     words = [word for _, word in layout.factors]
-    _check_stream(seed, workers)
+    seed, workers = _check_stream(seed, workers)
     lam = as_partition(lam)
     mu = as_partition(mu) if mu is not None else lam
     if lam.weight() < 1 or mu.weight() < 1:
@@ -380,6 +384,7 @@ def mc_schur_moment(
     guard("mc weight", max(lam.weight(), mu.weight()))
     size = as_int("size", size, 1)
     guard("mc moment size", size)
+    samples = as_int("samples", samples)
     guard("mc samples", samples)
     if len(words) == 1 and mu != lam:
         raise ValidationError(f"{relation} takes one partition: mu must equal lambda")
@@ -441,10 +446,11 @@ def mc_proposition_check(
     the constant's matrix if the layout has one (by default
     default_test_matrix(size, i) for C_(i+1), and (size, n) for the constant)."""
     layout = proposition_layout(layout_name, n, t)
-    _check_stream(seed, workers)
+    seed, workers = _check_stream(seed, workers)
     size, degree = as_int("size", size, 1), as_int("degree", degree, 1)
     guard("mc proposition size", size)
     guard("mc proposition degree", degree)
+    samples = as_int("samples", samples)
     guard("mc samples", samples)
 
     count = n + (layout.constant is not None)

@@ -36,7 +36,7 @@ from functools import lru_cache, reduce
 from itertools import chain, permutations, product
 from math import factorial
 
-from ._errors import ValidationError, as_int, guard, guard_output_size
+from ._errors import ValidationError, as_int, guard, guard_output_size, shown
 from .partitions import checked_profiles, cycle_class_size, partitions_of, z_order
 
 Perm = tuple[int, ...]
@@ -60,7 +60,7 @@ class SurfacePresentation:
             if self.crosscaps < 1 or self.handles:
                 raise ValidationError("nonorientable surface: crosscaps >= 1, no handles")
         else:
-            raise ValidationError(f"unknown surface kind {self.kind!r}")
+            raise ValidationError(f"unknown surface kind {shown(self.kind)}")
 
     @property
     def euler(self) -> int:
@@ -206,8 +206,15 @@ def _halves(f: dict, k: int, d: int) -> list[dict]:
     return [half, half] + [f] * (k % 2)
 
 
+def _surface(pres) -> SurfacePresentation:
+    if not isinstance(pres, SurfacePresentation):
+        raise ValidationError(f"pres must be a SurfacePresentation, got {shown(pres)}")
+    return pres
+
+
 def oracle_count(pres: SurfacePresentation, degree: int, profiles=()) -> int:
     """Number of surface-relation solutions with X_i in the prescribed classes."""
+    pres = _surface(pres)
     profs = checked_profiles(degree, profiles)
     guard("oracle degree", degree)
     guard_output_size(pres.euler, degree, len(profs))
@@ -236,6 +243,7 @@ def oracle_count_naive(pres: SurfacePresentation, degree: int, profiles=()) -> i
     """Literal nested-tuple enumeration (last class factor solved for and
     membership-tested).  Exponentially slower than oracle_count; kept as an
     independent cross-check for tiny inputs."""
+    pres = _surface(pres)
     profs = checked_profiles(degree, profiles)
     # 10! and 2^21 are each past the row: no huge factorial or power is formed
     work = factorial(min(degree, 10)) ** min(2 * pres.handles + pres.crosscaps, 21)

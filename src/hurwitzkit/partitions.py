@@ -6,7 +6,7 @@ from math import factorial
 from operator import ge, index
 from typing import Iterable, Iterator
 
-from ._errors import ValidationError, as_int, shown
+from ._errors import ValidationError, as_int, as_tuple, shown
 
 
 class Partition(tuple):
@@ -121,7 +121,7 @@ def _class_size(delta: tuple[int, ...]) -> int:
 def checked_profiles(degree: int, profiles: Iterable) -> tuple[Partition, ...]:
     """The profiles of a degree-d branched cover as Partitions, each of weight d >= 1."""
     degree = as_int("degree", degree, 1)
-    profs = tuple(as_partition(p) for p in profiles)
+    profs = as_tuple("profiles", profiles, as_partition)
     for p in profs:
         if p.weight() != degree:
             raise ValidationError(f"profile {shown(p.parts)} has weight {shown(p.weight())}, "
@@ -134,7 +134,7 @@ def euler_char_cover(euler: int, profiles: Iterable, degree: int | None = None) 
     `euler`, branched with the given profiles: d*euler - sum of colengths.
     """
     euler = as_int("euler", euler)
-    profs = [as_partition(p) for p in profiles]
+    profs = as_tuple("profiles", profiles, as_partition)
     if not profs and degree is None:
         raise ValidationError("degree required when no profiles are given")
     d = profs[0].weight() if profs else degree

@@ -268,12 +268,40 @@ _PROPOSITION = ["mc", "--proposition", "prop1", "--N", "2", "--samples", "10000"
     (["genfun", "--layout", "prop1", "--t=-1", "--dmax", "1"], "layout prop1 takes no t"),
     (["mc", "--proposition", "prop3_u", "--n", "2", "--t", "1", "--N", "2", "--samples", "10000"],
      "layout prop3_u fixes t = n = 2"),
+    (["genfun", "--unbranched", "--t=-1", "--dmax", "1"], "genfun --unbranched takes no --t"),
+    (["genfun", "--single-branch", "--N=0", "--dmax", "1"], "genfun --single-branch takes no --N"),
+    (["genfun", "--single-branch", "--N=0", "--n=-4", "--dmax", "1"],
+     "genfun --single-branch takes no --n, --N"),
+    (["genfun", "--unbranched", "--layout", "prop1"],
+     "choose one of --layout, --unbranched and --single-branch"),
 ])
 def test_a_flag_the_command_does_not_read_exits_2(capsys, argv, line):
     """A flag of the mode that does not run, a t that the layout fixes, or a
     seed out of range without the checks that draw, is refused before anything
     runs."""
     assert run_cli(capsys, *argv) == (2, "", f"invalid input: {line}\n")
+
+
+def test_genfun_layout_flags_default_in_their_own_mode(capsys):
+    """Without --n and --N a layout series takes n = 1 and N = 3."""
+    assert (run_cli(capsys, "genfun", "--layout", "prop1", "--dmax", "2")
+            == run_cli(capsys, "genfun", "--layout", "prop1", "--n", "1", "--N", "3", "--dmax", "2"))
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["oracle", "--surface", "genus:x", "--degree", "3"], "--surface genus:"),
+    (["oracle", "--surface", "crosscaps:" + "9" * 4301, "--degree", "3"], "--surface crosscaps:"),
+    (["hirota", "--n=1,x"], "--n"),
+    (["hurwitz", "--euler", "1", "--degree", "3", "--profile", "2,x"], "--profile"),
+    (["schur", "--partition", "1,2"], "--partition"),
+    (["mc", "--relation", "sAUBU-1", "--lambda", "1.5", "--N", "2"], "--lambda"),
+    (["mc", "--relation", "sAUBU-1", "--lambda", "2", "--mu", "x", "--N", "2"], "--mu"),
+])
+def test_bad_integer_text_is_named_with_its_flag(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"invalid input: {flag} takes ") and err.count("\n") == 1
+    assert len(err) < 200
 
 
 def test_mc_flags_default_in_their_own_mode(capsys, monkeypatch):
@@ -343,7 +371,8 @@ _PAST_INT_LIMIT = "9" * 4301  # one digit past Python's limit for integer string
 _NUMERIC_FLAGS = [
     (["hurwitz", "--euler", "1", "--degree", "3"],
      {"--euler": 0, "--degree": 2, "--cutoff": 2, "--profile": 2}),
-    (["oracle", "--surface", "rp2", "--degree", "3"], {"--degree": 2, "--profile": 2}),
+    (["oracle", "--surface", "rp2", "--degree", "3"],
+     {"--degree": 2, "--profile": 2, "--surface=genus:": 2, "--surface=crosscaps:": 2}),
     (["characters"], {"--d": 2}),
     (["schur", "--partition", "2,1"], {"--partition": 2, "--at-constant": 0}),
     (["genfun", "--layout", "int4", "--n", "3", "--t", "3"], {"--n": 2, "--t": 2, "--N": 2, "--dmax": 2}),
@@ -358,14 +387,17 @@ _RATIONAL_FLAGS = {"--at-constant", "--r"}
 
 
 def _numeric_cases():
+    """A flag that ends in ":" takes its value straight after it."""
     for base, flags in _NUMERIC_FLAGS:
         for flag, negative in flags.items():
             values = [(_PAST_INT_LIMIT, (2, 3)), ("-1", (negative,))]
             if flag in _RATIONAL_FLAGS:
                 values.insert(1, ("1e5000", (3,)))
+            if flag.endswith(":"):
+                values.append(("x", (2,)))
             for value, codes in values:
-                yield pytest.param(base, f"{flag}={value}", codes,
-                                   id=f"{' '.join(base[:3])} {flag}={value[:8]}")
+                arg = flag + value if flag.endswith(":") else f"{flag}={value}"
+                yield pytest.param(base, arg, codes, id=f"{' '.join(base[:3])} {arg[:len(flag) + 9]}")
 
 
 @pytest.mark.parametrize("base,arg,codes", list(_numeric_cases()))

@@ -10,7 +10,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from hurwitzkit import GuardError, LIMITS, ValidationError
-from hurwitzkit._errors import shown
+from hurwitzkit._errors import as_int, shown
 from hurwitzkit.characters import (CharacterTable, character, character_class_sum,
                                    character_table, class_column, colength_sums,
                                    full_cycle_normalized_character, hook_character_poly_check,
@@ -18,7 +18,7 @@ from hurwitzkit.characters import (CharacterTable, character, character_class_su
                                    weighted_colength_sum)
 from hurwitzkit.cli import main
 from hurwitzkit.genfun import (ContentFunction, PochhammerParam, ProfileSeries, PropositionLayout,
-                               build_layout, cauchy_littlewood_check, fold_alphabet,
+                               SeriesKey, build_layout, cauchy_littlewood_check, fold_alphabet,
                                hyp_tau_series, hypergeometric_series, proposition_layout,
                                single_branch_point_series, unbranched_cover_coefficients)
 from hurwitzkit.hirota import bkp_tau_poly, g_normalization, hirota_bilinear_check
@@ -43,8 +43,8 @@ SLOTS = [PowerAlphabet.p_infinity(2)] * 2  # the slot alphabets of prop2 at n = 
 
 # name -> (the call with its one spoiled argument v, the type it documents). The
 # spoiled argument is the one after the function's name; a partition argument is
-# spoiled whole, and a list argument (profiles, pairs, shifts, offsets, sigma) by
-# its only entry. The Monte Carlo entry points, and the functions whose scalars
+# spoiled whole, a list argument (profiles, pairs, shifts, offsets, sigma) by its
+# only entry, and profiles, pairs and a presentation also whole. The Monte Carlo entry points, and the functions whose scalars
 # may be complex floats for them (PowerAlphabet, eval_schur, ProfileSeries.evaluate,
 # content_product and the Pochhammer products), are not swept.
 CALLS = {
@@ -56,9 +56,11 @@ CALLS = {
     "cycle_class_size delta": (lambda v: cycle_class_size(v), int),
     "checked_profiles degree": (lambda v: checked_profiles(v, [(2, 1)]), tuple),
     "checked_profiles profile": (lambda v: checked_profiles(3, [v]), tuple),
+    "checked_profiles profiles": (lambda v: checked_profiles(3, v), tuple),
     "euler_char_cover euler": (lambda v: euler_char_cover(v, [(2, 1)]), int),
     "euler_char_cover degree": (lambda v: euler_char_cover(2, [], v), int),
     "euler_char_cover profile": (lambda v: euler_char_cover(2, [v]), int),
+    "euler_char_cover profiles": (lambda v: euler_char_cover(2, v, 3), int),
     "PowerSumPoly.variable m": (lambda v: PowerSumPoly.variable(v), PowerSumPoly),
     "complete_homogeneous k": (lambda v: complete_homogeneous(v), PowerSumPoly),
     "schur_poly lam": (lambda v: schur_poly(v), PowerSumPoly),
@@ -86,13 +88,19 @@ CALLS = {
     "HurwitzQuery cutoff": (lambda v: HurwitzQuery(2, 3, (), v), HurwitzQuery),
     "hurwitz_number euler": (lambda v: hurwitz_number(v, 3, [(2, 1)]), HurwitzResult),
     "hurwitz_number degree": (lambda v: hurwitz_number(2, v, []), HurwitzResult),
+    "hurwitz_number profiles": (lambda v: hurwitz_number(2, 3, v), HurwitzResult),
     "hurwitz_number cutoff": (lambda v: hurwitz_number(2, 3, [], v), HurwitzResult),
     "hurwitz_value euler": (lambda v: hurwitz_value(v, 3, [(2, 1)]), Fraction),
     "hurwitz_value degree": (lambda v: hurwitz_value(2, v), Fraction),
     "hurwitz_value profile": (lambda v: hurwitz_value(2, 3, [v]), Fraction),
+    "hurwitz_value profiles": (lambda v: hurwitz_value(2, 3, v), Fraction),
     "hurwitz_value cutoff": (lambda v: hurwitz_value(2, 3, [(2, 1)], v), Fraction),
     "hurwitz_weighted_sum euler": (lambda v: hurwitz_weighted_sum(v, 3, [], [(1, 2)]), Fraction),
     "hurwitz_weighted_sum degree": (lambda v: hurwitz_weighted_sum(2, v, [], [(1, 2)]), Fraction),
+    "hurwitz_weighted_sum profiles": (lambda v: hurwitz_weighted_sum(2, 3, v, [(1, 2)]),
+                                      Fraction),
+    "hurwitz_weighted_sum pairs": (lambda v: hurwitz_weighted_sum(2, 3, [], v), Fraction),
+    "hurwitz_weighted_sum pair": (lambda v: hurwitz_weighted_sum(2, 3, [], [v]), Fraction),
     "hurwitz_weighted_sum k": (lambda v: hurwitz_weighted_sum(2, 3, [], [(v, 2)]), Fraction),
     "hurwitz_weighted_sum c": (lambda v: hurwitz_weighted_sum(2, 3, [], [(1, v)]), Fraction),
     "hurwitz_weighted_sum cutoff": (lambda v: hurwitz_weighted_sum(2, 3, [], [(1, 2)], v),
@@ -100,10 +108,15 @@ CALLS = {
     "gluing_identity_holds euler_a": (lambda v: gluing_identity_holds(v, 1, 3), bool),
     "gluing_identity_holds euler_b": (lambda v: gluing_identity_holds(1, v, 3), bool),
     "gluing_identity_holds degree": (lambda v: gluing_identity_holds(1, 1, v), bool),
+    "gluing_identity_holds profiles_a": (lambda v: gluing_identity_holds(1, 1, 3, v), bool),
+    "gluing_identity_holds profiles_b": (lambda v: gluing_identity_holds(1, 1, 3, (), v), bool),
     "hurwitz_down_identity_holds euler": (lambda v: hurwitz_down_identity_holds(v, 3), bool),
     "hurwitz_down_identity_holds degree": (lambda v: hurwitz_down_identity_holds(1, v), bool),
+    "hurwitz_down_identity_holds profiles": (lambda v: hurwitz_down_identity_holds(1, 3, v),
+                                             bool),
     "full_cycle_identity_holds euler": (lambda v: full_cycle_identity_holds(v, 3), bool),
     "full_cycle_identity_holds degree": (lambda v: full_cycle_identity_holds(2, v), bool),
+    "full_cycle_identity_holds profiles": (lambda v: full_cycle_identity_holds(2, 3, v), bool),
     "full_cycle_identity_holds handles": (lambda v: full_cycle_identity_holds(2, 3, handles=v),
                                           bool),
     "SurfacePresentation handles": (lambda v: SurfacePresentation.orientable(v),
@@ -112,6 +125,9 @@ CALLS = {
                                       SurfacePresentation),
     "oracle_count handles": (lambda v: oracle_count(SurfacePresentation.orientable(v), 3), int),
     "oracle_count degree": (lambda v: oracle_count(SurfacePresentation.torus(), v), int),
+    "oracle_count pres": (lambda v: oracle_count(v, 3), int),
+    "oracle_count profiles": (lambda v: oracle_count(SurfacePresentation.torus(), 3, v), int),
+    "oracle_hurwitz pres": (lambda v: oracle_hurwitz(v, 3), Fraction),
     "oracle_hurwitz degree": (lambda v: oracle_hurwitz(SurfacePresentation.rp2(), v), Fraction),
     "oracle_count_naive handles": (
         lambda v: oracle_count_naive(SurfacePresentation.orientable(v), 2), int),
@@ -119,10 +135,13 @@ CALLS = {
                                   int),
     "oracle_count_naive degree, sphere": (
         lambda v: oracle_count_naive(SurfacePresentation.sphere(), v), int),
+    "oracle_count_naive pres": (lambda v: oracle_count_naive(v, 2), int),
     "presentation_independence_check euler": (
         lambda v: presentation_independence_check(v, 3), bool),
     "presentation_independence_check degree": (
         lambda v: presentation_independence_check(0, v), bool),
+    "presentation_independence_check profiles": (
+        lambda v: presentation_independence_check(0, 3, v), bool),
     "ContentFunction.rational shift": (lambda v: ContentFunction.rational([v]), ContentFunction),
     "PochhammerParam exponent": (lambda v: PochhammerParam(v, symbol="a"), PochhammerParam),
     "PochhammerParam value": (lambda v: PochhammerParam(1, value=v), PochhammerParam),
@@ -183,7 +202,7 @@ SLOW = {
 @settings(max_examples=1500, deadline=None, database=None)
 @given(st.sampled_from(sorted(CALLS)), st.sampled_from(BAD))
 def test_each_bad_argument_ends_in_an_answer_or_a_documented_error(name, value):
-    """Every one of the 960 pairs is drawn: Hypothesis stops once none is left."""
+    """Every one of the 1 120 pairs is drawn: Hypothesis stops once none is left."""
     if (name, value) in SLOW:
         return
     call, kind = CALLS[name]
@@ -201,6 +220,8 @@ def test_shown_names_any_value_in_one_short_line():
     assert shown(Fraction(HUGE, 3)) == "a value of 5001 digits/3"
     assert shown(Fraction(1, 10**40)) == "1/a value of 41 digits"
     assert shown(Partition((HUGE, 1))) == "(a value of 5001 digits, 1)"
+    assert shown("9" * 24) == repr("9" * 24)
+    assert shown("9" * 100_000) == "'999999999999999999999999'... (100000 characters)"
 
 
 @pytest.mark.parametrize("call,message", [
@@ -225,10 +246,42 @@ def test_shown_names_any_value_in_one_short_line():
     (lambda: PochhammerParam(1, value=0.5), "^Pochhammer value must be rational, got 0.5$"),
     (lambda: ContentFunction.rational(["1/2"]), "^shift must be rational, got '1/2'$"),
     (lambda: partitions_of(-10**40), "^d must be >= 0, got a value of 41 digits$"),
+    (lambda: hurwitz_value(2, 3, 1.5), "^profiles must be iterable, got 1.5$"),
+    (lambda: hurwitz_weighted_sum(2, 3, [], 1.5), "^weight_pairs must be iterable, got 1.5$"),
+    (lambda: hurwitz_weighted_sum(2, 3, [], [(1,)]), r"^a weight pair is \(k, c\), got \(1,\)$"),
+    (lambda: oracle_count(1.5, 3), "^pres must be a SurfacePresentation, got 1.5$"),
+    (lambda: gluing_identity_holds(1, 1, 3, (), None), "^profiles_b must be iterable, got None$"),
 ])
 def test_each_argument_is_named_as_the_caller_passed_it(call, message):
     with pytest.raises(ValidationError, match=message):
         call()
+
+
+LONG = "9" * 100_000
+
+
+def _p2_series_in(symbol):
+    """The one-alphabet series whose only term is p_2 times the symbol."""
+    series = ProfileSeries(1, 2, (symbol,))
+    series.add(SeriesKey(2, (Partition((2,)),), (1,)), Fraction(1))
+    return series
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Partition(LONG),
+    lambda: as_int("n", LONG),
+    lambda: hypergeometric_series(2, 1, d_max=1, route=LONG),
+    lambda: build_layout(LONG, "complex", (1,)),
+    lambda: build_layout("TL", LONG, (1,)),
+    lambda: proposition_layout(LONG, 1),
+    lambda: _p2_series_in(LONG).evaluate([PowerAlphabet.p_infinity(2)]),
+    lambda: SurfacePresentation(LONG),
+])
+def test_a_long_string_is_named_by_its_start_and_length(call):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert "'999999999999999999999999'... (100000 characters)" in str(exc.value)
+    assert len(str(exc.value)) < 200
 
 
 def test_the_table_and_expansion_rows_guard_the_library_functions():

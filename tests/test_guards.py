@@ -139,9 +139,9 @@ def test_bilinear_offset_guard_fires_before_any_normalisation(offsets, code):
 
 _BIG = 10**12
 
-# subcommand -> (choices of fixed arguments, {integer flag: the limit it meets}).
-# Every MC call gets --samples from the fuzz values, all of them outside the
-# samples limit, so no case draws a matrix.
+# subcommand and mode -> (choices of fixed arguments, {integer flag the mode reads:
+# the limit it meets}). Every MC call gets --samples from the fuzz values, all of
+# them outside the samples limit, so no case draws a matrix.
 _FUZZ = {
     "hurwitz": ([[]], {"--euler": "output size", "--degree": "character formula",
                        "--cutoff": None}),
@@ -150,15 +150,18 @@ _FUZZ = {
                {"--degree": "oracle degree"}),
     "characters": ([[]], {"--d": "character table"}),
     "schur": ([[]], {"--partition": "schur expansion"}),
-    "genfun": ([["--layout", "prop1"], ["--layout", "int4"], ["--layout", "odd3_u"],
-                ["--unbranched"], ["--single-branch"]],
+    "genfun": ([["--layout", "prop1"], ["--layout", "int4"], ["--layout", "odd3_u"]],
                {"--n": "layout matrices", "--t": None, "--N": None, "--dmax": "series degree"}),
+    "genfun --unbranched": ([[]], {"--dmax": "unbranched generator"}),
+    "genfun --single-branch": ([[]], {"--dmax": "series degree"}),
     "hirota": ([[]], {"--N": None, "--dmax": "bilinear check", "--n": "bilinear offset"}),
-    "mc": ([["--relation", "sAUBU-1"], ["--relation", "sAZZ+B"], ["--proposition", "prop2_u"],
-            ["--proposition", "int4"]],
-           {"--lambda": "mc weight", "--n": "layout matrices", "--t": None,
-            "--N": "mc moment size", "--degree": "mc proposition degree",
-            "--samples": "mc samples", "--seed": None}),
+    "mc --relation": ([["sAUBU-1"], ["sAZZ+B"]],
+                      {"--lambda": "mc weight", "--N": "mc moment size",
+                       "--samples": "mc samples", "--seed": None}),
+    "mc --proposition": ([["prop2_u"], ["int4"]],
+                         {"--n": "layout matrices", "--t": None, "--N": "mc proposition size",
+                          "--degree": "mc proposition degree", "--samples": "mc samples",
+                          "--seed": None}),
     "selftest": ([["--quick"]], {"--seed": None}),
 }
 
@@ -174,7 +177,7 @@ def _fuzz_value(limit):
 def _argvs(draw):
     command = draw(st.sampled_from(sorted(_FUZZ)))
     fixed, flags = _FUZZ[command]
-    argv = [command, *draw(st.sampled_from(fixed))]
+    argv = [*command.split(), *draw(st.sampled_from(fixed))]
     for flag, limit in flags.items():
         argv += [flag, str(draw(_fuzz_value(limit)))]
     return argv
@@ -307,6 +310,19 @@ _REJECTIONS = {
                         "partitions must be nonempty"),
     "mc proposition workers 0": (lambda: mc_proposition_check("prop2", 1, 2, workers=0),
                                  "workers must be >= 1"),
+    "mc float seed": (lambda: mc_schur_moment("sAUBU-1", (1,), 2, samples=10_000, seed=1.5),
+                      "^seed must be an integer, got 1.5$"),
+    "mc float samples": (lambda: mc_schur_moment("sAUBU-1", (1,), 2, samples=10_000.5),
+                         "^samples must be an integer, got 10000.5$"),
+    "mc string samples": (lambda: mc_schur_moment("sAUBU-1", (1,), 2, samples="10000"),
+                          "^samples must be an integer, got '10000'$"),
+    "mc proposition float seed": (lambda: mc_proposition_check("prop2", 1, 2, seed=1.5),
+                                  "^seed must be an integer, got 1.5$"),
+    "mc proposition float samples": (
+        lambda: mc_proposition_check("prop2", 1, 2, samples=10_000.5),
+        "^samples must be an integer, got 10000.5$"),
+    "mc proposition string samples": (lambda: mc_proposition_check("prop2", 1, 2, samples="10000"),
+                                      "^samples must be an integer, got '10000'$"),
     "estimate of 1 sample": (lambda: MCEstimate(0j, 0.0, 1, 0), "at least 2 samples"),
     "negative stderr": (lambda: MCEstimate(0j, -1.0, 10, 0), "stderr must be nonnegative"),
     "weighted sum k = 0": (lambda: hurwitz_weighted_sum(2, 3, [], [(0, 1)]),
