@@ -35,7 +35,6 @@ from .characters import (
     hook_length_dimension,
     irrep_dimension,
     normalized_character,
-    weighted_colength_sum,
 )
 from .hurwitz import (
     HurwitzQuery,
@@ -70,7 +69,7 @@ from .genfun import (
     single_branch_point_series,
     unbranched_cover_coefficients,
 )
-from .hirota import bkp_tau_poly, g_normalization, hirota_bilinear_check
+from .hirota import hirota_bilinear_check
 from .matrixmc import (
     LEMMA_RELATIONS,
     MCComparison,

@@ -123,7 +123,7 @@ def colength_sums(lam) -> tuple[int, ...]:
     return tuple(e)
 
 
-def weighted_colength_sum(lam, k: int, c):
+def _weighted_colength_sum(lam, k: int, c):
     """Coefficient f_k of x^k in phi(x)^c, phi(x) = prod_cells (1 + content x).
 
     By J.C.P. Miller's power recurrence, read off phi (phi^c)' = c phi' phi^c:

@@ -61,14 +61,26 @@ def _mode(args) -> str:
     return chosen[0]
 
 
-def _integers(flag: str, text: str, build=tuple, takes: str = "comma-separated integers"):
+def _integers(flag: str, text: str, build=tuple, takes: str = "comma-separated integers",
+              error=ValidationError):
     """build(the comma-separated integers of text), the one reading of integer flag text; text
-    int() refuses, or integers build refuses, is one ValidationError naming flag and text."""
+    int() refuses, or integers build refuses, is one error naming flag and text."""
     try:
         return build(map(int, text.split(",")))
     except ValueError as exc:
-        raise ValidationError(f"{flag} takes {takes} of at most 4300 digits, got {shown(text)}"
-                              ) from exc
+        raise error(f"{flag} takes {takes} of at most 4300 digits, got {shown(text)}".lstrip()
+                    ) from exc
+
+
+def _integer(text: str) -> int:
+    """The type= of every integer flag: argparse prints the error after "argument <flag>:"
+    and exits 2, so no value is printed whole."""
+    return _integers("", text, _one, "an integer", argparse.ArgumentTypeError)
+
+
+def _one(values):
+    (value,) = values  # a ValueError unless there is exactly one
+    return value
 
 
 def _parse_partition(flag: str, text: str) -> Partition:
@@ -271,21 +283,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hurwitz", help="character-formula cover count")
-    p.add_argument("--euler", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--euler", type=_integer, required=True)
+    p.add_argument("--degree", type=_integer, required=True)
     p.add_argument("--profile", action="append", default=[])
-    p.add_argument("--cutoff", type=int, default=None)
+    p.add_argument("--cutoff", type=_integer, default=None)
     p.set_defaults(fn=_cmd_hurwitz)
 
     p = sub.add_parser("oracle", help="brute-force surface-relation count")
     p.add_argument("--surface", required=True,
                    help="rp2|sphere|torus|klein|genus:g|crosscaps:q")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_integer, required=True)
     p.add_argument("--profile", action="append", default=[])
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("characters", help="dump a symmetric-group character table")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_integer, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=_cmd_characters)
 
@@ -297,10 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("genfun", help="generating series")
     p.add_argument("--layout", choices=LAYOUT_NAMES)
-    p.add_argument("--n", type=int, help="default 1")
-    p.add_argument("--t", type=int)
-    p.add_argument("--N", type=int, help="default 3")
-    p.add_argument("--dmax", type=int, default=3)
+    p.add_argument("--n", type=_integer, help="default 1")
+    p.add_argument("--t", type=_integer)
+    p.add_argument("--N", type=_integer, help="default 3")
+    p.add_argument("--dmax", type=_integer, default=3)
     p.add_argument("--unbranched", action="store_true")
     p.add_argument("--single-branch", action="store_true")
     p.set_defaults(fn=_cmd_genfun)
@@ -308,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hirota", help="elementary bilinear checks")
     p.add_argument("--r", default="one",
                    help="'one' or a rational a for r(x)=x+a; a < 0 as --r=-1/2")
-    p.add_argument("--N", type=int, default=2)
-    p.add_argument("--dmax", type=int, default=3)
+    p.add_argument("--N", type=_integer, default=2)
+    p.add_argument("--dmax", type=_integer, default=3)
     p.add_argument("--n", default=None,
                    help="comma-separated offsets (default 0,1); negative ones as --n=-1,1")
     p.set_defaults(fn=_cmd_hirota)
@@ -319,17 +331,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", help="default 1")
     p.add_argument("--mu")
     p.add_argument("--proposition", choices=LAYOUT_NAMES)
-    p.add_argument("--n", type=int, help="default 1")
-    p.add_argument("--t", type=int)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--degree", type=int, help="default 2")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--n", type=_integer, help="default 1")
+    p.add_argument("--t", type=_integer)
+    p.add_argument("--N", type=_integer, required=True)
+    p.add_argument("--degree", type=_integer, help="default 2")
+    p.add_argument("--samples", type=_integer, default=100_000)
+    p.add_argument("--seed", type=_integer, default=42)
     p.set_defaults(fn=_cmd_mc)
 
     p = sub.add_parser("selftest", help="hermetic identity suite")
     p.add_argument("--quick", action="store_true", help="skip the Monte Carlo checks")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_integer, default=42)
     p.set_defaults(fn=_cmd_selftest)
 
     return parser

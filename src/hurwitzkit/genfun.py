@@ -14,7 +14,8 @@ from fractions import Fraction
 from math import factorial, lcm, prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from ._errors import ValidationError, as_int, as_rational, digits, guard, shown
+from ._errors import (ValidationError, as_int, as_rational, as_tuple, digits, guard,
+                      guard_output_size, shown)
 from .characters import colength_sums, irrep_dimension, normalized_character
 from .partitions import Partition, as_partition, cycle_class_size, partitions_of
 from .symfunc import (PowerAlphabet, PowerSumPoly, content_product, eval_schur,
@@ -194,7 +195,7 @@ def _series_mul(a: list[Fraction], b: list[Fraction], trunc: int) -> list[Fracti
 
 def _series_pow(u: list[Fraction], n: int, trunc: int) -> list[Fraction]:
     """u(x)^n truncated at x^trunc by repeated products; n may be negative, as
-    u[0] = dim lam / d! > 0 on both routes of `_lambda_weight`.  weighted_colength_sum
+    u[0] = dim lam / d! > 0 on both routes of `_lambda_weight`.  _weighted_colength_sum
     raises prod_cells (1 + content x) by Miller's recurrence instead; the series
     tests compare the two, so each is the other's independent check."""
     u = list(u[: trunc + 1]) + [Fraction(0)] * max(0, trunc + 1 - len(u))
@@ -321,6 +322,7 @@ def hypergeometric_series(
         raise ValidationError(f"unknown route {shown(route)}")
     trunc = as_int("series_trunc", d_max if series_trunc is None else series_trunc, 0)
     guard("weight order", trunc)
+    guard_output_size(euler, d_max, alphabet_count)  # a coefficient is H(E, d, Delta_1..Delta_k)
     aux_names = tuple(p.symbol for p in params if p.symbol is not None)
     series = ProfileSeries(alphabet_count, d_max, aux_names)
     series.add(SeriesKey(0, (Partition(),) * alphabet_count, (0,) * len(aux_names)), Fraction(1))
@@ -595,11 +597,13 @@ def build_layout(shape: str, kind: str, sigma: Sequence[int], constant: str | No
     index; E = (#TL factors) - n + (#vertices, the empty ones included); each
     empty vertex is a Pochhammer factor, and each unitary matrix one to the
     power -1.  name and t only label the layout."""
-    kinds, n, t = shape.split("|"), len(sigma), as_int("t", t)
+    kinds = shape.split("|") if isinstance(shape, str) else [None]
+    sigma, t = as_tuple("sigma", sigma, lambda i: i), as_int("t", t)
+    n = len(sigma)
     if len(kinds) > 2 or not set(kinds) <= {"TL", "BKP"} or kind not in ("complex", "unitary"):
         raise ValidationError(f"unknown shape {shown(shape)} or matrix kind {shown(kind)}")
     if n < 1 or {type(i) for i in sigma} != {int} or sorted(sigma) != list(range(1, n + 1)):
-        raise ValidationError(f"sigma must order 1..n for some n >= 1, got {shown(tuple(sigma))}")
+        raise ValidationError(f"sigma must order 1..n for some n >= 1, got {shown(sigma)}")
     guard("layout matrices", n)
     words = _words(len(kinds) == 2, sigma, constant is not None)
     alphabets = iter(("p", "p*"))
@@ -618,7 +622,7 @@ def proposition_layout(name: str, n: int, t: int | None = None) -> PropositionLa
     """One of the LAYOUT_NAMES: the `build_layout` of its family-table row, with
     the dagger order its t rule fixes.  t is the depth of that order for the
     complex order-changed layouts; the unitary ones use t = n."""
-    if name not in _FAMILIES:
+    if not isinstance(name, str) or name not in _FAMILIES:
         raise ValidationError(f"unknown layout {shown(name)}")
     shape, kind, rule, constant = _FAMILIES[name]
     depth, sigma = _dagger_order(name, rule, "|" in shape, n, t)

@@ -26,7 +26,7 @@ from .genfun import ContentFunction, _check_sizes, hyp_tau_series
 from .symfunc import PowerSumPoly
 
 
-def g_normalization(r: ContentFunction, n: int) -> Fraction:
+def _g_normalization(r: ContentFunction, n: int) -> Fraction:
     """Product of e^{-U_i} factors between 0 and n, with U_0 = 0: r(j) is a
     factor of the |n - j| products e^{-U_i} that reach it, so g(n) is the
     product of r(j)^|n - j| over 0 < j < n, or over n < j <= 0 for n < 0."""
@@ -43,9 +43,9 @@ def _nonzero(r: ContentFunction, x: int):
     return val
 
 
-def bkp_tau_poly(r: ContentFunction, n: int, cutoff: int | None, d_max: int) -> PowerSumPoly:
+def _bkp_tau_poly(r: ContentFunction, n: int, cutoff: int | None, d_max: int) -> PowerSumPoly:
     """g(n) * sum_{len(lam)<=cutoff} r_lam(n) s_lam(p) to weight d_max: g(n) times hyp_tau_series."""
-    g = g_normalization(r, n)
+    g = _g_normalization(r, n)
     if cutoff is not None and as_int("cutoff N", cutoff, 0) == 0:  # the bilinear check's N - 1
         _check_sizes(d_max)
         return PowerSumPoly.one().scale(g)
@@ -95,7 +95,7 @@ def hirota_bilinear_check(r: ContentFunction, cutoff: int, d_max: int,
                 for dN, dn in ((0, 0), (1, 1), (2, 2), (-1, -1), (0, 1), (-1, 0), (1, 2))}
         for N, m in keys.values():
             if (N, m) not in built:
-                built[N, m] = bkp_tau_poly(table, m, N, work)
+                built[N, m] = _bkp_tau_poly(table, m, N, work)
         scale = lcm(*(c.denominator for key in keys.values() for c in built[key].coeffs.values()))
         taus = {shift: _scaled(built[key], scale) for shift, key in keys.items()}
 

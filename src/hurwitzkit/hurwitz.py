@@ -22,7 +22,7 @@ from .characters import (
     _column,
     character_class_sum,
     class_column,
-    weighted_colength_sum,
+    _weighted_colength_sum,
 )
 from .partitions import (
     Partition,
@@ -103,13 +103,13 @@ def _weight_pair(pair) -> tuple[int, int | Fraction]:
 
 
 def hurwitz_weighted_sum(euler: int, degree: int, profiles, weight_pairs, cutoff: int | None = None):
-    """Weighted Hurwitz sum: each pair (k, c) adds a factor weighted_colength_sum(lam, k, c),
+    """Weighted Hurwitz sum: each pair (k, c) adds a factor _weighted_colength_sum(lam, k, c),
     the x^k coefficient of prod_cells (1 + content x)^c.  At c = 1 that is e_k of the
     contents, the colength class sum, so the pair (k, 1) sums over every profile of colength k."""
     query = HurwitzQuery(euler, degree, profiles, cutoff)
     pairs = as_tuple("weight_pairs", weight_pairs, _weight_pair)
     guard("weight order", sum(k for k, _ in pairs))
-    return _character_sum(query, lambda lam: prod(weighted_colength_sum(lam, k, c)
+    return _character_sum(query, lambda lam: prod(_weighted_colength_sum(lam, k, c)
                                                   for k, c in pairs))
 
 

@@ -130,20 +130,13 @@ def _haar_batch(z: np.ndarray) -> np.ndarray:
 
 def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x @ y for batch-last stacks, out[i, j] = sum_k x[i, k] y[k, j] by vector
-    multiply-adds over the chunk, k increasing.  A 2-d y is a fixed matrix for
-    every draw, read by its nonzero entries only: column j sums over the k with
-    y[k, j] != 0, for every i at once, so a diagonal y costs one vector multiply
-    per column, and a column with no such k is 0."""
+    multiply-adds over the chunk, k increasing, column j for every i at once.  A
+    2-d y is a fixed matrix for every draw, read by its nonzero entries only:
+    column j sums over the k with y[k, j] != 0, so a diagonal y costs one vector
+    multiply per column, and a column with no such k is 0."""
     out = np.empty((x.shape[0], y.shape[1], x.shape[-1]), dtype=complex)
-    if y.ndim == 3:
-        for i in range(x.shape[0]):
-            for j in range(y.shape[1]):
-                acc = np.multiply(x[i, 0], y[0, j], out=out[i, j])
-                for k in range(1, x.shape[1]):
-                    acc += x[i, k] * y[k, j]
-        return out
     for j in range(y.shape[1]):
-        ks = np.flatnonzero(y[:, j])
+        ks = range(y.shape[0]) if y.ndim == 3 else np.flatnonzero(y[:, j])
         if not len(ks):
             out[:, j] = 0
             continue

@@ -6,7 +6,7 @@ from math import factorial
 from operator import ge, index
 from typing import Iterable, Iterator
 
-from ._errors import ValidationError, as_int, as_tuple, shown
+from ._errors import ValidationError, as_int, as_tuple, guard, shown
 
 
 class Partition(tuple):
@@ -79,6 +79,7 @@ def as_partition(value) -> Partition:
 def partitions_of(d: int) -> tuple[Partition, ...]:
     """All partitions of d, in reverse-lexicographic order: (d) first, (1^d) last."""
     d = as_int("d", d, 0)
+    guard("partitions", d)
     if d == 0:
         return (Partition(),)
     # (first, *rest) over the partitions rest of d - first whose parts are at

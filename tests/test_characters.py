@@ -21,7 +21,7 @@ from hurwitzkit.characters import (
     hook_length_dimension,
     irrep_dimension,
     normalized_character,
-    weighted_colength_sum,
+    _weighted_colength_sum,
 )
 from hurwitzkit.hurwitz import hurwitz_value, hurwitz_weighted_sum
 from hurwitzkit.partitions import Partition, partitions_of, z_order
@@ -200,11 +200,11 @@ def test_weighted_colength_sum():
         for lam in partitions_of(d):
             sums = colength_sums(lam) + (0,)
             for k in range(1, d + 2):
-                assert weighted_colength_sum(lam, k, 1) == sums[k]
+                assert _weighted_colength_sum(lam, k, 1) == sums[k]
     lam = Partition((3, 1))
     c = Fraction(5, 2)
-    assert weighted_colength_sum(lam, 1, c) == c * colength_sums(lam)[1]
-    assert weighted_colength_sum(Partition((2,)), 2, 2) == 1
+    assert _weighted_colength_sum(lam, 1, c) == c * colength_sums(lam)[1]
+    assert _weighted_colength_sum(Partition((2,)), 2, 2) == 1
 
 
 def test_weighted_colength_sum_is_power_series_coefficient():
@@ -222,7 +222,7 @@ def test_weighted_colength_sum_is_power_series_coefficient():
                 power = new
             for k in range(1, d + 2):
                 want = power[k] if k < len(power) else Fraction(0)
-                assert weighted_colength_sum(lam, k, c) == want
+                assert _weighted_colength_sum(lam, k, c) == want
 
 
 def test_weighted_colength_sum_is_fast_and_exact_at_large_k():
@@ -231,16 +231,16 @@ def test_weighted_colength_sum_is_fast_and_exact_at_large_k():
     second.  Every value is a Fraction, also where each term vanishes."""
     lam = Partition((3, 2, 1))
     start = time.perf_counter()
-    value = weighted_colength_sum(lam, 60, -1)
+    value = _weighted_colength_sum(lam, 60, -1)
     assert time.perf_counter() - start < 1.0
     assert type(value) is Fraction
     phi = colength_sums(lam)
-    f = [Fraction(1)] + [weighted_colength_sum(lam, k, -1) for k in range(1, 61)]
+    f = [Fraction(1)] + [_weighted_colength_sum(lam, k, -1) for k in range(1, 61)]
     assert f[60] == value
     for k in range(1, 61):
         assert sum(p * f[k - j] for j, p in enumerate(phi[:k + 1])) == 0, k
     for lam, k, c in (((1,), 5, 2), ((), 3, Fraction(1, 3)), ((2, 1), 4, 0)):
-        assert type(weighted_colength_sum(lam, k, c)) is Fraction
+        assert type(_weighted_colength_sum(lam, k, c)) is Fraction
 
 
 def _square_root_counts(d):
@@ -300,12 +300,12 @@ def test_weighted_colength_sum_is_polynomial_of_degree_k():
 
     lam = Partition((3, 2, 1))
     for k in (1, 2, 3):
-        values = [weighted_colength_sum(lam, k, c) for c in range(k + 2)]
+        values = [_weighted_colength_sum(lam, k, c) for c in range(k + 2)]
         diff = sum((-1) ** i * comb(k + 1, i) * values[k + 1 - i] for i in range(k + 2))
         assert diff == 0
         # leading coefficient: the (1^k) term contributes phi_1^k / k!
         top = sum(
-            (-1) ** i * comb(k, i) * weighted_colength_sum(lam, k, k - i)
+            (-1) ** i * comb(k, i) * _weighted_colength_sum(lam, k, k - i)
             for i in range(k + 1)
         )
         assert top == colength_sums(lam)[1] ** k  # k! * leading coeff

@@ -403,13 +403,25 @@ def _numeric_cases():
 @pytest.mark.parametrize("base,arg,codes", list(_numeric_cases()))
 def test_every_numeric_flag_ends_in_its_exit_code(capsys, base, arg, codes):
     """Every numeric flag at one digit past the integer-string limit, at 1e5000
-    where it takes a rational, and at -1: no exception escapes main."""
+    where it takes a rational, and at -1: no exception escapes main, and no
+    value is printed whole."""
     try:
         code = main([*base, arg])
     except SystemExit as exc:  # argparse rejects the value
         code = exc.code
     assert code in codes
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err) < 1024
+
+
+def test_an_integer_flag_past_the_digit_limit_exits_2_naming_its_flag(capsys):
+    with pytest.raises(SystemExit) as exc:  # argparse rejects the value
+        main(["hurwitz", "--euler", "1", f"--degree={_PAST_INT_LIMIT}"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith("error: argument --degree: takes an integer of at most 4300 digits, "
+                        "got '999999999999999999999999'... (4301 characters)\n")
+    assert len(err) < 1024
 
 
 @pytest.mark.parametrize("exc,line", [

@@ -14,14 +14,13 @@ from hurwitzkit._errors import as_int, shown
 from hurwitzkit.characters import (CharacterTable, character, character_class_sum,
                                    character_table, class_column, colength_sums,
                                    full_cycle_normalized_character, hook_character_poly_check,
-                                   hook_length_dimension, irrep_dimension, normalized_character,
-                                   weighted_colength_sum)
+                                   hook_length_dimension, irrep_dimension, normalized_character)
 from hurwitzkit.cli import main
 from hurwitzkit.genfun import (ContentFunction, PochhammerParam, ProfileSeries, PropositionLayout,
                                SeriesKey, build_layout, cauchy_littlewood_check, fold_alphabet,
                                hyp_tau_series, hypergeometric_series, proposition_layout,
                                single_branch_point_series, unbranched_cover_coefficients)
-from hurwitzkit.hirota import bkp_tau_poly, g_normalization, hirota_bilinear_check
+from hurwitzkit.hirota import hirota_bilinear_check
 from hurwitzkit.hurwitz import (HurwitzQuery, HurwitzResult, full_cycle_identity_holds,
                                 gluing_identity_holds, hurwitz_down_identity_holds,
                                 hurwitz_number, hurwitz_value, hurwitz_weighted_sum)
@@ -44,8 +43,8 @@ SLOTS = [PowerAlphabet.p_infinity(2)] * 2  # the slot alphabets of prop2 at n = 
 # name -> (the call with its one spoiled argument v, the type it documents). The
 # spoiled argument is the one after the function's name; a partition argument is
 # spoiled whole, a list argument (profiles, pairs, shifts, offsets, sigma) by its
-# only entry, and profiles, pairs and a presentation also whole. The Monte Carlo entry points, and the functions whose scalars
-# may be complex floats for them (PowerAlphabet, eval_schur, ProfileSeries.evaluate,
+# only entry, and profiles, pairs, sigma and a presentation also whole. The Monte
+# Carlo entry points, and the functions whose scalars may be complex floats for them (PowerAlphabet, eval_schur, ProfileSeries.evaluate,
 # content_product and the Pochhammer products), are not swept.
 CALLS = {
     "Partition": (lambda v: Partition(v), Partition),
@@ -72,9 +71,6 @@ CALLS = {
     "normalized_character delta": (lambda v: normalized_character((2, 1), v), int),
     "class_column delta": (lambda v: class_column(v), tuple),
     "colength_sums lam": (lambda v: colength_sums(v), tuple),
-    "weighted_colength_sum lam": (lambda v: weighted_colength_sum(v, 2, 3), Fraction),
-    "weighted_colength_sum k": (lambda v: weighted_colength_sum((2, 1), v, 3), Fraction),
-    "weighted_colength_sum c": (lambda v: weighted_colength_sum((2, 1), 2, v), Fraction),
     "character_class_sum delta": (lambda v: character_class_sum(v), int),
     "full_cycle_normalized_character lam": (lambda v: full_cycle_normalized_character(v),
                                             Fraction),
@@ -163,9 +159,13 @@ CALLS = {
     "single_branch_point_series d_max": (lambda v: single_branch_point_series(v), ProfileSeries),
     "unbranched_cover_coefficients d_max": (lambda v: unbranched_cover_coefficients(v), list),
     "cauchy_littlewood_check d_max": (lambda v: cauchy_littlewood_check(v), bool),
+    "proposition_layout name": (lambda v: proposition_layout(v, 1), PropositionLayout),
     "proposition_layout n": (lambda v: proposition_layout("prop1", v), PropositionLayout),
     "proposition_layout t": (lambda v: proposition_layout("int4", 3, v), PropositionLayout),
+    "build_layout shape": (lambda v: build_layout(v, "complex", (1,)), PropositionLayout),
+    "build_layout kind": (lambda v: build_layout("TL", v, (1,)), PropositionLayout),
     "build_layout sigma": (lambda v: build_layout("TL", "complex", (v,)), PropositionLayout),
+    "build_layout sigma, whole": (lambda v: build_layout("TL", "complex", v), PropositionLayout),
     "build_layout t": (lambda v: build_layout("TL", "complex", (1,), t=v), PropositionLayout),
     "PropositionLayout.series N": (lambda v: proposition_layout("prop1_u", 1).series(v, 1),
                                    ProfileSeries),
@@ -175,26 +175,9 @@ CALLS = {
         lambda v: proposition_layout("prop2", 1).value(v, 2, SLOTS), Fraction),
     "PropositionLayout.value d_max": (
         lambda v: proposition_layout("prop2", 1).value(2, v, SLOTS), Fraction),
-    "g_normalization n": (lambda v: g_normalization(ONE, v), Fraction),
-    "bkp_tau_poly n": (lambda v: bkp_tau_poly(ONE, v, 2, 2), PowerSumPoly),
-    "bkp_tau_poly cutoff": (lambda v: bkp_tau_poly(ONE, 0, v, 2), PowerSumPoly),
-    "bkp_tau_poly d_max": (lambda v: bkp_tau_poly(ONE, 0, 2, v), PowerSumPoly),
-    "bkp_tau_poly d_max at cutoff 0": (lambda v: bkp_tau_poly(ONE, 0, 0, v), PowerSumPoly),
     "hirota_bilinear_check cutoff": (lambda v: hirota_bilinear_check(ONE, v, 2), bool),
     "hirota_bilinear_check d_max": (lambda v: hirota_bilinear_check(ONE, 2, v), bool),
     "hirota_bilinear_check offset": (lambda v: hirota_bilinear_check(ONE, 2, 2, (v,)), bool),
-}
-
-# Admitted values whose cost no LIMITS row bounds yet (ROADMAP item 13): each
-# ran past 3 s.
-SLOW = {
-    ("partitions_of d", HUGE),
-    ("weighted_colength_sum k", HUGE),
-    ("hypergeometric_series euler", HUGE),
-    ("g_normalization n", HUGE),
-    ("g_normalization n", -10**6),
-    ("bkp_tau_poly n", HUGE),
-    ("bkp_tau_poly n", -10**6),
 }
 
 
@@ -202,9 +185,7 @@ SLOW = {
 @settings(max_examples=1500, deadline=None, database=None)
 @given(st.sampled_from(sorted(CALLS)), st.sampled_from(BAD))
 def test_each_bad_argument_ends_in_an_answer_or_a_documented_error(name, value):
-    """Every one of the 1 120 pairs is drawn: Hypothesis stops once none is left."""
-    if (name, value) in SLOW:
-        return
+    """Every one of the 1 080 pairs is drawn: Hypothesis stops once none is left."""
     call, kind = CALLS[name]
     try:
         out = call(value)
@@ -251,6 +232,9 @@ def test_shown_names_any_value_in_one_short_line():
     (lambda: hurwitz_weighted_sum(2, 3, [], [(1,)]), r"^a weight pair is \(k, c\), got \(1,\)$"),
     (lambda: oracle_count(1.5, 3), "^pres must be a SurfacePresentation, got 1.5$"),
     (lambda: gluing_identity_holds(1, 1, 3, (), None), "^profiles_b must be iterable, got None$"),
+    (lambda: build_layout(1.5, "complex", (1,)), "^unknown shape 1.5 or matrix kind 'complex'$"),
+    (lambda: build_layout("TL", "complex", 1.5), "^sigma must be iterable, got 1.5$"),
+    (lambda: proposition_layout(["x"], 1), r"^unknown layout \['x'\]$"),
 ])
 def test_each_argument_is_named_as_the_caller_passed_it(call, message):
     with pytest.raises(ValidationError, match=message):

@@ -226,11 +226,11 @@ def test_tau_bkp_matches_product_formula(nvars):
 def test_tau_bkp_power_sum_exponential_form():
     """As a power-sum series (no cutoff), the one-alphabet Schur sum equals
     exp(sum p_m^2/2m + sum_odd p_m/m)."""
-    from hurwitzkit.hirota import bkp_tau_poly
+    from hurwitzkit.hirota import _bkp_tau_poly
     from hurwitzkit.symfunc import PowerSumPoly, exp_truncated
 
     d_max = 4
-    tau = bkp_tau_poly(ContentFunction.one(), 0, None, d_max)
+    tau = _bkp_tau_poly(ContentFunction.one(), 0, None, d_max)
     arg = PowerSumPoly.zero()
     for m in range(1, d_max + 1):
         if 2 * m <= d_max:

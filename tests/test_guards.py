@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurwitzkit import LIMITS, GuardError, ValidationError
-from hurwitzkit.characters import full_cycle_normalized_character, weighted_colength_sum
+from hurwitzkit.characters import full_cycle_normalized_character, _weighted_colength_sum
 from hurwitzkit._errors import digits
 from hurwitzkit.cli import main
 from hurwitzkit.genfun import (ContentFunction, PochhammerParam, ProfileSeries, SeriesKey,
@@ -329,7 +329,7 @@ _REJECTIONS = {
                            "weight order k must be >= 1"),
     "full cycle, no handles": (lambda: full_cycle_identity_holds(2, 3, handles=0),
                                "handles must be >= 1"),
-    "weighted colength k = 0": (lambda: weighted_colength_sum((2, 1), 0, 2), "k must be >= 1"),
+    "weighted colength k = 0": (lambda: _weighted_colength_sum((2, 1), 0, 2), "k must be >= 1"),
     "full cycle of ()": (lambda: full_cycle_normalized_character(()),
                          "full cycle needs weight >= 1"),
     "surface kind klein": (lambda: SurfacePresentation("klein"), "unknown surface kind 'klein'"),

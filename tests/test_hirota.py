@@ -6,25 +6,25 @@ import pytest
 
 from hurwitzkit import GuardError, ValidationError, genfun, hirota
 from hurwitzkit.genfun import ContentFunction
-from hurwitzkit.hirota import bkp_tau_poly, g_normalization, hirota_bilinear_check
+from hurwitzkit.hirota import _bkp_tau_poly, _g_normalization, hirota_bilinear_check
 from hurwitzkit.symfunc import content_product
 
 
 def test_g_normalization_convention():
     r = ContentFunction.rational([Fraction(1, 2)])  # r(x) = x + 1/2
-    assert g_normalization(r, 0) == 1
-    assert g_normalization(r, 1) == 1
-    assert g_normalization(r, 2) == r(1)
-    assert g_normalization(r, 3) == r(1) ** 2 * r(2)
-    assert g_normalization(r, -1) == r(0)
-    assert g_normalization(r, -2) == r(0) ** 2 * r(-1)
+    assert _g_normalization(r, 0) == 1
+    assert _g_normalization(r, 1) == 1
+    assert _g_normalization(r, 2) == r(1)
+    assert _g_normalization(r, 3) == r(1) ** 2 * r(2)
+    assert _g_normalization(r, -1) == r(0)
+    assert _g_normalization(r, -2) == r(0) ** 2 * r(-1)
 
 
 def test_g_normalization_rejects_vanishing():
     r = ContentFunction.rational([0])  # r(x) = x vanishes at 0
     with pytest.raises(ValidationError):
-        g_normalization(r, -1)
-    assert g_normalization(r, 2) == 1  # only positive arguments touched
+        _g_normalization(r, -1)
+    assert _g_normalization(r, 2) == 1  # only positive arguments touched
 
 
 @pytest.mark.parametrize("r", [
@@ -44,18 +44,18 @@ def test_g_normalization_is_the_nested_product(r):
         for m in range(1, -n + 1):
             for j in range(m):
                 want *= r(-j)
-        got = g_normalization(r, n)
+        got = _g_normalization(r, n)
         assert got == want and type(got) is Fraction, n
 
 
 def test_tau_poly_structure():
-    tau = bkp_tau_poly(ContentFunction.one(), 0, 1, 3)
+    tau = _bkp_tau_poly(ContentFunction.one(), 0, 1, 3)
     # length <= 1: single-row diagrams only
     assert tau.coefficient(()) == 1
     assert tau.coefficient((1,)) == 1
     assert tau.coefficient((2,)) == Fraction(1, 2)
     assert tau.coefficient((1, 1)) == Fraction(1, 2)
-    tau2 = bkp_tau_poly(ContentFunction.one(), 0, 2, 2)
+    tau2 = _bkp_tau_poly(ContentFunction.one(), 0, 2, 2)
     assert tau2.coefficient((2,)) == 0  # s_(2) + s_(1,1) cancels p_2
     assert tau2.coefficient((1, 1)) == 1
 
@@ -63,8 +63,8 @@ def test_tau_poly_structure():
 def test_tau_poly_content_weights():
     r = ContentFunction.rational([Fraction(1, 2)])
     n = 1
-    tau = bkp_tau_poly(r, n, 3, 2)
-    g = g_normalization(r, n)
+    tau = _bkp_tau_poly(r, n, 3, 2)
+    g = _g_normalization(r, n)
     # weight of lam=(1): r(n); coefficients of s_(1) = p_1
     assert tau.coefficient((1,)) == g * r(1)
 
@@ -92,14 +92,14 @@ def test_bilinear_random_tabulated_weight():
 def test_each_tau_is_built_once_per_check(monkeypatch):
     """Offsets 0 and 1 read 14 taus (N, n), three of them shared: the check
     builds the 11 distinct ones, each once."""
-    true_tau = hirota.bkp_tau_poly
+    true_tau = hirota._bkp_tau_poly
     built = []
 
     def counted(r, n, cutoff, d_max):
         built.append((cutoff, n))
         return true_tau(r, n, cutoff, d_max)
 
-    monkeypatch.setattr(hirota, "bkp_tau_poly", counted)
+    monkeypatch.setattr(hirota, "_bkp_tau_poly", counted)
     assert hirota_bilinear_check(ContentFunction.rational([Fraction(1, 2)]), 2, 3)
     assert len(built) == len(set(built)) == 11
 
@@ -125,13 +125,13 @@ def test_each_content_value_is_evaluated_once_per_check():
 def test_second_equation_alone_fails_the_check(monkeypatch):
     """At n = 0 and N = 2 the tau at (N, n + 1) is read by the second equation
     only; doubled, it leaves the first equation true and must fail the check."""
-    true_tau = hirota.bkp_tau_poly
+    true_tau = hirota._bkp_tau_poly
 
     def doubled(r, n, cutoff, d_max):
         tau = true_tau(r, n, cutoff, d_max)
         return tau.scale(2) if (n, cutoff) == (1, 2) else tau
 
-    monkeypatch.setattr(hirota, "bkp_tau_poly", doubled)
+    monkeypatch.setattr(hirota, "_bkp_tau_poly", doubled)
     assert not hirota_bilinear_check(ContentFunction.one(), 2, 4, n_values=(0,))
 
 
@@ -191,4 +191,4 @@ def test_non_rational_content_values_are_rejected():
     with pytest.raises(ValidationError):
         hirota_bilinear_check(floats, 2, 3)
     with pytest.raises(ValidationError):
-        g_normalization(floats, 3)
+        _g_normalization(floats, 3)

@@ -167,15 +167,15 @@ def test_character_sum_matches_a_term_by_term_reference(monkeypatch):
     by term from character and irrep_dimension, with cutoffs, E < 0 and
     weighted pairs; the weight factor is never evaluated on a vanishing term."""
     from hurwitzkit import hurwitz
-    from hurwitzkit.characters import irrep_dimension, weighted_colength_sum
+    from hurwitzkit.characters import irrep_dimension, _weighted_colength_sum
 
     calls = []
 
     def counted(lam, k, c):
         calls.append(lam)
-        return weighted_colength_sum(lam, k, c)
+        return _weighted_colength_sum(lam, k, c)
 
-    monkeypatch.setattr(hurwitz, "weighted_colength_sum", counted)
+    monkeypatch.setattr(hurwitz, "_weighted_colength_sum", counted)
     cases = [
         (2, 6, [(3, 3)], None, ()),
         (-2, 6, [(2, 2, 1, 1), (3, 2, 1)], 3, ((1, 1),)),
@@ -199,7 +199,7 @@ def test_character_sum_matches_a_term_by_term_reference(monkeypatch):
                 continue
             nonzero.append(lam)
             for k, c in pairs:
-                term *= weighted_colength_sum(lam, k, c)
+                term *= _weighted_colength_sum(lam, k, c)
             want += term
         calls.clear()
         assert hurwitz_weighted_sum(euler, d, profiles, pairs, cutoff) == want
