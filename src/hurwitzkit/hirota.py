@@ -90,7 +90,7 @@ def hirota_bilinear_check(r: ContentFunction, cutoff: int, d_max: int,
     work = d_max + 2  # second derivatives drop the weight by two
     table = _content_table(r)
     built: dict[tuple[int, int], PowerSumPoly] = {}  # (N, n) -> tau, over every offset
-    for n in n_values:
+    for n in dict.fromkeys(n_values):  # each distinct offset once, in the given order
         keys = {(dN, dn): (cutoff + dN, n + dn)
                 for dN, dn in ((0, 0), (1, 1), (2, 2), (-1, -1), (0, 1), (-1, 0), (1, 2))}
         for N, m in keys.values():

@@ -3,24 +3,25 @@
 Every integrand is built from words in the sampled matrices, their daggers
 and fixed test matrices, in the letters of the genfun layouts, the four lemma
 relations included: they are the layouts of one matrix.  One pipeline,
-`_word_traces`, draws for both entry points: a run is split into worker
-chunks, each with its own random stream (SFC64 seeded through SeedSequence
-from (seed, worker)), and one drawing thread fills the next chunk's Ginibre
-batches in place, at most one chunk ahead, whatever `workers` is, while the
-calling thread evaluates the current chunk in slices of at most `_SLICE`
-samples.  A chunk is (N, N, batch) arrays, batch axis last, so each matrix
-entry is a vector over the chunk and every kernel is whole-vector ufuncs,
-elementwise along the batch: Haar unitaries are Gram-Schmidt orthonormalised
-Ginibre matrices (Mezzadri's QR with the phase fix built in); one product
-kernel multiplies a word's letters left to right, reading a fixed letter by
-its nonzero entries only; one kernel sums tr(Y Z) = sum_ij Y_ij Z_ji, so tr X
-comes from the word's head and last letter, X itself is formed only for a
-deeper power, and tr X^m for m <= 4 comes from X and X^2.  So the estimate
-depends on neither the slice boundaries nor the threads' timing, and is
-bit-identical for a fixed (seed, samples, workers) on one numpy build.
-Schur functions of sampled matrices come from these traces, never from
-eigendecompositions; exact predictions become complex floats only at the
-comparison boundary.
+`_word_traces`, draws for both entry points: a run of `samples` draws is split
+into ceil(samples / _CHUNK) chunks of near-equal width, chunk k drawn from its
+own random stream (SFC64 seeded through SeedSequence from (seed, k)).  One
+drawing thread fills the next chunk's Ginibre batches in place, at most one
+chunk ahead, while the calling thread evaluates the current chunk whole, in
+arrays allocated once per run; so at most two chunks' batches are alive,
+whatever `samples` is.  A chunk is (N, N, batch) arrays, batch axis last, so
+each matrix entry is a vector over the chunk and every kernel is whole-vector
+ufuncs, elementwise along the batch: Haar unitaries are Gram-Schmidt
+orthonormalised Ginibre matrices (Mezzadri's QR with the phase fix built in);
+one product kernel multiplies a word's letters left to right, reading a fixed
+letter by its nonzero entries only; one kernel sums tr(Y Z) = sum_ij Y_ij Z_ji,
+so tr X comes from the word's head and last letter, X itself is formed only
+for a deeper power, and tr X^m for m <= 4 comes from X and X^2.  So the
+estimate depends on neither the threads' timing nor `workers`, which is
+checked and does nothing else, and is bit-identical for a fixed (seed,
+samples) on one numpy build.  Schur functions of sampled matrices come from
+these traces, never from eigendecompositions; exact predictions become
+complex floats only at the comparison boundary.
 
 `mc_schur_moment` keeps the per-draw trace tables of its latest call, so
 consecutive calls that differ only in the partitions draw once.  A kept table
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import prod, sqrt
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -58,16 +59,18 @@ LEMMA_RELATIONS = tuple(_RELATIONS)
 # Every estimate is gated at this many standard errors.
 _GATE = 5.0
 
-# The most samples of a chunk evaluated at once.  The 11 calls of the
-# mc-gates workload in one process (2 cores, numpy 2.4.6, median of 4 passes,
-# two rounds) took 0.68-0.71 s at 2 500, 0.66-0.72 s at 3 125, 0.63-0.64 s at
-# 6 250, 0.67-0.74 s at 12 500 and 0.83-0.86 s on whole 25 000-sample chunks,
-# at a peak RSS of 60, 61, 63-66, 68-70 and 79 MB.  A 3 x 3 matrix batch of
-# 6 250 samples is 0.9 MB.
-_SLICE = 6_250
+# The most samples drawn and evaluated at once: a run is split into
+# ceil(samples / _CHUNK) chunks of near-equal width, none narrower than half of
+# it once samples >= _CHUNK.  The width was measured as the slice in which
+# 25 000-sample chunks were evaluated: the 11 calls of the mc-gates workload
+# in one process (2 cores, numpy 2.4.6, median of 4 passes, two rounds) took
+# 0.68-0.71 s at 2 500, 0.66-0.72 s at 3 125, 0.63-0.64 s at 6 250,
+# 0.67-0.74 s at 12 500 and 0.83-0.86 s on whole chunks.  A 3 x 3 matrix batch
+# of 6 250 samples is 0.9 MB.
+_CHUNK = 6_250
 
 # The trace tables of the latest mc_schur_moment call, at most one entry:
-# (relation, size, samples, seed, workers, A bytes, B bytes) -> (depth, per
+# (relation, size, samples, seed, A bytes, B bytes) -> (depth, per
 # chunk the list `_word_traces` yields: one table {m: tr X^m for m <= depth}
 # per word of the relation).
 _trace_slot: dict[tuple, tuple[int, list]] = {}
@@ -95,10 +98,11 @@ class MCComparison:
     passed: bool
 
 
-def _worker_rng(seed: int, worker: int) -> np.random.Generator:
-    """The stream of one (seed, worker) chunk: SFC64 seeded through SeedSequence.
-    Nothing jumps or advances a stream, so it needs no counter-based generator."""
-    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, worker])))
+def _worker_rng(seed: int, chunk: int) -> np.random.Generator:
+    """The stream of chunk number `chunk` of a run: SFC64 seeded through
+    SeedSequence([seed, chunk]).  Nothing jumps or advances a stream, so it
+    needs no counter-based generator."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, chunk])))
 
 
 def _ginibre_batch(rng: np.random.Generator, batch: int, size: int) -> np.ndarray:
@@ -112,29 +116,38 @@ def _ginibre_batch(rng: np.random.Generator, batch: int, size: int) -> np.ndarra
     return out
 
 
-def _haar_batch(z: np.ndarray) -> np.ndarray:
-    """Haar unitaries as the Q of the Ginibre matrices z (Mezzadri 2007):
-    Gram-Schmidt over the columns, vectorised across the batch.  Each column
-    is orthogonalised twice ("twice is enough") and then normalised, so R's
-    diagonal is real and positive by construction; that is Mezzadri's phase
-    fix, and Q is Haar distributed."""
-    q, q_dag = np.empty_like(z), np.empty_like(z)
+def _haar_batch(z: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Haar unitaries as the Q of the Ginibre matrices z (Mezzadri 2007), and
+    their daggers: Gram-Schmidt over the columns, vectorised across the batch.
+    Each column is orthogonalised twice ("twice is enough") and then
+    normalised, so R's diagonal is real and positive by construction; that is
+    Mezzadri's phase fix, and Q is Haar distributed.  Q and Q^dag are written
+    into out if given."""
+    q, q_dag = out if out is not None else (np.empty_like(z), np.empty_like(z))
     for j in range(z.shape[1]):
         v = z[:, j, None]
         for _ in range(2 if j else 0):
             v = v - _mul(q[:, :j], _mul(q_dag[:j], v))
         q[:, j] = v[:, 0] * (1.0 / np.sqrt((v.real ** 2 + v.imag ** 2).sum(axis=0)))
         np.conj(q[:, j], out=q_dag[j])
-    return q
+    return q, q_dag
 
 
-def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _dagger(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The conjugate transposes of a batch, written into out if given."""
+    return np.conj(z.swapaxes(0, 1), out=out)
+
+
+def _mul(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """x @ y for batch-last stacks, out[i, j] = sum_k x[i, k] y[k, j] by vector
     multiply-adds over the chunk, k increasing, column j for every i at once.  A
     2-d y is a fixed matrix for every draw, read by its nonzero entries only:
     column j sums over the k with y[k, j] != 0, so a diagonal y costs one vector
-    multiply per column, and a column with no such k is 0."""
-    out = np.empty((x.shape[0], y.shape[1], x.shape[-1]), dtype=complex)
+    multiply per column, and a column with no such k is 0.  The product is
+    written into out if given, which must not share memory with x or y."""
+    if out is None:
+        out = np.empty((x.shape[0], y.shape[1], x.shape[-1]), dtype=complex)
     for j in range(y.shape[1]):
         ks = range(y.shape[0]) if y.ndim == 3 else np.flatnonzero(y[:, j])
         if not len(ks):
@@ -161,27 +174,28 @@ def _trace_of_product(y: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _batched_traces(mats: np.ndarray, m_max: int, first: np.ndarray | None = None
-                    ) -> dict[int, np.ndarray]:
+def _batched_traces(mats: np.ndarray, m_max: int, first: np.ndarray | None = None,
+                    out: np.ndarray | None = None) -> dict[int, np.ndarray]:
     """tr X^m for m <= m_max from X and X^2 alone: X^m = Y Z with halves Y, Z
     in {X, X^2}, each trace one `_trace_of_product`, so at most one product is
-    formed.  first is tr X if the caller has it (`_word_traces_table`)."""
+    formed, into out if given.  first is tr X if the caller has it
+    (`_word_traces_table`)."""
     if m_max > 4:
         raise ValueError(f"traces from X and X^2 reach m <= 4, not m = {m_max}")
-    square = _mul(mats, mats) if m_max >= 3 else None
+    square = _mul(mats, mats, out) if m_max >= 3 else None
     halves = {2: (mats, mats), 3: (square, mats), 4: (square, square)}
     traces = {m: _trace_of_product(*halves[m]) for m in range(2, m_max + 1)}
     return {1: np.trace(mats) if first is None else first, **traces}
 
 
-def _accumulate(values_by_worker: Sequence[np.ndarray], samples: int, seed: int) -> MCEstimate:
+def _accumulate(values_by_chunk: Iterable[np.ndarray], samples: int, seed: int) -> MCEstimate:
     """Mean and standard error; each chunk's squares are centred on its own
-    mean and merged in worker order by the pairwise update of Chan et al., so
+    mean and merged in chunk order by the pairwise update of Chan et al., so
     a spread small against |mean|^2 does not cancel away."""
     total = 0j
     count = 0
     spread = 0.0  # sum of |x - mean|^2 over the chunks merged so far
-    for vals in values_by_worker:  # merged in worker order: deterministic
+    for vals in values_by_chunk:  # merged in chunk order: deterministic
         chunk_total = complex(np.sum(vals))
         chunk_mean = chunk_total / len(vals)
         if count:
@@ -194,9 +208,10 @@ def _accumulate(values_by_worker: Sequence[np.ndarray], samples: int, seed: int)
                       samples=samples, seed=seed)
 
 
-def _chunks(samples: int, workers: int) -> list[int]:
-    base, extra = divmod(samples, workers)
-    return [base + (1 if i < extra else 0) for i in range(workers) if base + (i < extra) > 0]
+def _chunks(samples: int, count: int) -> list[int]:
+    """samples split into count widths that differ by at most one."""
+    base, extra = divmod(samples, count)
+    return [base + (i < extra) for i in range(count) if base + (i < extra) > 0]
 
 
 def _compare(estimate: MCEstimate, exact: complex) -> MCComparison:
@@ -223,7 +238,8 @@ def check_seed(seed: int) -> int:
 
 
 def _check_stream(seed: int, workers: int) -> tuple[int, int]:
-    """seed and workers as integers, each checked against its range."""
+    """seed and workers as integers, each checked against its range.  workers
+    changes nothing else: the chunks and their streams depend on samples."""
     seed, workers = check_seed(seed), as_int("workers", workers, 1)
     guard("mc workers", workers)
     return seed, workers
@@ -251,51 +267,51 @@ def _vertex_alphabets(vertices, cs: Sequence[np.ndarray], depth: int) -> list[Po
             for vertex in vertices]
 
 
-def _letter(letter, mats: Sequence[np.ndarray], cs: Sequence[np.ndarray]) -> np.ndarray:
+def _letter(letter, mats: Sequence[tuple[np.ndarray, np.ndarray]],
+            cs: Sequence[np.ndarray]) -> np.ndarray:
     """The matrix a layout letter (i, power) stands for: the batch Z_i, its
-    dagger, or for power 0 the fixed C_i."""
+    dagger, or for power 0 the fixed C_i.  mats[i - 1] is Z_i with its dagger."""
     i, power = letter
-    if power == 0:
-        return cs[i - 1]
-    return mats[i - 1] if power > 0 else mats[i - 1].conj().swapaxes(0, 1)
+    return cs[i - 1] if power == 0 else mats[i - 1][power < 0]
 
 
-def _word_product(word, mats: Sequence[np.ndarray], cs: Sequence[np.ndarray]) -> np.ndarray:
-    """The batch of products a layout word spells, evaluated left to right."""
-    return reduce(_mul, (_letter(letter, mats, cs) for letter in word))
-
-
-def _word_traces_table(word, mats: Sequence[np.ndarray], cs: Sequence[np.ndarray],
-                       depth: int) -> dict[int, np.ndarray]:
-    """{m: tr X^m for m <= depth} of the product X a word spells.  tr X is
-    tr(H L) of the word's halves, H every letter but the last and L the last,
-    so at depth 1 X is never formed, and the row is the same at every depth."""
-    if len(word) == 1:
-        return _batched_traces(_letter(word[0], mats, cs), depth)
-    head = _word_product(word[:-1], mats, cs)
-    last = _letter(word[-1], mats, cs)
-    first = _trace_of_product(head, last)
+def _word_traces_table(word, mats: Sequence[tuple[np.ndarray, np.ndarray]],
+                       cs: Sequence[np.ndarray], depth: int,
+                       spare: tuple[np.ndarray, np.ndarray] | None = None
+                       ) -> dict[int, np.ndarray]:
+    """{m: tr X^m for m <= depth} of the product X a word spells, multiplied
+    left to right.  tr X is tr(H L) of the word's halves, H every letter but the
+    last and L the last, so at depth 1 X is never formed, and the row is the
+    same at every depth.  The products are written into the two spare arrays
+    by turns, or into new ones; the traces are new arrays."""
+    letters = [_letter(letter, mats, cs) for letter in word]
+    out, free = spare if spare is not None else (None, None)
+    if len(letters) == 1:
+        return _batched_traces(letters[0], depth, out=out)
+    head = letters[0]
+    for letter in letters[1:-1]:
+        head = _mul(head, letter, out)
+        out, free = free, out
+    first = _trace_of_product(head, letters[-1])
     if depth == 1:
         return {1: first}
-    product = _mul(head, last)
-    del head, last  # not held while the powers are formed
-    return _batched_traces(product, depth, first)
+    return _batched_traces(_mul(head, letters[-1], out), depth, first, free)
 
 
 class _Draw(threading.Thread):
     """Draws a chunk's n Ginibre batches from its stream on a thread of its own."""
 
-    def __init__(self, seed: int, worker: int, chunk: int, n: int, size: int):
+    def __init__(self, seed: int, chunk: int, width: int, n: int, size: int):
         super().__init__(name="hurwitzkit-mc-draw")
-        self.spec = (seed, worker, chunk, n, size)
+        self.spec = (seed, chunk, width, n, size)
         self.drawn = None
         self.start()
 
     def run(self):
-        seed, worker, chunk, n, size = self.spec
+        seed, chunk, width, n, size = self.spec
         try:
-            rng = _worker_rng(seed, worker)
-            self.drawn = [_ginibre_batch(rng, chunk, size) for _ in range(n)]
+            rng = _worker_rng(seed, chunk)
+            self.drawn = [_ginibre_batch(rng, width, size) for _ in range(n)]
         except BaseException as exc:  # re-raised by result() in the waiting thread
             self.drawn = exc
 
@@ -307,41 +323,34 @@ class _Draw(threading.Thread):
         return drawn
 
 
-def _chunk_traces(kind: str, words: Sequence[tuple], cs: Sequence[np.ndarray],
-                  draws: Sequence[np.ndarray], depth: int) -> list[dict[int, np.ndarray]]:
-    """One chunk's trace tables, evaluated slice by slice: every kernel is
-    elementwise along the batch axis, so each sample's values are those of the
-    whole chunk at once.  The slices differ in size by at most one, so none is
-    a lone sample, on which numpy's axis reductions may add in another order."""
-    chunk = draws[0].shape[-1]
-    tables = [{m: np.empty(chunk, dtype=complex) for m in range(1, depth + 1)} for _ in words]
-    start = 0
-    for width in _chunks(chunk, -(-chunk // _SLICE)):
-        part = slice(start, start + width)
-        mats = [_haar_batch(z[..., part]) if kind == "unitary" else z[..., part] for z in draws]
-        for table, word in zip(tables, words):
-            for m, traces in _word_traces_table(word, mats, cs, depth).items():
-                table[m][part] = traces
-        start += width
-    return tables
-
-
 def _word_traces(kind: str, words: Sequence[tuple], cs: Sequence[np.ndarray], n: int,
-                 size: int, samples: int, seed: int, workers: int, depth: int):
+                 size: int, samples: int, seed: int, depth: int):
     """Per chunk, the trace tables {m: tr X^m for m <= depth} of the products
     X the words spell, on n matrices of the kind drawn from the chunk's stream.
     One thread draws the next chunk while this one evaluates the current one;
-    closing the generator early waits for that draw and starts no other."""
-    chunks = _chunks(samples, workers)
-    pending = _Draw(seed, 0, chunks[0], n, size)
+    closing the generator early waits for that draw and starts no other.
+
+    Every chunk is evaluated in one block of arrays allocated for the widest:
+    the n daggers, the n Haar batches of a unitary kind, and two spare arrays
+    for the words' products.  Arrays of a few MB made anew at every chunk cost
+    a minor page fault per 4 KB each time, as the freed heap is handed back to
+    the system and paged in again."""
+    widths = _chunks(samples, -(-samples // _CHUNK))
+    count = (2 * n if kind == "unitary" else n) + 2
+    work = np.empty((count, size, size, widths[0]), dtype=complex)
+    pending = _Draw(seed, 0, widths[0], n, size)
     try:
-        for worker in range(len(chunks)):
+        for chunk, width in enumerate(widths):
             draws = pending.result()
-            pending = (_Draw(seed, worker + 1, chunks[worker + 1], n, size)
-                       if worker + 1 < len(chunks) else None)
-            tables = _chunk_traces(kind, words, cs, draws, depth)
-            del draws  # not held while the caller consumes this chunk
-            yield tables
+            pending = (_Draw(seed, chunk + 1, widths[chunk + 1], n, size)
+                       if chunk + 1 < len(widths) else None)
+            arrays = work[..., :width]  # n daggers, n Haar batches if unitary, 2 spare
+            mats = [_haar_batch(z, (arrays[n + i], arrays[i])) if kind == "unitary"
+                    else (z, _dagger(z, arrays[i])) for i, z in enumerate(draws)]
+            del draws  # the Ginibre batches of a unitary chunk are not held past Q
+            yield [_word_traces_table(word, mats, cs, depth, (arrays[-2], arrays[-1]))
+                   for word in words]
+            del mats  # not held while the next chunk is taken
     finally:
         if pending is not None:
             pending.join()
@@ -363,8 +372,8 @@ def mc_schur_moment(
     standard errors.
 
     The draws' trace tables are kept until the next call of either entry point;
-    a call with the same (relation, size, samples, seed, workers, A, B) reuses
-    it and draws nothing."""
+    a call with the same (relation, size, samples, seed, A, B) reuses it and
+    draws nothing.  workers is checked and changes nothing."""
     if relation not in _RELATIONS:
         raise ValidationError(f"relation must be one of {LEMMA_RELATIONS}")
     layout = _RELATIONS[relation]
@@ -389,13 +398,13 @@ def mc_schur_moment(
     # work; any deeper need builds p_1..p_4 once, enough for every partition
     # the guard admits.
     m_max = max(lam.weight(), mu.weight())
-    key = (relation, size, samples, seed, workers, a.tobytes(), b.tobytes())
+    key = (relation, size, samples, seed, a.tobytes(), b.tobytes())
     kept = _trace_slot.get(key)
     if kept is None or kept[0] < m_max:
         _trace_slot.clear()
         depth = 1 if m_max == 1 else LIMITS["mc weight"].most
         kept = (depth, list(_word_traces(layout.matrix_kind, words, cs, 1, size, samples,
-                                         seed, workers, depth)))
+                                         seed, depth)))
         _trace_slot[key] = kept
     parts = (lam,) if len(words) == 1 else (mu, lam)
     values = [prod(schur_poly(part).evaluate(table) for part, table in zip(parts, tables))
@@ -465,10 +474,10 @@ def mc_proposition_check(
 
     _trace_slot.clear()
     names, words = zip(*layout.factors)
-    values = [prod(_tau_truncated(alphabets[name], degree, table)
+    values = (prod(_tau_truncated(alphabets[name], degree, table)
                    for name, table in zip(names, tables))
               for tables in _word_traces(layout.matrix_kind, words, cs, n, size, samples,
-                                         seed, workers, degree)]
+                                         seed, degree))
 
     estimate = _accumulate(values, samples, seed)
     return _compare(estimate, exact)

@@ -254,7 +254,9 @@ def oracle_count_naive(pres: SurfacePresentation, degree: int, profiles=()) -> i
     guard_output_size(pres.euler, degree, len(profs))
     identity = tuple(range(degree))
     free_slots = 2 * pres.handles + pres.crosscaps
-    class_lists = [class_elements(degree, p) for p in profs]
+    # The identity class has one element, which changes no product, so of its
+    # profiles only a last one, solved for below, is read.
+    class_lists = [class_elements(degree, p) for p in profs[:-1] if p.colength()]
     total = 0
     for frees in product(permutations(identity), repeat=free_slots):
         prefix = identity
@@ -265,10 +267,10 @@ def oracle_count_naive(pres: SurfacePresentation, degree: int, profiles=()) -> i
         else:
             for r in frees:
                 prefix = compose(prefix, compose(r, r))
-        if not class_lists:
+        if not profs:
             total += prefix == identity
             continue
-        for xs in product(*class_lists[:-1]):
+        for xs in product(*class_lists):
             prod_all = prefix
             for x in xs:
                 prod_all = compose(prod_all, x)

@@ -49,7 +49,8 @@ NINES = "9" * 4301  # one digit past Python's limit for integer strings
 
 # Inputs that must end at once in their exit code, stderr under 1 KB: a rational
 # literal is checked before any Fraction is built (Fraction('1e10000000') alone
-# takes seconds), and integer text past 4 300 digits is named by its flag.
+# takes seconds), integer text past 4 300 digits is named by its flag, and so are
+# a name no choice matches and an argument no flag takes.
 REFUSED = (
     Cost(cli("schur", "--partition", "1", "--at-constant", "1e10000000"), 0.3, 30, 3),
     Cost(cli("hirota", "--r", "1e10000000"), 0.3, 30, 3),
@@ -57,15 +58,18 @@ REFUSED = (
     Cost(cli("hirota", f"--n={NINES}"), 0.3, 30, 2),
     Cost(cli("hurwitz", "--euler", "1", "--degree", "3", "--profile", NINES), 0.3, 30, 2),
     Cost(cli("hurwitz", "--euler", "1", f"--degree={NINES}"), 0.3, 30, 2),
+    Cost(cli("genfun", "--layout", "x" * 5000), 0.3, 30, 2),
+    Cost(cli("mc", "--relation", "x" * 5000, "--N", "2"), 0.3, 30, 2),
+    Cost(cli("hurwitz", "--euler", "1", "--degree", "3", "x" * 5000), 0.3, 30, 2),
 )
 
 # The calls that are the slowest admitted call of more than one row.
-MC_PROPOSITION = Cost(  # 8 Haar matrices of 5 x 5 per sample, in 4 chunks of 250 000 samples
+MC_PROPOSITION = Cost(  # 8 Haar matrices of 5 x 5 per sample, in 160 chunks of 6 250 samples
     cli("mc", "--proposition", "prop3_u", "--n", "8", "--N", "5", "--degree", "3",
-        "--samples", "1000000"), 17.0, 1659)
-MC_MOMENT = Cost(
+        "--samples", "1000000"), 12.7, 121)
+MC_MOMENT = Cost(  # most of the peak is the kept trace table, p_1..p_4 of both words per sample
     cli("mc", "--relation", "sAUU-1B", "--lambda", "4", "--mu", "1,1,1,1", "--N", "6",
-        "--samples", "1000000"), 5.6, 416)
+        "--samples", "1000000"), 3.3, 181)
 BILINEAR = Cost(  # every offset the row admits, the content shift at its digit bound
     cli("hirota", "--r=9973/9967", "--N", "8", "--dmax", "6",
         "--n=" + ",".join(map(str, range(-16, 17)))), 1.3, 34)
@@ -111,8 +115,8 @@ SLOWEST = {
     "content shift": BILINEAR,
     # genus:401 reads the commutator side of the class table, which crosscaps:802 does not.
     "oracle degree": Cost(cli("oracle", "--surface", "genus:401", "--degree", "8"), 1.1, 39),
-    # 120^3 free tuples.  A profile of the identity class costs a composition per tuple but
-    # counts as 1 in the row, so none is given here.
+    # 120^3 free tuples.  A profile of the identity class counts 1 in the row and costs
+    # nothing: it is left out of the enumeration.
     "naive oracle work": Cost(
         lib("from hurwitzkit import SurfacePresentation, oracle_count_naive; "
             "oracle_count_naive(SurfacePresentation.nonorientable(3), 5, [(5,)])"), 21.1, 29),
@@ -121,10 +125,10 @@ SLOWEST = {
     "mc proposition size": MC_PROPOSITION,
     "mc proposition degree": MC_PROPOSITION,
     "mc samples": MC_PROPOSITION,
-    # More workers only cut the same samples into smaller chunks.
+    # workers is checked and changes no chunk, stream or estimate: the proposition call again.
     "mc workers": Cost(
         lib("from hurwitzkit import mc_proposition_check; mc_proposition_check('prop3_u', 8, 5, "
-            "degree=3, samples=10**6, workers=64)"), 14.7, 189),
+            "degree=3, samples=10**6, workers=64)"), 12.1, 124),
 }
 
 

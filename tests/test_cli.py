@@ -424,6 +424,35 @@ def test_an_integer_flag_past_the_digit_limit_exits_2_naming_its_flag(capsys):
     assert len(err) < 1024
 
 
+_LONG_NAME = "x" * 5000
+_SHOWN_NAME = "'xxxxxxxxxxxxxxxxxxxxxxxx'... (5000 characters)"
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["genfun", "--layout", _LONG_NAME], f"argument --layout: invalid choice: {_SHOWN_NAME}"),
+    (["mc", "--relation", _LONG_NAME, "--N", "2"],
+     f"argument --relation: invalid choice: {_SHOWN_NAME} (choose from sAUBU-1, sAUU-1B, "
+     "sAZBZ+, sAZZ+B)"),
+    (["mc", "--proposition", _LONG_NAME, "--N", "2"],
+     f"argument --proposition: invalid choice: {_SHOWN_NAME}"),
+    (["characters", "--d", "3", "--format", _LONG_NAME],
+     f"argument --format: invalid choice: {_SHOWN_NAME} (choose from csv, json)"),
+    (["hurwitz", "--euler", "1", "--degree", "3", _LONG_NAME],
+     f"unrecognized arguments: {_SHOWN_NAME}"),
+    (["hurwitz", "--euler", "1", "--degree", "3", "x", f"--{_LONG_NAME}"],
+     f"unrecognized arguments: 'x' '--{_LONG_NAME[:22]}'... (5002 characters)"),
+])
+def test_a_refused_name_or_argument_is_shown_not_printed_whole(capsys, argv, error):
+    """A flag that takes one of a list of names, and an argument no flag takes,
+    name the value as every message does: argparse exits 2, stderr under 1 KB."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert f"error: {error}" in err and "x" * 25 not in err
+    assert len(err) < 1024
+
+
 @pytest.mark.parametrize("exc,line", [
     (MemoryError("Unable to allocate 763. MiB for an array"),
      "out of memory: Unable to allocate 763. MiB for an array\n"),

@@ -7,7 +7,7 @@ import pytest
 from hurwitzkit import GuardError, ValidationError, genfun, hirota
 from hurwitzkit.genfun import ContentFunction
 from hurwitzkit.hirota import _bkp_tau_poly, _g_normalization, hirota_bilinear_check
-from hurwitzkit.symfunc import content_product
+from hurwitzkit.symfunc import PowerSumPoly, content_product
 
 
 def test_g_normalization_convention():
@@ -102,6 +102,25 @@ def test_each_tau_is_built_once_per_check(monkeypatch):
     monkeypatch.setattr(hirota, "_bkp_tau_poly", counted)
     assert hirota_bilinear_check(ContentFunction.rational([Fraction(1, 2)]), 2, 3)
     assert len(built) == len(set(built)) == 11
+
+
+def test_a_repeated_offset_is_checked_once(monkeypatch):
+    """n_values = (16,) * 100 multiplies as many series as (16,) alone."""
+    true_times = PowerSumPoly.times
+    calls = Counter()
+
+    def counted(self, other, max_weight=None):
+        calls[max_weight] += 1
+        return true_times(self, other, max_weight)
+
+    monkeypatch.setattr(PowerSumPoly, "times", counted)
+    r = ContentFunction.rational([Fraction(1, 2)])
+    counts = []
+    for n_values in ((16,), (16,) * 100):
+        calls.clear()
+        assert hirota_bilinear_check(r, 2, 3, n_values=n_values)
+        counts.append(sum(calls.values()))
+    assert counts[0] == counts[1] > 0
 
 
 def test_each_content_value_is_evaluated_once_per_check():

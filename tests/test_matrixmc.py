@@ -1,5 +1,6 @@
 import threading
 import time
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -14,16 +15,16 @@ from hurwitzkit.matrixmc import (
     mc_schur_moment,
 )
 from hurwitzkit.matrixmc import (
+    _CHUNK,
     _RELATIONS,
-    _SLICE,
     _batched_traces,
     _chunks,
+    _dagger,
     _ginibre_batch,
     _haar_batch,
     _mul,
     _trace_of_product,
     _trace_slot,
-    _word_product,
     _word_traces,
     _word_traces_table,
     _worker_rng,
@@ -98,8 +99,9 @@ def _lapack_haar(z):
 def test_haar_matches_lapack_qr_with_phase_fix(size):
     z = np.moveaxis(_ginibre_batch(_worker_rng(SEED, 10 + size), 2_000, size), -1, 0)
     # q orthonormalises z: both come from the same stream.
-    q = np.moveaxis(_haar_batch(_ginibre_batch(_worker_rng(SEED, 10 + size), 2_000, size)),
-                    -1, 0)
+    q, q_dag = _haar_batch(_ginibre_batch(_worker_rng(SEED, 10 + size), 2_000, size))
+    assert q_dag.tobytes() == _dagger(q).tobytes()
+    q = np.moveaxis(q, -1, 0)
     assert np.abs(q - _lapack_haar(z)).max() < 1e-12
     # Orthogonalising twice keeps Q unitary to a few ulps; one pass loses ~1e-13.
     assert np.abs(q.conj().swapaxes(-2, -1) @ q - np.eye(size)).max() < 4e-15
@@ -204,6 +206,22 @@ def test_trace_of_product_matches_the_matrix_product(size):
             _assert_traces_within(got, want)
 
 
+def _sampled(kind, rng, batch, size=3):
+    """One drawn batch as the pipeline holds it: with its dagger."""
+    z = _ginibre_batch(rng, batch, size)
+    return _haar_batch(z) if kind == "unitary" else (z, _dagger(z))
+
+
+def _numpy_products(word, mats, cs):
+    """The products a word spells, batch first, by numpy's matmul, each
+    dagger made here from its batch."""
+    batches = [np.moveaxis(z, -1, 0) for z, _ in mats]
+    letters = [cs[i - 1] if power == 0 else
+               batches[i - 1] if power > 0 else batches[i - 1].conj().swapaxes(-2, -1)
+               for i, power in word]
+    return reduce(np.matmul, letters)
+
+
 @pytest.mark.parametrize("name,n,t", [("prop2_u", 2, None), ("prop1", 1, None),
                                       ("odd3", 2, 2)])
 def test_depth_one_table_is_the_first_row_of_a_deep_one(name, n, t):
@@ -214,14 +232,32 @@ def test_depth_one_table_is_the_first_row_of_a_deep_one(name, n, t):
     layout = proposition_layout(name, n, t)
     cs = [default_test_matrix(3, i) for i in range(n)]
     rng = _worker_rng(SEED, 70)
-    mats = [_haar_batch(_ginibre_batch(rng, 500, 3)) if layout.matrix_kind == "unitary"
-            else _ginibre_batch(rng, 500, 3) for _ in range(n)]
+    mats = [_sampled(layout.matrix_kind, rng, 500) for _ in range(n)]
     for _, word in layout.factors:
         shallow = _word_traces_table(word, mats, cs, 1)
         deep = _word_traces_table(word, mats, cs, _MAX_WEIGHT)
         assert list(shallow) == [1] and sorted(deep) == list(range(1, _MAX_WEIGHT + 1))
         assert shallow[1].tobytes() == deep[1].tobytes(), word
-        _assert_traces_within(shallow[1], np.trace(_word_product(word, mats, cs)))
+        _assert_traces_within(shallow[1], np.trace(_numpy_products(word, mats, cs),
+                                                   axis1=1, axis2=2))
+
+
+@pytest.mark.parametrize("name,n,t", [("prop3_u", 3, None), ("int4", 3, 3), ("odd3", 2, 2)])
+def test_spare_arrays_change_no_bit_of_a_table(name, n, t):
+    """Products written by turns into two spare arrays, used again for every
+    word, give the tables of products made in new arrays, bit for bit."""
+    layout = proposition_layout(name, n, t)
+    cs = _random_matrices(np.random.default_rng(SEED + n), n)
+    mats = [_sampled(layout.matrix_kind, _worker_rng(SEED, 80 + i), 300) for i in range(n)]
+    spare = (np.empty((3, 3, 300), dtype=complex), np.empty((3, 3, 300), dtype=complex))
+    for _ in range(2):
+        for _, word in layout.factors:
+            for depth in (1, _MAX_WEIGHT):
+                got = _word_traces_table(word, mats, cs, depth, spare)
+                want = _word_traces_table(word, mats, cs, depth)
+                assert got.keys() == want.keys()
+                for m in want:
+                    assert got[m].tobytes() == want[m].tobytes(), (word, depth, m)
 
 
 def _random_matrices(rng, count, size=3):
@@ -238,9 +274,8 @@ def test_trace_tables_match_the_direct_products(relation):
     words = [word for _, word in layout.factors]
     a, b = _random_matrices(np.random.default_rng(SEED), 2)
     cs = (b, a) if len(words) == 1 else (a, b)
-    [tables] = _word_traces(layout.matrix_kind, words, cs, 1, 3, 500, SEED, 1, _MAX_WEIGHT)
-    sample = _haar_batch if layout.matrix_kind == "unitary" else np.asarray
-    mats = np.moveaxis(sample(_ginibre_batch(_worker_rng(SEED, 0), 500, 3)), -1, 0)
+    [tables] = _word_traces(layout.matrix_kind, words, cs, 1, 3, 500, SEED, _MAX_WEIGHT)
+    mats = np.moveaxis(_sampled(layout.matrix_kind, _worker_rng(SEED, 0), 500)[0], -1, 0)
     dag = mats.conj().swapaxes(-2, -1)
     if len(words) == 1:
         [table] = tables
@@ -252,55 +287,73 @@ def test_trace_tables_match_the_direct_products(relation):
 
 @pytest.mark.parametrize("name,n,t", [("int4", 3, 3), ("prop3_u", 3, None), ("odd3", 2, 2)])
 def test_layout_words_match_products_in_word_order(name, n, t):
-    """Each word's product, letter by letter in word order, against
-    multi_dot and matrix powers, with C matrices that do not commute: the
-    default diagonal ones cannot tell a word from its letters reordered."""
+    """Each word's product, letter by letter in word order, against numpy's
+    matmul and matrix powers, with C matrices that do not commute: the
+    default diagonal ones cannot tell a word from its letters reordered.  The
+    chunks, of 4 168, 4 167 and 4 167 samples, are evaluated in one block of
+    arrays sized for the first, the later two in views one sample narrower."""
     layout = proposition_layout(name, n, t)
     cs = _random_matrices(np.random.default_rng(SEED + n), n)
     words = [word for _, word in layout.factors]
-    sample = _haar_batch if layout.matrix_kind == "unitary" else np.asarray
-    chunks = _word_traces(layout.matrix_kind, words, cs, n, 3, 300, SEED, 2, _MAX_WEIGHT)
-    for worker, tables in enumerate(chunks):
-        rng = _worker_rng(SEED, worker)
-        draws = [np.moveaxis(sample(_ginibre_batch(rng, 150, 3)), -1, 0) for _ in range(n)]
+    samples = 2 * _CHUNK + 2
+    widths = _chunks(samples, 3)
+    assert widths == [4_168, 4_167, 4_167]
+    chunks = _word_traces(layout.matrix_kind, words, cs, n, 3, samples, SEED, _MAX_WEIGHT)
+    for chunk, (width, tables) in enumerate(zip(widths, chunks, strict=True)):
+        rng = _worker_rng(SEED, chunk)
+        mats = [_sampled(layout.matrix_kind, rng, width) for _ in range(n)]
         for word, table in zip(words, tables):
-            letters = [cs[i - 1] if power == 0 else
-                       draws[i - 1] if power > 0 else draws[i - 1].conj().swapaxes(-2, -1)
-                       for i, power in word]
-            products = np.array([np.linalg.multi_dot([x if x.ndim == 2 else x[k] for x in letters])
-                                 for k in range(150)])
-            _assert_traces_close(table, _power_traces(products, _MAX_WEIGHT))
+            _assert_traces_close(table, _power_traces(_numpy_products(word, mats, cs),
+                                                      _MAX_WEIGHT))
 
 
 @pytest.mark.parametrize("name,n,t", [("prop2_u", 2, None), ("int4", 3, 3)])
 def test_sliced_chunks_equal_the_whole_chunk(name, n, t):
-    """The pipeline evaluates a chunk in slices; its tables are bit for bit
-    those of the words evaluated on the whole chunk at once.  The chunks
-    here, 2 S + 2 and 2 S + 1 samples for slices of at most S, span three
-    slices each, split unevenly in the first."""
+    """The pipeline evaluates each chunk in a slice of one block of arrays
+    sized for the widest chunk, with its products in two spare arrays used by
+    turns; its tables are bit for bit those of the words evaluated on the
+    whole chunk in new arrays.  The chunks here, 2 S + 2 samples split in three
+    for chunks of at most S, differ in width, so the later two are narrower
+    slices of the block."""
     layout = proposition_layout(name, n, t)
     cs = _random_matrices(np.random.default_rng(SEED + n), n)
     words = [word for _, word in layout.factors]
-    chunks = _chunks(4 * _SLICE + 3, 2)
-    assert chunks == [2 * _SLICE + 2, 2 * _SLICE + 1]
-    got = _word_traces(layout.matrix_kind, words, cs, n, 3, sum(chunks), SEED, 2, _MAX_WEIGHT)
-    for worker, (chunk, tables) in enumerate(zip(chunks, got)):
-        rng = _worker_rng(SEED, worker)
-        draws = [_ginibre_batch(rng, chunk, 3) for _ in range(n)]
-        mats = [_haar_batch(z) for z in draws] if layout.matrix_kind == "unitary" else draws
+    widths = _chunks(2 * _CHUNK + 2, 3)
+    assert widths == [4_168, 4_167, 4_167]
+    got = _word_traces(layout.matrix_kind, words, cs, n, 3, sum(widths), SEED, _MAX_WEIGHT)
+    for chunk, (width, tables) in enumerate(zip(widths, got, strict=True)):
+        rng = _worker_rng(SEED, chunk)
+        mats = [_sampled(layout.matrix_kind, rng, width) for _ in range(n)]
         for word, table in zip(words, tables):
             want = _word_traces_table(word, mats, cs, _MAX_WEIGHT)
             assert table.keys() == want.keys()
             for m in want:
-                assert np.array_equal(table[m], want[m]), (name, worker, word, m)
+                assert table[m].tobytes() == want[m].tobytes(), (name, chunk, word, m)
+
+
+def test_workers_change_no_bit_of_an_estimate():
+    """A run's chunks and their streams depend on samples alone, so workers
+    changes no bit of (mean, stderr), on both entry points."""
+    for relation in ("sAUBU-1", "sAZZ+B"):
+        got = set()
+        for workers in (1, 3, 4, 64):
+            _trace_slot.clear()
+            est = mc_schur_moment(relation, (2, 1), 3, samples=20_001, seed=SEED,
+                                  workers=workers).estimate
+            got.add((est.mean, est.stderr))
+        assert len(got) == 1, relation
+    got = {(est.mean, est.stderr) for est in (
+        mc_proposition_check("int4", 3, 3, degree=2, samples=20_001, seed=SEED, t=3,
+                             workers=workers).estimate for workers in (1, 3, 4, 64))}
+    assert len(got) == 1
 
 
 def _counting_draws(monkeypatch):
-    """Patch the Ginibre sampler to record the batch size of every draw."""
+    """Patch the chunk streams to record the number of every chunk drawn."""
     draws = []
-    ginibre = matrixmc._ginibre_batch
-    monkeypatch.setattr(matrixmc, "_ginibre_batch",
-                        lambda rng, batch, size: draws.append(batch) or ginibre(rng, batch, size))
+    stream = matrixmc._worker_rng
+    monkeypatch.setattr(matrixmc, "_worker_rng",
+                        lambda seed, chunk: draws.append(chunk) or stream(seed, chunk))
     return draws
 
 
@@ -313,29 +366,36 @@ def test_no_drawing_thread_outlives_a_call():
     assert threading.active_count() == start
 
 
+def _drawing_threads():
+    return [t for t in threading.enumerate() if t.name == "hurwitzkit-mc-draw"]
+
+
 def test_closing_the_pipeline_early_starts_no_further_draw(monkeypatch):
     """At most one chunk is drawn ahead of the one the caller holds; closing
-    the generator waits for that draw and starts none of the rest.  The draw
-    ahead is slowed down, so it is still running when the generator closes."""
+    the generator waits for that draw, starts none of the rest and joins the
+    drawing thread.  The draw ahead is slowed down, so it is still running
+    when the generator closes."""
     draws = _counting_draws(monkeypatch)
-    counted = matrixmc._ginibre_batch
+    ginibre = matrixmc._ginibre_batch
 
     def slow_ahead(rng, batch, size):
-        out = counted(rng, batch, size)
         time.sleep(0.2 if len(draws) > 1 else 0)
-        return out
+        return ginibre(rng, batch, size)
 
     monkeypatch.setattr(matrixmc, "_ginibre_batch", slow_ahead)
     layout = _RELATIONS["sAUBU-1"]
     words = [word for _, word in layout.factors]
     cs = _random_matrices(np.random.default_rng(SEED), 2)
-    start = threading.active_count()
-    chunks = _word_traces("unitary", words, cs, 1, 3, 40_000, SEED, 4, 2)
+    assert not _drawing_threads()
+    chunks = _word_traces("unitary", words, cs, 1, 3, 40_000, SEED, 2)
     next(chunks)
-    assert len(draws) <= 2
+    assert draws in ([0], [0, 1])
+    [drawing] = _drawing_threads()
     chunks.close()
-    assert threading.active_count() == start
-    assert draws == [10_000, 10_000]
+    assert not drawing.is_alive() and not _drawing_threads()
+    assert draws == [0, 1]
+    time.sleep(0.3)  # time for a draw that close() had failed to stop
+    assert draws == [0, 1]
 
 
 def test_a_failed_draw_is_raised_by_the_call(monkeypatch):
@@ -353,7 +413,7 @@ def test_a_failed_draw_is_raised_by_the_call(monkeypatch):
 
 def test_haar_first_moments():
     rng = _worker_rng(SEED, 3)
-    batch = np.moveaxis(_haar_batch(_ginibre_batch(rng, 30_000, 3)), -1, 0)
+    batch = np.moveaxis(_haar_batch(_ginibre_batch(rng, 30_000, 3))[0], -1, 0)
     mean_entry = batch.mean(axis=0)
     assert np.abs(mean_entry).max() < 5 / np.sqrt(30_000 / 3)
     second = (np.abs(batch[:, 0, 0]) ** 2).mean()
@@ -361,10 +421,21 @@ def test_haar_first_moments():
     assert abs(second - 1 / 3) < 5 * stderr  # E|U_11|^2 = 1/N
 
 
-def test_chunks():
+def test_chunk_widths_lie_between_half_a_chunk_and_a_chunk():
+    """Every admitted run is split into ceil(samples / _CHUNK) near-equal
+    chunks, none wider than _CHUNK and none narrower than half of it, so
+    memory is bounded by one chunk whatever samples is.  Checked at every
+    multiple of _CHUNK, one sample either side, and on a stride between."""
     assert _chunks(10, 4) == [3, 3, 2, 2]
     assert _chunks(3, 4) == [1, 1, 1]
-    assert sum(_chunks(100_000, 7)) == 100_000
+    lo, hi = LIMITS["mc samples"].least, LIMITS["mc samples"].most
+    assert (lo, hi) == (10**4, 10**6)
+    edges = {m * _CHUNK + e for m in range(1, hi // _CHUNK + 1) for e in (-1, 0, 1)}
+    for samples in sorted({lo, hi} | set(range(lo, hi + 1, 997)) | edges):
+        if lo <= samples <= hi:
+            widths = _chunks(samples, -(-samples // _CHUNK))
+            assert sum(widths) == samples
+            assert _CHUNK // 2 <= min(widths) <= max(widths) <= _CHUNK, samples
 
 
 def test_estimate_reproducibility():
@@ -504,15 +575,16 @@ def test_every_layout_passes_a_small_gate():
         assert cmp.passed, (name, cmp.sigmas)
 
 
-# Means recorded on the SFC64 streams, each batch filled in place.  A kernel
-# that reassigns draws moves a mean by O(stderr), far beyond 1e-12;
-# rounding-level kernel changes stay below it.
+# Means recorded on the SFC64 streams of the fixed chunks, (seed, chunk
+# number), each batch filled in place.  A kernel that reassigns draws moves a
+# mean by O(stderr), far beyond 1e-12; rounding-level kernel changes stay
+# below it.
 PINNED_MEANS = {
-    "sAUBU-1": ("0x1.04b3e53eb157ep+6", "0x1.45e74878a10f0p+5"),
-    "sAUU-1B": ("0x1.f51c307e83d9dp+2", "0x1.422adc3b8ffbap+2"),
-    "sAZBZ+": ("0x1.85912cea605a3p+10", "0x1.e7fd32b5511b7p+9"),
-    "sAZZ+B": ("0x1.785acaa7a0b02p+7", "0x1.e5c129dbc4756p+6"),
-    "int4": ("0x1.f282d93cd631cp+4", "0x1.9fe473d302d87p+3"),
+    "sAUBU-1": ("0x1.04b56431dfecep+6", "0x1.45edce0518ca2p+5"),
+    "sAUU-1B": ("0x1.05fa30af369d4p+3", "0x1.51020ab496d0bp+2"),
+    "sAZBZ+": ("0x1.84ad37d7414a4p+10", "0x1.e665baf275867p+9"),
+    "sAZZ+B": ("0x1.7cad7b1d753d0p+7", "0x1.ea9cefea60d2cp+6"),
+    "int4": ("0x1.3f77fb1f5a2b8p+5", "0x1.773a158c715b3p+4"),
 }
 
 
@@ -589,6 +661,7 @@ def test_kept_table_is_reused_only_for_the_same_draws(monkeypatch):
         assert len(_trace_slot) <= 1
         return len(draws)
 
+    # 10 000 samples are 2 chunks, 12 501 are 3; workers changes no draw.
     _trace_slot.clear()
     assert moment((1,)) == 2          # p_1 only
     assert moment((1,)) == 0
@@ -602,11 +675,13 @@ def test_kept_table_is_reused_only_for_the_same_draws(monkeypatch):
     assert moment() == 2
     assert moment(b_matrix=np.eye(2)) == 2
     assert moment(seed=SEED + 1) == 2
-    assert moment(samples=10_001) == 2
-    assert moment(workers=3) == 3
-    assert moment(relation="sAZZ+B", workers=3) == 3
-    assert moment(relation="sAZZ+B", size=3, workers=3) == 3
-    assert moment(relation="sAZZ+B", size=3, workers=3) == 0
+    assert moment(samples=12_501) == 3
+    assert moment() == 2
+    for workers in (1, 3, 64):
+        assert moment(workers=workers) == 0
+    assert moment(relation="sAZZ+B", workers=3) == 2
+    assert moment(relation="sAZZ+B", size=3) == 2
+    assert moment(relation="sAZZ+B", size=3, workers=1) == 0
 
 
 def test_proposition_check_empties_the_slot():

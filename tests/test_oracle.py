@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
@@ -159,6 +160,34 @@ def test_convolution_oracle_matches_naive_enumeration():
     ]
     for pres, d, profiles in cases:
         assert oracle_count(pres, d, profiles) == oracle_count_naive(pres, d, profiles)
+
+
+def test_identity_profiles_are_left_out_of_the_naive_enumeration(monkeypatch):
+    """A profile of the identity class has one element, which changes no
+    product, so k = 0 ... 3 of them ahead of the last profile give
+    oracle_count's count with the compositions of k = 0, each call in under
+    1 s.  Three crosscaps at d = 4 are 24^3 tuples; at d = 5 they are the
+    cost table's naive-oracle call, which takes seconds at k = 0 already."""
+    pres, d = SurfacePresentation.nonorientable(3), 4
+    calls = Counter()
+    plain = oracle.compose
+
+    def counted(a, b):
+        calls["compose"] += 1
+        return plain(a, b)
+
+    monkeypatch.setattr(oracle, "compose", counted)
+    composes = set()
+    for last, ks in (((4,), range(4)), ((1,) * d, (0, 3))):
+        for k in ks:
+            profiles = [(1,) * d] * k + [last]
+            calls.clear()
+            start = time.perf_counter()
+            count = oracle_count_naive(pres, d, profiles)
+            assert time.perf_counter() - start < 1.0, (last, k)
+            assert count == oracle_count(pres, d, profiles), (last, k)
+            composes.add(calls["compose"])
+    assert len(composes) == 1
 
 
 def _oracle_count_in_presentation_order(pres, degree, profiles=()):
