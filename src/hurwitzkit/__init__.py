@@ -21,7 +21,6 @@ from .symfunc import (
     content_product,
     eval_schur,
     pochhammer_lambda,
-    qt_pochhammer_lambda,
     schur_poly,
 )
 from .characters import (
@@ -30,18 +29,13 @@ from .characters import (
     character_class_sum,
     character_table,
     colength_sums,
-    full_cycle_normalized_character,
-    hook_character_poly_check,
-    hook_length_dimension,
     irrep_dimension,
     normalized_character,
 )
 from .hurwitz import (
     HurwitzQuery,
     HurwitzResult,
-    full_cycle_identity_holds,
     gluing_identity_holds,
-    hurwitz_down_identity_holds,
     hurwitz_number,
     hurwitz_value,
     hurwitz_weighted_sum,
@@ -49,7 +43,6 @@ from .hurwitz import (
 from .oracle import (
     SurfacePresentation,
     oracle_count,
-    oracle_count_naive,
     oracle_hurwitz,
     presentation_independence_check,
 )

@@ -62,7 +62,6 @@ LIMITS = {
     # Content values x + a get longer with the digits of a.
     "content shift": Limit("digits of numerator and denominator", 4),
     "oracle degree": Limit("degree", 8),
-    "naive oracle work": Limit("enumerated tuples", 2_000_000),
     # Also the depth of a deep MC trace table: matrixmc._batched_traces splits
     # X^m into halves from {X, X^2}, so m <= 4, and a larger value fails there.
     "mc weight": Limit("|lam|", 4),

@@ -22,7 +22,6 @@ from ._errors import ValidationError, as_int, as_rational, guard, shown
 from .partitions import (
     Partition,
     as_partition,
-    conjugate,
     cycle_class_size,
     partitions_of,
 )
@@ -84,20 +83,6 @@ def irrep_dimension(lam) -> int:
     return _column((1,) * lam.weight())[lam]
 
 
-def hook_length_dimension(lam) -> int:
-    """dim lam by the hook-length product; independent oracle for irrep_dimension."""
-    lam = as_partition(lam)
-    d = lam.weight()
-    if d == 0:
-        return 1
-    conj = conjugate(lam)
-    hooks = 1
-    for i, row in enumerate(lam, start=1):
-        for j in range(1, row + 1):
-            hooks *= row - j + conj[j - 1] - i + 1
-    return factorial(d) // hooks
-
-
 def normalized_character(lam, delta) -> int:
     """|C_delta| * chi_lam(delta) / dim lam, always an integer (it is the
     eigenvalue of the class sum of delta on the irreducible lam)."""
@@ -148,54 +133,6 @@ def character_class_sum(delta) -> int:
     Counts square roots in S_d of any permutation with cycle type delta.
     """
     return sum(_column(as_partition(delta)).values())
-
-
-def full_cycle_normalized_character(lam) -> Fraction:
-    """Closed form for the normalized character on the single full cycle:
-    vanishes off one-hook diagrams, else (-1)^{len+1} (d!/dim) / d."""
-    lam = as_partition(lam)
-    d = lam.weight()
-    if d == 0:
-        raise ValidationError("full cycle needs weight >= 1")
-    if len(lam) > 1 and lam[1] > 1:  # not a hook
-        return Fraction(0)
-    sign = -1 if lam.length() % 2 == 0 else 1
-    return Fraction(sign * factorial(d), irrep_dimension(lam) * d)
-
-
-def hook_character_poly_check(delta) -> bool:
-    """Check that prod_i (1 - q^{d_i}) / (1 - q) has coefficient of (-q)^r equal
-    to the character of the hook (d-r, 1^r) on delta, for 0 <= r <= d-1."""
-    delta = as_partition(delta)
-    d = delta.weight()
-    guard("character formula", d)
-    if d == 0:
-        return True
-    # numerator poly coefficients of prod (1 - q^{d_i})
-    poly = [0] * (d + 1)
-    poly[0] = 1
-    for part in delta:
-        new = [0] * (d + 1)
-        for i, coeff in enumerate(poly):
-            if not coeff:
-                continue
-            new[i] += coeff
-            if i + part <= d:
-                new[i + part] -= coeff
-        poly = new
-    # divide by (1 - q): running prefix sums
-    quot = []
-    acc = 0
-    for i in range(d):
-        acc += poly[i]
-        quot.append(acc)
-    for r in range(d):
-        hook = Partition([d - r] + [1] * r)
-        expected = character(hook, delta)
-        got = quot[r] if r % 2 == 0 else -quot[r]
-        if got != expected:
-            return False
-    return True
 
 
 class CharacterTable:

@@ -78,15 +78,15 @@ def _integer(text: str) -> int:
     return _integers("", text, _one, "an integer", argparse.ArgumentTypeError)
 
 
-def _one_of(names: tuple[str, ...]) -> dict:
-    """The type= and metavar of a flag that takes one of names: argparse prints a
-    refused value after "argument <flag>:" by shown, and exits 2."""
-    def name(text: str) -> str:
-        if text not in names:
-            raise argparse.ArgumentTypeError(
-                f"invalid choice: {shown(text)} (choose from {', '.join(names)})")
-        return text
-    return {"type": name, "metavar": "{" + ",".join(names) + "}"}
+class _Parser(argparse.ArgumentParser):
+    """The parser of the command and of each subcommand: a value that no choice
+    matches, a subcommand or a flag's, is named by shown after "argument <name>:",
+    where argparse would print it whole, and the run exits 2."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(action, f"invalid choice: {shown(value)} "
+                                                 f"(choose from {', '.join(action.choices)})")
 
 
 def _one(values):
@@ -287,7 +287,7 @@ def _cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hurwitzkit",
         description="Exact Hurwitz-number engines with oracle and Monte Carlo validation",
     )
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("characters", help="dump a symmetric-group character table")
     p.add_argument("--d", type=_integer, required=True)
-    p.add_argument("--format", **_one_of(("csv", "json")), default="csv")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=_cmd_characters)
 
     p = sub.add_parser("schur", help="power-sum expansion of a Schur function")
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_schur)
 
     p = sub.add_parser("genfun", help="generating series")
-    p.add_argument("--layout", **_one_of(LAYOUT_NAMES))
+    p.add_argument("--layout", choices=LAYOUT_NAMES)
     p.add_argument("--n", type=_integer, help="default 1")
     p.add_argument("--t", type=_integer)
     p.add_argument("--N", type=_integer, help="default 3")
@@ -338,10 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_hirota)
 
     p = sub.add_parser("mc", help="Monte Carlo vs exact comparisons")
-    p.add_argument("--relation", **_one_of(LEMMA_RELATIONS))
+    p.add_argument("--relation", choices=LEMMA_RELATIONS)
     p.add_argument("--lambda", help="default 1")
     p.add_argument("--mu")
-    p.add_argument("--proposition", **_one_of(LAYOUT_NAMES))
+    p.add_argument("--proposition", choices=LAYOUT_NAMES)
     p.add_argument("--n", type=_integer, help="default 1")
     p.add_argument("--t", type=_integer)
     p.add_argument("--N", type=_integer, required=True)

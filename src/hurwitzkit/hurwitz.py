@@ -20,7 +20,6 @@ from ._errors import (ValidationError, as_int, as_rational, as_tuple, guard, gua
                       shown)
 from .characters import (
     _column,
-    character_class_sum,
     class_column,
     _weighted_colength_sum,
 )
@@ -129,32 +128,4 @@ def gluing_identity_holds(euler_a: int, euler_b: int, degree: int, profiles_a=()
             * hurwitz_value(euler_a + 1, degree, profs_a + (delta,))
             * hurwitz_value(euler_b + 1, degree, (delta,) + profs_b)
         )
-    return left == right
-
-
-def hurwitz_down_identity_holds(euler: int, degree: int, profiles=()) -> bool:
-    """Check that dropping the base Euler characteristic by one equals summing an
-    extra branch point against the square-root weights character_class_sum."""
-    euler, degree = as_int("euler", euler), as_int("degree", degree)
-    guard("identity check", degree)
-    profs = as_tuple("profiles", profiles, as_partition)
-    left = hurwitz_value(euler - 1, degree, profs)
-    right = Fraction(0)
-    for delta in partitions_of(degree):
-        right += hurwitz_value(euler, degree, profs + (delta,)) * character_class_sum(delta)
-    return left == right
-
-
-def full_cycle_identity_holds(euler: int, degree: int, profiles=(), handles: int = 1) -> bool:
-    """In the presence of a maximally ramified branch point, trading 2g of base
-    Euler characteristic for 2g extra full-cycle branch points costs d^{2g}."""
-    euler, degree = as_int("euler", euler), as_int("degree", degree)
-    guard("identity check", degree)
-    handles = as_int("handles", handles, 1)
-    profs = as_tuple("profiles", profiles, as_partition)
-    full = Partition([degree])
-    left = hurwitz_value(euler - 2 * handles, degree, profs + (full,))
-    right = degree ** (2 * handles) * hurwitz_value(
-        euler, degree, profs + (full,) * (2 * handles + 1)
-    )
     return left == right

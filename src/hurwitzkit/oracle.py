@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain, permutations, product
+from itertools import chain, permutations
 from math import factorial
 
 from ._errors import ValidationError, as_int, guard, guard_output_size, shown
@@ -93,18 +93,6 @@ class SurfacePresentation:
         return cls("nonorientable", crosscaps=crosscaps)
 
 
-def compose(p: Perm, q: Perm) -> Perm:
-    """(p o q)(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
-def inverse(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, img in enumerate(p):
-        out[img] = i
-    return tuple(out)
-
-
 def cycle_type(p: Perm) -> tuple[int, ...]:
     seen = [False] * len(p)
     lengths = []
@@ -119,10 +107,6 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
             size += 1
         lengths.append(size)
     return tuple(sorted(lengths, reverse=True))
-
-
-def class_elements(d: int, delta: tuple[int, ...]) -> tuple[Perm, ...]:
-    return tuple(p for p in permutations(range(d)) if cycle_type(p) == delta)
 
 
 @lru_cache(maxsize=None)
@@ -237,47 +221,6 @@ def oracle_count(pres: SurfacePresentation, degree: int, profiles=()) -> int:
 def oracle_hurwitz(pres: SurfacePresentation, degree: int, profiles=()) -> Fraction:
     """Solution count divided by d!."""
     return Fraction(oracle_count(pres, degree, profiles), factorial(degree))
-
-
-def oracle_count_naive(pres: SurfacePresentation, degree: int, profiles=()) -> int:
-    """Literal nested-tuple enumeration (last class factor solved for and
-    membership-tested).  Exponentially slower than oracle_count; kept as an
-    independent cross-check for tiny inputs."""
-    pres = _surface(pres)
-    profs = checked_profiles(degree, profiles)
-    # 10! and 2^21 are each past the row: no huge factorial or power is formed
-    work = factorial(min(degree, 10)) ** min(2 * pres.handles + pres.crosscaps, 21)
-    for p in profs[:-1]:
-        work *= cycle_class_size(p)
-    guard("naive oracle work", work)
-    guard("oracle degree", degree)
-    guard_output_size(pres.euler, degree, len(profs))
-    identity = tuple(range(degree))
-    free_slots = 2 * pres.handles + pres.crosscaps
-    # The identity class has one element, which changes no product, so of its
-    # profiles only a last one, solved for below, is read.
-    class_lists = [class_elements(degree, p) for p in profs[:-1] if p.colength()]
-    total = 0
-    for frees in product(permutations(identity), repeat=free_slots):
-        prefix = identity
-        if pres.kind == "orientable":
-            for i in range(pres.handles):
-                a, b = frees[2 * i], frees[2 * i + 1]
-                prefix = compose(prefix, compose(compose(a, b), compose(inverse(a), inverse(b))))
-        else:
-            for r in frees:
-                prefix = compose(prefix, compose(r, r))
-        if not profs:
-            total += prefix == identity
-            continue
-        for xs in product(*class_lists):
-            prod_all = prefix
-            for x in xs:
-                prod_all = compose(prod_all, x)
-            # last X is forced: prod_all * X_F = identity
-            needed = inverse(prod_all)
-            total += cycle_type(needed) == profs[-1]
-    return total
 
 
 def presentation_independence_check(euler: int, degree: int, profiles=()) -> bool:

@@ -313,16 +313,3 @@ def content_product(r: Callable, n, lam):
 def pochhammer_lambda(a, lam):
     """Product of (a + j - i) over diagram cells."""
     return content_product(lambda x: x, a, lam)
-
-
-def qt_pochhammer_lambda(q, t, lam):
-    """Product of (1 - q * t^{j-i}) over diagram cells."""
-    lam = as_partition(lam)
-    if isinstance(q, int):
-        q = Fraction(q)
-    if isinstance(t, int):
-        t = Fraction(t)
-    if t == 0 and lam.length() > 1:
-        raise ValidationError("t^{j-i} undefined at t = 0 below the diagonal")
-    return content_product(lambda c: 1 - q * t**c, 0, lam)
-

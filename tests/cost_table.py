@@ -61,6 +61,7 @@ REFUSED = (
     Cost(cli("genfun", "--layout", "x" * 5000), 0.3, 30, 2),
     Cost(cli("mc", "--relation", "x" * 5000, "--N", "2"), 0.3, 30, 2),
     Cost(cli("hurwitz", "--euler", "1", "--degree", "3", "x" * 5000), 0.3, 30, 2),
+    Cost(cli("x" * 5000), 0.3, 30, 2),
 )
 
 # The calls that are the slowest admitted call of more than one row.
@@ -90,11 +91,11 @@ SLOWEST = {
     # The oracle at the bound, (|E| + F) * digits(8!) = 800 * 5; the character formula's
     # call is at this bound too.
     "output size": Cost(cli("oracle", "--surface", "crosscaps:802", "--degree", "8"), 1.4, 39),
-    # 999 profiles, the most the output-size row admits at E = 0 and d = 7.
+    # 1 000 profiles at E = 0 on the left, the most the output-size row admits at d = 7
+    # (1 000 * digits(7!) = 4 000), and 999 + 1 in the largest call on the right.
     "identity check": Cost(
-        lib("from hurwitzkit import hurwitz_down_identity_holds, partitions_of; "
-            "hurwitz_down_identity_holds(0, 7, [partitions_of(7)[i % 15] for i in range(999)])"),
-        0.6, 29),
+        lib("from hurwitzkit import gluing_identity_holds; "
+            "gluing_identity_holds(-1, 1, 7, [(7,)] * 999, [(7,)])"), 0.3, 29),
     "character table": Cost(cli("characters", "--d", "8", "--format", "json"), 0.4, 30),
     "schur expansion": Cost(cli(*SCHUR), 0.4, 30),
     "schur constant": Cost(cli(*SCHUR, "--at-constant", "9" * 400 + "/1" + "0" * 398 + "3"),
@@ -115,11 +116,6 @@ SLOWEST = {
     "content shift": BILINEAR,
     # genus:401 reads the commutator side of the class table, which crosscaps:802 does not.
     "oracle degree": Cost(cli("oracle", "--surface", "genus:401", "--degree", "8"), 1.1, 39),
-    # 120^3 free tuples.  A profile of the identity class counts 1 in the row and costs
-    # nothing: it is left out of the enumeration.
-    "naive oracle work": Cost(
-        lib("from hurwitzkit import SurfacePresentation, oracle_count_naive; "
-            "oracle_count_naive(SurfacePresentation.nonorientable(3), 5, [(5,)])"), 21.1, 29),
     "mc weight": MC_MOMENT,
     "mc moment size": MC_MOMENT,
     "mc proposition size": MC_PROPOSITION,

@@ -11,8 +11,6 @@ from itertools import combinations_with_replacement, permutations
 from hurwitzkit.characters import (
     character_class_sum,
     character_table,
-    full_cycle_normalized_character,
-    hook_character_poly_check,
     normalized_character,
 )
 from hurwitzkit.genfun import (
@@ -25,9 +23,7 @@ from hurwitzkit.genfun import (
 )
 from hurwitzkit.hirota import hirota_bilinear_check
 from hurwitzkit.hurwitz import (
-    full_cycle_identity_holds,
     gluing_identity_holds,
-    hurwitz_down_identity_holds,
     hurwitz_value,
     hurwitz_weighted_sum,
 )
@@ -42,6 +38,12 @@ from hurwitzkit.symfunc import (
     PowerAlphabet,
     eval_schur,
     pochhammer_lambda,
+)
+from oracles import (
+    full_cycle_identity_holds,
+    full_cycle_normalized_character,
+    hook_character_poly_check,
+    hurwitz_down_identity_holds,
     qt_pochhammer_lambda,
 )
 

@@ -16,9 +16,6 @@ from hurwitzkit.characters import (
     character_table,
     class_column,
     colength_sums,
-    full_cycle_normalized_character,
-    hook_character_poly_check,
-    hook_length_dimension,
     irrep_dimension,
     normalized_character,
     _weighted_colength_sum,
@@ -26,6 +23,8 @@ from hurwitzkit.characters import (
 from hurwitzkit.hurwitz import hurwitz_value, hurwitz_weighted_sum
 from hurwitzkit.partitions import Partition, partitions_of, z_order
 from hurwitzkit.symfunc import schur_poly
+from oracles import (full_cycle_normalized_character, hook_character_poly_check,
+                     hook_length_dimension)
 
 
 def test_character_values():

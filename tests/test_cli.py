@@ -441,10 +441,13 @@ _SHOWN_NAME = "'xxxxxxxxxxxxxxxxxxxxxxxx'... (5000 characters)"
      f"unrecognized arguments: {_SHOWN_NAME}"),
     (["hurwitz", "--euler", "1", "--degree", "3", "x", f"--{_LONG_NAME}"],
      f"unrecognized arguments: 'x' '--{_LONG_NAME[:22]}'... (5002 characters)"),
+    ([_LONG_NAME], f"argument command: invalid choice: {_SHOWN_NAME} (choose from hurwitz, "
+     "oracle, characters, schur, genfun, hirota, mc, selftest)"),
 ])
 def test_a_refused_name_or_argument_is_shown_not_printed_whole(capsys, argv, error):
-    """A flag that takes one of a list of names, and an argument no flag takes,
-    name the value as every message does: argparse exits 2, stderr under 1 KB."""
+    """A subcommand or a flag that takes one of a list of names, and an argument
+    no flag takes, name the value as every message does: argparse exits 2,
+    stderr under 1 KB."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     out, err = capsys.readouterr()

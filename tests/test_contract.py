@@ -12,20 +12,18 @@ from hypothesis import strategies as st
 from hurwitzkit import GuardError, LIMITS, ValidationError
 from hurwitzkit._errors import as_int, shown
 from hurwitzkit.characters import (CharacterTable, character, character_class_sum,
-                                   character_table, class_column, colength_sums,
-                                   full_cycle_normalized_character, hook_character_poly_check,
-                                   hook_length_dimension, irrep_dimension, normalized_character)
+                                   character_table, class_column, colength_sums, irrep_dimension,
+                                   normalized_character)
 from hurwitzkit.cli import main
 from hurwitzkit.genfun import (ContentFunction, PochhammerParam, ProfileSeries, PropositionLayout,
                                SeriesKey, build_layout, cauchy_littlewood_check, fold_alphabet,
                                hyp_tau_series, hypergeometric_series, proposition_layout,
                                single_branch_point_series, unbranched_cover_coefficients)
 from hurwitzkit.hirota import hirota_bilinear_check
-from hurwitzkit.hurwitz import (HurwitzQuery, HurwitzResult, full_cycle_identity_holds,
-                                gluing_identity_holds, hurwitz_down_identity_holds,
+from hurwitzkit.hurwitz import (HurwitzQuery, HurwitzResult, gluing_identity_holds,
                                 hurwitz_number, hurwitz_value, hurwitz_weighted_sum)
-from hurwitzkit.oracle import (SurfacePresentation, oracle_count, oracle_count_naive,
-                               oracle_hurwitz, presentation_independence_check)
+from hurwitzkit.oracle import (SurfacePresentation, oracle_count, oracle_hurwitz,
+                               presentation_independence_check)
 from hurwitzkit.partitions import (Partition, checked_profiles, conjugate, cycle_class_size,
                                    euler_char_cover, partitions_of, z_order)
 from hurwitzkit.symfunc import PowerAlphabet, PowerSumPoly, complete_homogeneous, schur_poly
@@ -66,15 +64,11 @@ CALLS = {
     "character lam": (lambda v: character(v, (2, 1)), int),
     "character delta": (lambda v: character((2, 1), v), int),
     "irrep_dimension lam": (lambda v: irrep_dimension(v), int),
-    "hook_length_dimension lam": (lambda v: hook_length_dimension(v), int),
     "normalized_character lam": (lambda v: normalized_character(v, (2, 1)), int),
     "normalized_character delta": (lambda v: normalized_character((2, 1), v), int),
     "class_column delta": (lambda v: class_column(v), tuple),
     "colength_sums lam": (lambda v: colength_sums(v), tuple),
     "character_class_sum delta": (lambda v: character_class_sum(v), int),
-    "full_cycle_normalized_character lam": (lambda v: full_cycle_normalized_character(v),
-                                            Fraction),
-    "hook_character_poly_check delta": (lambda v: hook_character_poly_check(v), bool),
     "CharacterTable d": (lambda v: CharacterTable(v), CharacterTable),
     "character_table d": (lambda v: character_table(v), CharacterTable),
     "CharacterTable.chi lam": (lambda v: character_table(3).chi(v, (3,)), int),
@@ -106,15 +100,6 @@ CALLS = {
     "gluing_identity_holds degree": (lambda v: gluing_identity_holds(1, 1, v), bool),
     "gluing_identity_holds profiles_a": (lambda v: gluing_identity_holds(1, 1, 3, v), bool),
     "gluing_identity_holds profiles_b": (lambda v: gluing_identity_holds(1, 1, 3, (), v), bool),
-    "hurwitz_down_identity_holds euler": (lambda v: hurwitz_down_identity_holds(v, 3), bool),
-    "hurwitz_down_identity_holds degree": (lambda v: hurwitz_down_identity_holds(1, v), bool),
-    "hurwitz_down_identity_holds profiles": (lambda v: hurwitz_down_identity_holds(1, 3, v),
-                                             bool),
-    "full_cycle_identity_holds euler": (lambda v: full_cycle_identity_holds(v, 3), bool),
-    "full_cycle_identity_holds degree": (lambda v: full_cycle_identity_holds(2, v), bool),
-    "full_cycle_identity_holds profiles": (lambda v: full_cycle_identity_holds(2, 3, v), bool),
-    "full_cycle_identity_holds handles": (lambda v: full_cycle_identity_holds(2, 3, handles=v),
-                                          bool),
     "SurfacePresentation handles": (lambda v: SurfacePresentation.orientable(v),
                                     SurfacePresentation),
     "SurfacePresentation crosscaps": (lambda v: SurfacePresentation.nonorientable(v),
@@ -125,13 +110,6 @@ CALLS = {
     "oracle_count profiles": (lambda v: oracle_count(SurfacePresentation.torus(), 3, v), int),
     "oracle_hurwitz pres": (lambda v: oracle_hurwitz(v, 3), Fraction),
     "oracle_hurwitz degree": (lambda v: oracle_hurwitz(SurfacePresentation.rp2(), v), Fraction),
-    "oracle_count_naive handles": (
-        lambda v: oracle_count_naive(SurfacePresentation.orientable(v), 2), int),
-    "oracle_count_naive degree": (lambda v: oracle_count_naive(SurfacePresentation.torus(), v),
-                                  int),
-    "oracle_count_naive degree, sphere": (
-        lambda v: oracle_count_naive(SurfacePresentation.sphere(), v), int),
-    "oracle_count_naive pres": (lambda v: oracle_count_naive(v, 2), int),
     "presentation_independence_check euler": (
         lambda v: presentation_independence_check(v, 3), bool),
     "presentation_independence_check degree": (
@@ -185,7 +163,7 @@ CALLS = {
 @settings(max_examples=1500, deadline=None, database=None)
 @given(st.sampled_from(sorted(CALLS)), st.sampled_from(BAD))
 def test_each_bad_argument_ends_in_an_answer_or_a_documented_error(name, value):
-    """Every one of the 1 080 pairs is drawn: Hypothesis stops once none is left."""
+    """Every one of the 940 pairs is drawn: Hypothesis stops once none is left."""
     call, kind = CALLS[name]
     try:
         out = call(value)
@@ -216,7 +194,7 @@ def test_shown_names_any_value_in_one_short_line():
     (lambda: Partition((1, HUGE)),
      r"^partition parts must be weakly decreasing: \(1, a value of 5001 digits\)$"),
     (lambda: build_layout("TL", "complex", (HUGE,)), r"got \(a value of 5001 digits,\)$"),
-    (lambda: full_cycle_identity_holds(2, 3, handles=1.5), "^handles must be an integer, got 1.5$"),
+    (lambda: SurfacePresentation.orientable(1.5), "^handles must be an integer, got 1.5$"),
     (lambda: presentation_independence_check(-2.0, 3), "^euler must be an integer, got -2.0$"),
     (lambda: hurwitz_weighted_sum(2, 3, [], [(1, 0.5)]), "^c must be rational, got 0.5$"),
     (lambda: hurwitz_weighted_sum(2, 3, [], [(1.5, 1)]),

@@ -14,17 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurwitzkit import LIMITS, GuardError, ValidationError
-from hurwitzkit.characters import full_cycle_normalized_character, _weighted_colength_sum
+from hurwitzkit.characters import _weighted_colength_sum
 from hurwitzkit._errors import digits
 from hurwitzkit.cli import main
 from hurwitzkit.genfun import (ContentFunction, PochhammerParam, ProfileSeries, SeriesKey,
                                fold_alphabet, hyp_tau_series, hypergeometric_series)
 from hurwitzkit.hirota import hirota_bilinear_check
-from hurwitzkit.hurwitz import full_cycle_identity_holds, hurwitz_value, hurwitz_weighted_sum
+from hurwitzkit.hurwitz import hurwitz_value, hurwitz_weighted_sum
 from hurwitzkit.matrixmc import MCEstimate, mc_proposition_check, mc_schur_moment
-from hurwitzkit.oracle import SurfacePresentation, oracle_count, oracle_count_naive
+from hurwitzkit.oracle import SurfacePresentation, oracle_count, oracle_hurwitz
 from hurwitzkit.partitions import Partition, euler_char_cover, partitions_of
-from hurwitzkit.symfunc import PowerAlphabet, PowerSumPoly, qt_pochhammer_lambda
+from hurwitzkit.symfunc import PowerAlphabet, PowerSumPoly
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -245,7 +245,7 @@ def test_a_guarded_value_past_the_string_limit_is_named_by_its_digits(call):
     (lambda: SurfacePresentation("nonorientable", crosscaps=1.5), "crosscaps"),
     (lambda: SurfacePresentation.orientable(1.0), "handles"),
     (lambda: oracle_count(SurfacePresentation.torus(), 3.0), "degree"),
-    (lambda: oracle_count_naive(SurfacePresentation.torus(), "3"), "degree"),
+    (lambda: oracle_hurwitz(SurfacePresentation.torus(), "3"), "degree"),
     (lambda: hurwitz_value(1.5, 3, [(2, 1)]), "euler"),
     (lambda: hurwitz_value(Fraction(1, 2), 3, [(2, 1)]), "euler"),
     (lambda: hurwitz_value(2, 3.0, [(2, 1)]), "degree"),
@@ -327,11 +327,7 @@ _REJECTIONS = {
     "negative stderr": (lambda: MCEstimate(0j, -1.0, 10, 0), "stderr must be nonnegative"),
     "weighted sum k = 0": (lambda: hurwitz_weighted_sum(2, 3, [], [(0, 1)]),
                            "weight order k must be >= 1"),
-    "full cycle, no handles": (lambda: full_cycle_identity_holds(2, 3, handles=0),
-                               "handles must be >= 1"),
     "weighted colength k = 0": (lambda: _weighted_colength_sum((2, 1), 0, 2), "k must be >= 1"),
-    "full cycle of ()": (lambda: full_cycle_normalized_character(()),
-                         "full cycle needs weight >= 1"),
     "surface kind klein": (lambda: SurfacePresentation("klein"), "unknown surface kind 'klein'"),
     "evaluate, no alphabet": (lambda: _p2_series().evaluate([]), "alphabet count mismatch"),
     "evaluate, truncated alphabet": (lambda: _p2_series().evaluate([PowerAlphabet.p_infinity(1)]),
@@ -375,8 +371,6 @@ _REJECTIONS = {
                               r"p_1 undefined: 1 - t\^1 vanishes"),
     "non-square matrix": (lambda: PowerAlphabet.from_matrix([[1, 2], [3]], 2),
                           "matrix must be square"),
-    "q/t Pochhammer at t = 0": (lambda: qt_pochhammer_lambda(2, 0, (1, 1)),
-                                "undefined at t = 0 below the diagonal"),
 }
 
 

@@ -8,17 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurwitzkit import LIMITS, GuardError, ValidationError
-from hurwitzkit.characters import character, hook_length_dimension
+from hurwitzkit.characters import character
 from hurwitzkit.hurwitz import (
     HurwitzQuery,
-    full_cycle_identity_holds,
     gluing_identity_holds,
-    hurwitz_down_identity_holds,
     hurwitz_number,
     hurwitz_value,
     hurwitz_weighted_sum,
 )
 from hurwitzkit.partitions import Partition, partitions_of, z_order
+from oracles import full_cycle_identity_holds, hook_length_dimension, hurwitz_down_identity_holds
 
 
 def test_projective_plane_values():

@@ -1,9 +1,9 @@
 """Every module uses every name it imports (the package __init__ is left out:
 its imports are its re-exports), every private module-level name of the
 package is read somewhere in the package, not only by the tests, every
-re-export is read by the package, perfbench or an acceptance criterion unless
-it is listed with its reason, and no package module but partitions.py
-unwraps a Partition through `.parts`."""
+re-export and every public module-level function and class is read by the
+package or perfbench unless it is listed with its reason, and no package
+module but partitions.py unwraps a Partition through `.parts`."""
 import ast
 from pathlib import Path
 
@@ -34,6 +34,17 @@ def test_every_imported_name_is_used():
     assert unused == {}
 
 
+def _names_read(source: str) -> set[str]:
+    """The names a module reads, by name or as an attribute of any object."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
 def _unread_private_names(sources: dict[str, str]) -> list[str]:
     """The private module-level functions, classes and constants of these
     modules that no module reads, by name or as a module attribute."""
@@ -51,11 +62,7 @@ def _unread_private_names(sources: dict[str, str]) -> list[str]:
             for name in names:
                 if name.startswith("_") and not name.startswith("__"):
                     defined[name] = f"{module}:{node.lineno}"
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+        read |= _names_read(source)
     return [f"{name} ({where})" for name, where in sorted(defined.items()) if name not in read]
 
 
@@ -82,40 +89,44 @@ def test_no_module_but_partitions_reads_parts():
     assert readers == []
 
 
-def _unread_exports(init: str, readers: list[str]) -> list[str]:
-    """The names the package __init__ re-exports from its modules that no reader
-    module reads, by name or as an attribute."""
-    exported = {alias.asname or alias.name for node in ast.parse(init).body
-                if isinstance(node, ast.ImportFrom) and node.level and node.module
-                for alias in node.names}
-    read = set()
-    for source in readers:
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-    return sorted(exported - read)
+def _unread_public_names(package: dict[str, str], readers: list[str]) -> list[str]:
+    """The public names of the package that no reader module reads, by name or as
+    an attribute: the names its __init__ re-exports from its modules, and the
+    public module-level functions and classes of each module but __init__, whose
+    own two functions, cache_stats and clear_caches, are the cache interface."""
+    public = set()
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            if module == "__init__.py":
+                if isinstance(node, ast.ImportFrom) and node.level and node.module:
+                    public.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+                public.add(node.name)
+    return sorted(public.difference(*map(_names_read, readers)))
 
 
-# Exports that no engine, command, benchmark or acceptance criterion reads, kept on purpose.
+# Public names that no engine, command or benchmark reads, kept on purpose.
 UNREAD_ON_PURPOSE = {
-    "hook_length_dimension": "the hook-length formula, the labelled independent oracle "
-                             "for irrep_dimension, the identity class's character column",
-    "oracle_count_naive": "the literal nested-loop enumerator, the labelled independent "
-                          "oracle for oracle_count",
+    "character_class_sum": "the square-root counts sum_lam chi_lam(delta), checked by "
+                           "criterion 5 against a tally over S_d; its one package reader, "
+                           "the lower-Euler identity, is now a test oracle",
     "fold_alphabet": "alphabet folding, kept for the exact tau-function check of "
                      "claim (a) (ROADMAP item 5)",
+    "hurwitz_weighted_sum": "the weighted Hurwitz sum, a public engine that no command "
+                            "exposes yet",
 }
 
 
-def test_every_export_is_read_by_the_package_the_benchmark_or_a_criterion():
-    """A public name stays only while the engines, the CLI, perfbench or an
-    acceptance criterion reaches it; the tests of the name alone do not count."""
-    assert _unread_exports("from .a import x, y as z\nfrom . import a\nfrom os import sep\n",
-                           ["print(x)\n", "import m\nm.q = 1\n", "q = 2\n"]) == ["z"]
-    readers = [path.read_text() for path in PACKAGE if path.name != "__init__.py"]
+def test_every_public_name_is_read_by_the_package_or_the_benchmark():
+    """A public name stays only while another package module or perfbench reaches
+    it; the tests, the acceptance criteria among them, do not count.  The labelled
+    oracles that only the tests read live in tests/oracles.py."""
+    toy = {"__init__.py": "from .a import x, y as z\nfrom . import a\nfrom os import sep\n",
+           "a.py": "def x():\n    return w()\ndef w():\n    pass\nclass V:\n    pass\n"
+                   "def _u():\n    pass\n"}
+    assert _unread_public_names(toy, [toy["a.py"], "print(x)\n", "import m\nm.q = 1\n"]) == [
+        "V", "z"]
+    package = {path.name: path.read_text() for path in PACKAGE}
+    readers = [source for name, source in package.items() if name != "__init__.py"]
     readers += [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
-    readers.append((ROOT / "tests" / "test_acceptance.py").read_text())
-    init = (ROOT / "src" / "hurwitzkit" / "__init__.py").read_text()
-    assert _unread_exports(init, readers) == sorted(UNREAD_ON_PURPOSE)
+    assert _unread_public_names(package, readers) == sorted(UNREAD_ON_PURPOSE)

@@ -21,9 +21,9 @@ from hurwitzkit.symfunc import (
     eval_schur,
     exp_truncated,
     pochhammer_lambda,
-    qt_pochhammer_lambda,
     schur_poly,
 )
+from oracles import qt_pochhammer_lambda
 
 random.seed(20240818)
 
